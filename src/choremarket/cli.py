@@ -20,7 +20,6 @@ from .errors import (
     ConditionViolated,
     DegenerateSize,
     DimensionMismatch,
-    Infeasible,
     Malformed,
     NotGadget,
     NotSatisfying,
@@ -333,7 +332,12 @@ def _cmd_recover_strategy(args):
 def _cmd_verify_polymatrix(args):
     game = polymatrix.game_from_json(load_json(args.game))
     doc = load_json(args.strategy)
-    x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in doc["x"]]
+    try:
+        x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in doc["x"]]
+    except KeyError as exc:
+        raise Malformed(f"strategy document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise Malformed(f"strategy document has a bad value: {exc}") from exc
     verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
     _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)
     return 0 if verdict.ok else 1
@@ -347,9 +351,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="choremarket",
         description="Competitive equilibria for chore division with a dislike threshold.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed (all commands are deterministic)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -428,15 +429,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotSatisfying, OutOfBand, Infeasible, ConditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ChoreMarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

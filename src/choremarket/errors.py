@@ -41,18 +41,6 @@ class NotConverged(ChoreMarketError):
     """Iterative routine hit its iteration cap before reaching tolerance."""
 
 
-class NotInP(ChoreMarketError):
-    """Price iterate drifted out of the normalized domain."""
-
-
-class EmptyMPB(ChoreMarketError):
-    """An agent with positive budget has no usable minimum-pain chore."""
-
-
-class ZeroBudget(ChoreMarketError):
-    """Agent budget is zero where a positive budget is required."""
-
-
 class BadParams(ChoreMarketError):
     """Gadget parameters violate their constraints."""
 

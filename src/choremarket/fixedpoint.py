@@ -12,7 +12,7 @@ residual is small and the candidate passes float verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -25,23 +25,17 @@ from .errors import (
     NotConverged,
     WrongVariant,
 )
-from .graphs import (
-    ComponentDecomposition,
-    build_disutility_graph,
-    build_exchange_graph,
-    check_condition1,
-    check_condition2,
-)
+from .enumeration import _solve_pattern
+from .graphs import ComponentDecomposition, check_conditions
 from .model import (
     EXCHANGE,
     FIXED_EARNINGS,
     FLOAT,
     EquilibriumCandidate,
     Instance,
-    agent_budget,
     chore_supply,
 )
-from .verification import verify_equilibrium
+from .verification import mpb_sets, verify_equilibrium
 
 #: Tolerances for the numeric machinery.
 TOL_P = 1e-9
@@ -49,6 +43,17 @@ TOL_NULL = 1e-10
 MAX_NULL_ITERS = 10**6
 RESIDUAL_TOL = 1e-7
 DAMPING = 0.5
+#: Relative tie band of the greedy allocation's MPB sets.
+ALLOCATION_TIE_TOL = 1e-9
+#: Float-verification tolerance (MPB and clearing) of a reported candidate.
+VERIFY_TOL = 1e-6
+#: Every this many iterations, try snapping the near-tie minimum pain-per-buck
+#: pattern of the current prices to an exact equilibrium with the pattern LP.
+SNAP_INTERVAL = 5
+SNAP_TIE_TOL = 1e-6
+#: Skip snapping on instances with more agent-chore pairs than this (the
+#: exact LP would dominate the run time).
+SNAP_SIZE_CAP = 600
 
 
 @dataclass(frozen=True)
@@ -56,17 +61,6 @@ class SolverConfig:
     max_iters: int = 20000
     residual_tol: float = RESIDUAL_TOL
     damping: float = DAMPING
-    tol_null: float = TOL_NULL
-    max_null_iters: int = MAX_NULL_ITERS
-    verify_tol: float = 1e-6
-    #: Every this many iterations, try snapping the near-tie minimum
-    #: pain-per-buck pattern of the current prices to an exact equilibrium
-    #: with the pattern LP.  0 disables snapping.
-    snap_interval: int = 5
-    snap_tie_tol: float = 1e-6
-    #: Skip snapping on instances with more agent-chore pairs than this
-    #: (the exact LP would dominate the run time).
-    snap_size_cap: int = 600
 
 
 @dataclass(frozen=True)
@@ -97,17 +91,15 @@ class SolveOutcome:
     trace: Tuple[IterationRecord, ...]
 
 
-def stochastic_null_vector(
-    Z: np.ndarray,
-    tol_null: float = TOL_NULL,
-    max_iters: int = MAX_NULL_ITERS,
-) -> np.ndarray:
+def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
     """Nonnegative unit-sum vector ``t`` with ``Z t = 0``.
 
     Requires nonnegative off-diagonal entries and (near-)zero column sums;
     then ``Z / lam + I`` is column stochastic for large ``lam`` and has a
     stochastic fixed vector.  A direct nullspace solve is tried first, with
-    power iteration on the stochastic matrix as fallback.
+    power iteration on the stochastic matrix as fallback (at most
+    ``MAX_NULL_ITERS`` steps).  The residual ``max |Z t|`` must reach
+    ``TOL_NULL``.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
@@ -139,13 +131,13 @@ def stochastic_null_vector(
             t = np.clip(t, 0.0, None)
             if t.sum() > 0:
                 t = t / t.sum()
-                if _residual(t) <= tol_null:
+                if _residual(t) <= TOL_NULL:
                     return t
 
     lam = scale + 1.0
     t = np.full(d, 1.0 / d)
-    for _ in range(max_iters):
-        if _residual(t) <= tol_null:
+    for _ in range(MAX_NULL_ITERS):
+        if _residual(t) <= TOL_NULL:
             return t
         t = t + (Z @ t) / lam
         t = np.clip(t, 0.0, None)
@@ -153,15 +145,14 @@ def stochastic_null_vector(
         if total <= 0:
             raise NotConverged("power iteration collapsed to zero")
         t = t / total
-    if _residual(t) <= tol_null:
+    if _residual(t) <= TOL_NULL:
         return t
     raise NotConverged("null-vector power iteration hit the iteration cap")
 
 
 def _require_unit_supply(inst: Instance) -> None:
-    for j in range(inst.m):
-        if abs(float(chore_supply(inst, j)) - 1.0) > TOL_P:
-            raise Malformed("operation requires unit chore supplies")
+    if np.abs(inst.float_supply - 1.0).max() > TOL_P:
+        raise Malformed("operation requires unit chore supplies")
 
 
 def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ...]]:
@@ -237,20 +228,12 @@ def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
     if prices.shape != (inst.m,):
         raise Malformed("price vector length must match chore count")
     X = np.zeros((inst.n, inst.m))
-    for i in range(inst.n):
-        budget = float(agent_budget(inst, i, prices))
+    budgets = inst.float_budgets(prices).tolist()
+    sets = mpb_sets(inst, prices, ALLOCATION_TIE_TOL)
+    for i, (budget, mpb) in enumerate(zip(budgets, sets)):
         if budget <= 0:
             continue
-        finite = inst.finite_chores(i)
-        ratios = {
-            j: float(inst.disutility[i][j]) / prices[j]
-            for j in finite
-            if prices[j] > 0
-        }
-        if not ratios:
-            continue
-        best = min(ratios.values())
-        members = [j for j, r in ratios.items() if r <= best * (1 + 1e-9)]
+        members = sorted(mpb.members)
         mass = sum(prices[j] for j in members)
         for j in members:
             X[i, j] = budget / mass
@@ -258,17 +241,10 @@ def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
 
 
 def clearing_residual(inst: Instance, X: np.ndarray) -> float:
-    supplies = np.array([float(chore_supply(inst, j)) for j in range(inst.m)])
-    return float(np.abs(supplies - X.sum(axis=0)).max())
+    return float(np.abs(inst.float_supply - X.sum(axis=0)).max())
 
 
-def phi_step(
-    inst: Instance,
-    state: IterationState,
-    dec: ComponentDecomposition,
-    tol_null: float = TOL_NULL,
-    max_null_iters: int = MAX_NULL_ITERS,
-):
+def phi_step(inst: Instance, state: IterationState, dec: ComponentDecomposition):
     """One undamped update: new prices from (p, X), new allocation at p.
 
     Returns ``(new_prices, new_allocation, diagnostics)`` where diagnostics
@@ -277,8 +253,7 @@ def phi_step(
     """
     p = state.prices
     X = state.allocation
-    supplies = np.array([float(chore_supply(inst, j)) for j in range(inst.m)])
-    q = p + np.maximum(supplies - X.sum(axis=0), 0.0)
+    q = p + np.maximum(inst.float_supply - X.sum(axis=0), 0.0)
     d = dec.d
     Q = np.zeros(d)
     comp_of = np.full(inst.m, -1)
@@ -289,7 +264,7 @@ def phi_step(
     if Q.min(initial=np.inf) <= 0:
         raise ConstructionFailed("a component has zero price mass")
     M = np.zeros((d, d))
-    w = np.array([[float(x) for x in row] for row in inst.endowment])
+    w = inst.float_wealth
     for k, comp in enumerate(dec.components):
         for a in comp.agents:
             for j in range(inst.m):
@@ -298,7 +273,7 @@ def phi_step(
                     M[k, kk] += w[a, j] * q[j] / Q[kk]
     M -= np.eye(d)
     colsum_error = float(np.abs(M.sum(axis=0)).max())
-    mass = stochastic_null_vector(M, tol_null, max_null_iters)
+    mass = stochastic_null_vector(M)
     new_p = np.zeros(inst.m)
     for j in range(inst.m):
         new_p[j] = q[j] / Q[comp_of[j]] * mass[comp_of[j]]
@@ -312,52 +287,32 @@ def phi_step(
 
 def _balance_error(inst: Instance, dec: ComponentDecomposition, p: np.ndarray) -> float:
     worst = 0.0
+    budgets = inst.float_budgets(p).tolist()
     for comp in dec.components:
-        budgets = sum(float(agent_budget(inst, a, p)) for a in comp.agents)
+        spent = sum(budgets[a] for a in comp.agents)
         mass = sum(p[b] for b in comp.chores)
-        worst = max(worst, abs(budgets - mass))
+        worst = max(worst, abs(spent - mass))
     return worst
 
 
-def _gate(inst: Instance):
-    c1 = check_condition1(build_disutility_graph(inst))
-    if not c1.ok:
-        raise ConditionViolated(f"condition 1 fails: {c1.witness}")
-    ex = inst if inst.variant == EXCHANGE else inst.to_exchange()
-    c2 = check_condition2(build_exchange_graph(ex, c1.decomposition))
-    if not c2.ok:
-        raise ConditionViolated(f"condition 2 fails: order {c2.scc_order}")
-    return ex, c1.decomposition
-
-
-def _tie_pattern(inst: Instance, p: np.ndarray, tol: float):
+def _tie_pattern(inst: Instance, p: np.ndarray):
     """Near-tie MPB sets at float prices, as an enumeration pattern."""
     pattern = []
-    for i in range(inst.n):
+    for i, mpb in enumerate(mpb_sets(inst, p, SNAP_TIE_TOL)):
         if not inst.has_positive_wealth(i):
             pattern.append(frozenset())
-            continue
-        ratios = {
-            j: float(inst.disutility[i][j]) / p[j]
-            for j in inst.finite_chores(i)
-            if p[j] > 0
-        }
-        if not ratios:
+        elif mpb.ratio is None:
             return None
-        best = min(ratios.values())
-        pattern.append(
-            frozenset(j for j, r in ratios.items() if r <= best * (1 + tol))
-        )
+        else:
+            pattern.append(mpb.members)
     if frozenset().union(*pattern) != frozenset(range(inst.m)):
         return None
     return tuple(pattern)
 
 
-def _try_snap(scaled: Instance, p: np.ndarray, config: SolverConfig, attempted: set):
+def _try_snap(scaled: Instance, p: np.ndarray, attempted: set):
     """Solve the pattern LP for the current near-tie pattern, if new."""
-    from .enumeration import _solve_pattern
-
-    pattern = _tie_pattern(scaled, p, config.snap_tie_tol)
+    pattern = _tie_pattern(scaled, p)
     if pattern is None or pattern in attempted:
         return None
     attempted.add(pattern)
@@ -373,7 +328,13 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     original units once the clearing residual is below tolerance and the
     candidate passes float verification.
     """
-    ex, dec = _gate(inst)
+    report = check_conditions(inst)
+    if not report.condition1.ok:
+        raise ConditionViolated(f"condition 1 fails: {report.condition1.witness}")
+    if not report.condition2.ok:
+        raise ConditionViolated(f"condition 2 fails: order {report.condition2.scc_order}")
+    ex = inst if inst.variant == EXCHANGE else inst.to_exchange()
+    dec = report.condition1.decomposition
     scaled, supplies = rescale_to_unit_supply(ex)
     sup = np.array([float(s) for s in supplies])
 
@@ -386,9 +347,7 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
 
     for it in range(config.max_iters):
         state = IterationState(p, X, it)
-        new_p, new_X, diag = phi_step(
-            scaled, state, dec, config.tol_null, config.max_null_iters
-        )
+        new_p, new_X, diag = phi_step(scaled, state, dec)
         p = (1.0 - gamma) * p + gamma * new_p
         total = p.sum()
         if total <= 0:
@@ -413,19 +372,15 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
                 report = verify_equilibrium(
                     inst,
                     candidate,
-                    tol_mpb=config.verify_tol,
-                    tol_clearing=config.verify_tol,
+                    tol_mpb=VERIFY_TOL,
+                    tol_clearing=VERIFY_TOL,
                 )
                 if report.ok:
                     return SolveOutcome(
                         True, candidate, it + 1, residual, tuple(trace)
                     )
-        if (
-            config.snap_interval
-            and scaled.n * scaled.m <= config.snap_size_cap
-            and (it + 1) % config.snap_interval == 0
-        ):
-            hit = _try_snap(scaled, p, config, attempted)
+        if scaled.n * scaled.m <= SNAP_SIZE_CAP and (it + 1) % SNAP_INTERVAL == 0:
+            hit = _try_snap(scaled, p, attempted)
             if hit is not None:
                 snap_p = np.array([float(x) for x in hit.candidate.prices])
                 snap_X = np.array(
@@ -436,8 +391,8 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
                 report = verify_equilibrium(
                     inst,
                     candidate,
-                    tol_mpb=config.verify_tol,
-                    tol_clearing=config.verify_tol,
+                    tol_mpb=VERIFY_TOL,
+                    tol_clearing=VERIFY_TOL,
                 )
                 if report.ok and residual <= config.residual_tol:
                     return SolveOutcome(

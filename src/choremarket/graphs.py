@@ -12,13 +12,13 @@ Condition 2: the directed exchange graph over the components -- with an edge
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import networkx as nx
 
 from .errors import WrongVariant
-from .model import EXCHANGE, FIXED_EARNINGS, Instance
+from .model import EXCHANGE, Instance
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,6 @@ class ComponentDecomposition:
     @property
     def d(self) -> int:
         return len(self.components)
-
-    def agent_component(self, agent: int) -> Optional[int]:
-        for k, comp in enumerate(self.components):
-            if agent in comp.agents:
-                return k
-        return None
-
-    def chore_component(self, chore: int) -> Optional[int]:
-        for k, comp in enumerate(self.components):
-            if chore in comp.chores:
-                return k
-        return None
 
 
 @dataclass(frozen=True)

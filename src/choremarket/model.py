@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
     Infeasible,
     Malformed,
-    WrongVariant,
     ZeroPriceSum,
 )
 
@@ -56,6 +58,12 @@ def format_rational(value: Fraction) -> str:
 
 def _freeze_matrix(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,29 @@ class Instance:
             for i in range(self.n)
         ]
         return Instance(EXCHANGE, self.tau, self.disutility, endowment=_freeze_matrix(w))
+
+    @cached_property
+    def float_supply(self) -> np.ndarray:
+        """Chore supplies as floats (read-only): each exact total, rounded once."""
+        return _read_only([float(chore_supply(self, j)) for j in range(self.m)])
+
+    @cached_property
+    def float_wealth(self) -> np.ndarray:
+        """The endowment matrix, or the earning vector, as floats (read-only)."""
+        if self.variant == FIXED_EARNINGS:
+            return _read_only([float(e) for e in self.earning])
+        return _read_only([[float(w) for w in row] for row in self.endowment])
+
+    def float_budgets(self, p: np.ndarray) -> np.ndarray:
+        """Every agent's budget at float prices ``p``.
+
+        The float data is converted once per instance.  Exchange budgets add
+        ``w_ij * p_j`` in chore order, as :func:`agent_budget` does, so each
+        entry equals ``float(agent_budget(inst, i, p))`` bit for bit.
+        """
+        if self.variant == FIXED_EARNINGS:
+            return self.float_wealth
+        return np.add.accumulate(self.float_wealth * p, axis=1)[:, -1]
 
 
 def exchange_instance(tau, disutility, endowment) -> Instance:
@@ -330,11 +361,15 @@ def instance_from_json(doc: dict) -> Instance:
         variant = doc["variant"]
         tau = doc["tau"]
         disutility = doc["disutility"]
+        if variant == EXCHANGE:
+            return exchange_instance(tau, disutility, doc["endowment"])
+        if variant == FIXED_EARNINGS:
+            return fixed_earnings_instance(tau, disutility, doc["earning"], doc.get("supply"))
     except KeyError as exc:
         raise Malformed(f"instance document missing field {exc}") from exc
-    if variant == EXCHANGE:
-        return exchange_instance(tau, disutility, doc.get("endowment"))
-    return fixed_earnings_instance(tau, disutility, doc.get("earning"), doc.get("supply"))
+    except TypeError as exc:
+        raise Malformed(f"instance document has a badly shaped field: {exc}") from exc
+    raise Malformed(f"unknown variant {variant!r}")
 
 
 def candidate_to_json(cand: EquilibriumCandidate) -> dict:
@@ -357,11 +392,13 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
         mode = doc.get("mode", EXACT)
         prices = [_decode_value(p, mode) for p in doc["prices"]]
         allocation = [[_decode_value(x, mode) for x in row] for row in doc["allocation"]]
+        flow = None
+        if "flow" in doc and doc["flow"] is not None:
+            flow = [[_decode_value(x, mode) for x in row] for row in doc["flow"]]
     except KeyError as exc:
         raise Malformed(f"equilibrium document missing field {exc}") from exc
-    flow = None
-    if "flow" in doc and doc["flow"] is not None:
-        flow = [[_decode_value(x, mode) for x in row] for row in doc["flow"]]
+    except (TypeError, ValueError) as exc:
+        raise Malformed(f"equilibrium document has a bad value: {exc}") from exc
     return EquilibriumCandidate(prices, allocation, flow=flow, mode=mode)
 
 

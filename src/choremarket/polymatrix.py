@@ -21,11 +21,11 @@ from .errors import (
     BadParams,
     DegenerateSize,
     DimensionMismatch,
+    Malformed,
     NotGadget,
     OutOfBand,
 )
 from .model import (
-    EXCHANGE,
     EquilibriumCandidate,
     Instance,
     exchange_instance,
@@ -432,10 +432,14 @@ def game_to_json(game: PolymatrixGame) -> dict:
 
 
 def game_from_json(doc: dict) -> PolymatrixGame:
-    return PolymatrixGame(
-        int(doc["n"]),
-        tuple(tuple(to_fraction(x) for x in row) for row in doc["payoff"]),
-    )
+    try:
+        n = int(doc["n"])
+        payoff = tuple(tuple(to_fraction(x) for x in row) for row in doc["payoff"])
+    except KeyError as exc:
+        raise Malformed(f"game document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise Malformed(f"game document has a bad value: {exc}") from exc
+    return PolymatrixGame(n, payoff)
 
 
 def gadget_to_json(gadget: PolymatrixGadget) -> dict:
@@ -460,16 +464,21 @@ def gadget_to_json(gadget: PolymatrixGadget) -> dict:
 
 def gadget_from_json(doc: dict) -> PolymatrixGadget:
     meta = doc.get("metadata") if isinstance(doc, dict) else None
-    if not meta or meta.get("kind") != "polymatrix-gadget":
+    if not isinstance(meta, dict) or meta.get("kind") != "polymatrix-gadget":
         raise NotGadget("document lacks polymatrix-gadget metadata")
-    game = game_from_json(meta["game"])
-    pm = meta["params"]
-    params = PPADGadgetParams(
-        n=int(pm["n"]),
-        c=int(pm["c"]),
-        K=int(pm["K"]),
-        alpha=tuple(to_fraction(a) for a in pm["alpha"]),
-        delta=tuple(to_fraction(d) for d in pm["delta"]),
-        tau=to_fraction(pm["tau"]),
-    )
+    try:
+        game = game_from_json(meta["game"])
+        pm = meta["params"]
+        params = PPADGadgetParams(
+            n=int(pm["n"]),
+            c=int(pm["c"]),
+            K=int(pm["K"]),
+            alpha=tuple(to_fraction(a) for a in pm["alpha"]),
+            delta=tuple(to_fraction(d) for d in pm["delta"]),
+            tau=to_fraction(pm["tau"]),
+        )
+    except KeyError as exc:
+        raise Malformed(f"polymatrix-gadget metadata missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise Malformed(f"polymatrix-gadget metadata has a bad value: {exc}") from exc
     return build_polymatrix_gadget(game, params)

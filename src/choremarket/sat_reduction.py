@@ -11,9 +11,9 @@ flow inside the variable gadgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     BadParams,
@@ -27,6 +27,9 @@ from .model import (
     EquilibriumCandidate,
     Instance,
     fixed_earnings_instance,
+    format_rational,
+    instance_to_json,
+    to_fraction,
 )
 
 
@@ -75,6 +78,13 @@ class CNFFormula:
         )
 
 
+def _dimacs_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise Malformed(f"bad DIMACS integer: {token!r}") from exc
+
+
 def parse_dimacs(text: str) -> CNFFormula:
     """Parse DIMACS CNF; clauses must have exactly three literals."""
     num_vars = None
@@ -88,10 +98,10 @@ def parse_dimacs(text: str) -> CNFFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise Malformed(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_int(parts[2])
             continue
         for token in line.split():
-            lit = int(token)
+            lit = _dimacs_int(token)
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
@@ -369,8 +379,6 @@ def expand_to_equal_earnings(
 
 
 def gadget_to_json(gadget: SATGadget) -> dict:
-    from .model import format_rational, instance_to_json
-
     return {
         "instance": instance_to_json(gadget.instance),
         "metadata": {
@@ -393,16 +401,21 @@ def gadget_to_json(gadget: SATGadget) -> dict:
 
 def gadget_from_json(doc: dict) -> SATGadget:
     meta = doc.get("metadata") if isinstance(doc, dict) else None
-    if not meta or meta.get("kind") != "sat-gadget":
+    if not isinstance(meta, dict) or meta.get("kind") != "sat-gadget":
         raise NotGadget("document lacks sat-gadget metadata")
-    formula = CNFFormula(
-        meta["formula"]["num_vars"],
-        tuple(tuple(c) for c in meta["formula"]["clauses"]),
-    )
-    params = SATGadgetParams(
-        eps=Fraction(meta["params"]["eps"]),
-        eps_prime=Fraction(meta["params"]["eps_prime"]),
-        tau=Fraction(meta["params"]["tau"]),
-        gap=Fraction(meta["params"]["gap"]),
-    )
+    try:
+        formula = CNFFormula(
+            meta["formula"]["num_vars"],
+            tuple(tuple(c) for c in meta["formula"]["clauses"]),
+        )
+        params = SATGadgetParams(
+            eps=to_fraction(meta["params"]["eps"]),
+            eps_prime=to_fraction(meta["params"]["eps_prime"]),
+            tau=to_fraction(meta["params"]["tau"]),
+            gap=to_fraction(meta["params"]["gap"]),
+        )
+    except KeyError as exc:
+        raise Malformed(f"sat-gadget metadata missing field {exc}") from exc
+    except TypeError as exc:
+        raise Malformed(f"sat-gadget metadata has a badly shaped field: {exc}") from exc
     return build_sat_gadget(formula, params)

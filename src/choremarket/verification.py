@@ -9,14 +9,13 @@ never relaxed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, Infeasible, Malformed
 from .model import (
     EXACT,
-    FLOAT,
     EquilibriumCandidate,
     Instance,
     agent_budget,
@@ -36,9 +35,10 @@ POS_TOL = 1e-12
 class MPBSet:
     """Minimum pain-per-buck chores of one agent at given prices.
 
-    ``ratio`` is the attained minimum of ``d(i, j) / p_j``; ``None`` when the
-    agent has no usable chore (all finite-disutility chores priced at zero, or
-    no finite-disutility chore at all), in which case ``members`` is empty and
+    ``ratio`` is the attained minimum of ``d(i, j) / p_j`` (a Fraction on
+    exact prices, a float on float prices); ``None`` when the agent has no
+    usable chore (all finite-disutility chores priced at zero, or no
+    finite-disutility chore at all), in which case ``members`` is empty and
     ``degenerate`` is set.
     """
 
@@ -47,11 +47,15 @@ class MPBSet:
     degenerate: bool = False
 
 
-def mpb_sets(inst: Instance, prices: Sequence[Fraction]) -> Tuple[MPBSet, ...]:
-    """Exact MPB sets for all agents.
+def mpb_sets(inst: Instance, prices: Sequence, tol: float = 0) -> Tuple[MPBSet, ...]:
+    """MPB sets for all agents, exact or within a relative tie band.
 
-    Zero-price chores are never members: a finite-disutility chore at price
-    zero has unbounded pain per buck.
+    With ``tol=0`` a chore is a member exactly when its ratio equals the
+    minimum; on Fraction prices the sets are exact.  With ``tol > 0`` (meant
+    for float prices) a chore is a member when its ratio is at most
+    ``(1 + tol)`` times the minimum.  Ratios on float prices are
+    ``float(d) / p``.  Zero-price chores are never members: a
+    finite-disutility chore at price zero has unbounded pain per buck.
     """
     if len(prices) != inst.m:
         raise DimensionMismatch("price vector length must match chore count")
@@ -66,27 +70,11 @@ def mpb_sets(inst: Instance, prices: Sequence[Fraction]) -> Tuple[MPBSet, ...]:
             out.append(MPBSet(frozenset(), None, degenerate=bool(inst.finite_chores(i))))
             continue
         best = min(ratios.values())
+        bound = best * (1 + tol) if tol else best
         out.append(
-            MPBSet(frozenset(j for j, r in ratios.items() if r == best), best)
+            MPBSet(frozenset(j for j, r in ratios.items() if r <= bound), best)
         )
     return tuple(out)
-
-
-def _float_mpb_members(inst, prices, tol):
-    """Per-agent MPB membership under a relative tolerance, on floats."""
-    members = []
-    for i in range(inst.n):
-        ratios = {
-            j: float(inst.disutility[i][j]) / prices[j]
-            for j in inst.finite_chores(i)
-            if prices[j] > 0
-        }
-        if not ratios:
-            members.append(set())
-            continue
-        best = min(ratios.values())
-        members.append({j for j, r in ratios.items() if r <= best * (1 + tol)})
-    return members
 
 
 @dataclass(frozen=True)
@@ -137,11 +125,7 @@ def verify_equilibrium(
             mpb_ok = False
             violations.append(f"chore {j} has non-positive price")
 
-    if exact:
-        sets = mpb_sets(inst, prices) if mpb_ok else None
-        members = None
-    else:
-        members = _float_mpb_members(inst, prices, tol_mpb) if mpb_ok else None
+    sets = mpb_sets(inst, prices, 0 if exact else tol_mpb) if mpb_ok else None
 
     for i in range(inst.n):
         for j in range(inst.m):
@@ -151,10 +135,7 @@ def verify_equilibrium(
                 threshold_ok = False
                 violations.append(f"agent {i} does forbidden chore {j}")
                 continue
-            if exact and sets is not None and j not in sets[i].members:
-                mpb_ok = False
-                violations.append(f"agent {i} does non-MPB chore {j}")
-            if not exact and members is not None and j not in members[i]:
+            if sets is not None and j not in sets[i].members:
                 mpb_ok = False
                 violations.append(f"agent {i} does non-MPB chore {j}")
 

@@ -63,6 +63,29 @@ class TestConditions:
     def test_missing_file_is_usage_error(self, paths):
         assert run("check-conditions", "--instance", "/nonexistent.json") == 2
 
+    def test_missing_endowment_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"variant": "exchange", "tau": "10", "disutility": [["1"]]})
+        )
+        assert run("check-conditions", "--instance", str(path)) == 2
+        assert "endowment" in capsys.readouterr().err
+
+    def test_missing_earning_is_usage_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"variant": "fixed_earnings", "tau": "10", "disutility": [["1"]]})
+        )
+        assert run("check-conditions", "--instance", str(path)) == 2
+
+    def test_internal_value_error_is_not_usage_error(self, paths, monkeypatch):
+        def broken(inst):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("choremarket.graphs.check_conditions", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            run("check-conditions", "--instance", paths["warmup"])
+
 
 class TestEnumerateAndVerify:
     def test_roundtrip(self, paths, capsys, tmp_path):
@@ -142,6 +165,12 @@ class TestSatCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["assignment"] == "101" and doc["satisfies"]
 
+    def test_non_integer_literal_is_usage_error(self, tmp_path, capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text("p cnf 3 1\n1 x 3 0\n")
+        assert run("gen-sat", "--cnf", str(cnf)) == 2
+        assert "bad DIMACS integer" in capsys.readouterr().err
+
     def test_unsatisfying_assignment_exits_one(self, paths, capsys):
         assert (
             run("sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "000")
@@ -164,6 +193,18 @@ class TestSatCommands:
             )
             == 2
         )
+
+    def test_bad_gadget_metadata_is_usage_error(self, paths, tmp_path, capsys):
+        gadget = tmp_path / "gadget.json"
+        eq = tmp_path / "eq.json"
+        run("gen-sat", "--cnf", paths["cnf"], "-o", str(gadget))
+        run("sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "111", "-o", str(eq))
+        doc = json.loads(gadget.read_text())
+        del doc["metadata"]["params"]["eps"]
+        gadget.write_text(json.dumps(doc))
+        argv = ["sat-readback", "--instance", str(gadget), "--equilibrium", str(eq)]
+        assert run(*argv) == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_expand_equal_earnings(self, paths, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -200,3 +241,12 @@ class TestPolymatrixCommands:
         )
         doc = json.loads(capsys.readouterr().out)
         assert code in (0, 1) and doc["ok"] == (code == 0)
+
+    def test_bad_strategy_and_game_are_usage_errors(self, paths, tmp_path):
+        strategy = tmp_path / "x.json"
+        strategy.write_text(json.dumps({"y": [1.0, 0.0]}))
+        argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
+        assert run(*argv) == 2
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"n": "two", "payoff": []}))
+        assert run("gen-polymatrix", "--game", str(game)) == 2

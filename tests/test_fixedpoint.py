@@ -124,11 +124,11 @@ class TestPhiStep:
 
 class TestSolve:
     def test_gates_on_condition1(self, example1):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(ConditionViolated, match="^condition 1 fails: "):
             solve(example1)
 
     def test_gates_on_condition2(self, example2):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(ConditionViolated, match=r"^condition 2 fails: order \("):
             solve(example2)
 
     def test_intro_example(self, intro):

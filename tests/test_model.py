@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from choremarket.errors import DimensionMismatch, Malformed, ZeroPriceSum
@@ -95,6 +96,26 @@ class TestToExchange:
         assert agent_budget(ex, 0, p) == warmup.earning[0]
 
 
+class TestFloatView:
+    def test_budgets_match_agent_budget_bitwise(self):
+        inst = exchange_instance(
+            10, [[1, 2, 3], [2, 1, 1]], [["1/3", "2/7", "5/9"], ["1/11", 1, "3/13"]]
+        )
+        p = np.array([0.1, 0.7, 0.2]) / 1.3
+        budgets = inst.float_budgets(p)
+        for i in range(inst.n):
+            assert budgets[i] == float(agent_budget(inst, i, p))
+        for j in range(inst.m):
+            assert inst.float_supply[j] == float(chore_supply(inst, j))
+
+    def test_fixed_earnings_budgets(self, warmup):
+        assert list(warmup.float_budgets(np.array([0.3, 0.7]))) == [1.0, 1.0]
+
+    def test_views_are_read_only(self, intro):
+        with pytest.raises(ValueError):
+            intro.float_supply[0] = 2.0
+
+
 class TestJson:
     def test_instance_roundtrip(self, warmup, intro):
         for inst in (warmup, intro):
@@ -111,6 +132,23 @@ class TestJson:
     def test_candidate_roundtrip_float(self):
         cand = EquilibriumCandidate((0.5, 0.5), ((1.0, 0.0),), mode="float")
         assert candidate_from_json(candidate_to_json(cand)) == cand
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"variant": "exchange", "tau": "10", "disutility": [["1"]]},
+            {"variant": "fixed_earnings", "tau": "10", "disutility": [["1"]]},
+            {"variant": "barter", "tau": "10", "disutility": [["1"]], "earning": ["1"]},
+            {"variant": "exchange", "tau": "10", "disutility": 1, "endowment": [["1"]]},
+        ],
+    )
+    def test_bad_instance_documents_are_malformed(self, doc):
+        with pytest.raises(Malformed):
+            instance_from_json(doc)
+
+    def test_bad_float_candidate_is_malformed(self):
+        with pytest.raises(Malformed):
+            candidate_from_json({"mode": "float", "prices": ["x"], "allocation": [["1"]]})
 
     def test_exact_flow_must_match(self):
         with pytest.raises(Malformed):

@@ -47,6 +47,22 @@ class TestMpbSets:
         sets = mpb_sets(warmup, (F(0), F(0)))
         assert sets[0].members == frozenset() and sets[0].degenerate
 
+    def test_exact_sets_ignore_near_ties(self, warmup):
+        # Agent 0's ratios are 2 and just under 2: no band on Fractions.
+        prices = (F(1, 2), F(3, 2) + F(1, 10**12))
+        sets = mpb_sets(warmup, prices, tol=0)
+        assert sets == mpb_sets(warmup, prices)
+        assert sets[0].members == {1}
+        assert sets[0].ratio == 3 / prices[1]
+
+    def test_float_tie_band(self, warmup):
+        # Agent 0's ratios: 1.0 on chore 0, 1 / (1 + 1e-7) on chore 1.
+        prices = (1.0, 3.0 * (1 + 1e-7))
+        assert mpb_sets(warmup, prices, tol=1e-6)[0].members == {0, 1}
+        assert mpb_sets(warmup, prices, tol=1e-8)[0].members == {1}
+        assert mpb_sets(warmup, prices)[0].members == {1}
+        assert mpb_sets(warmup, prices, tol=1e-6)[0].ratio == 3 / prices[1]
+
 
 class TestVerify:
     def test_warmup_equilibria_pass(self, warmup):
