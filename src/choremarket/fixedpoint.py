@@ -1,13 +1,15 @@
 """Float fixed-point price iteration for instances passing both conditions.
 
-The iteration works on the normalized price domain: nonnegative prices that
-sum to one and balance each component's budget against its price mass.  One
-step bumps the price of under-done chores (``q = p + unmet supply``), rebuilds
-component price masses through the null vector of a column-sum-zero matrix,
-and reallocates greedily at minimum pain-per-buck, splitting each agent's
-budget across its tied chores in proportion to prices.  Equilibria are exactly
-the fixed points; the loop damps the update and stops when the worst clearing
-residual is small and the candidate passes float verification.
+The iteration follows the existence proof, which prices whole components of
+the disutility graph.  Prices stay nonnegative, sum to one and balance each
+component's budget against its price mass.  One step bumps the price of
+under-done chores (``q = p + unmet supply``), forms the exchange matrix ``M``
+between components from 0/1 agent and chore membership matrices, takes the
+component masses from the unit-sum null vector of ``M`` (one least-squares
+solve), and reallocates greedily at minimum pain-per-buck, splitting each
+agent's budget across its tied chores in proportion to prices.  Equilibria
+are exactly the fixed points; the loop damps the update and stops when the
+worst clearing residual is small and the candidate passes float verification.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .verification import mpb_sets, verify_equilibrium
 #: Tolerances for the numeric machinery.
 TOL_P = 1e-9
 TOL_NULL = 1e-10
-MAX_NULL_ITERS = 10**6
 RESIDUAL_TOL = 1e-7
 DAMPING = 0.5
 #: Relative tie band of the greedy allocation's MPB sets.
@@ -75,13 +76,6 @@ class IterationRecord:
     colsum_error: float
 
 
-@dataclass
-class IterationState:
-    prices: np.ndarray
-    allocation: np.ndarray
-    iteration: int = 0
-
-
 @dataclass(frozen=True)
 class SolveOutcome:
     converged: bool
@@ -94,16 +88,17 @@ class SolveOutcome:
 def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
     """Nonnegative unit-sum vector ``t`` with ``Z t = 0``.
 
-    Requires nonnegative off-diagonal entries and (near-)zero column sums;
-    then ``Z / lam + I`` is column stochastic for large ``lam`` and has a
-    stochastic fixed vector.  A direct nullspace solve is tried first, with
-    power iteration on the stochastic matrix as fallback (at most
-    ``MAX_NULL_ITERS`` steps).  The residual ``max |Z t|`` must reach
-    ``TOL_NULL``.
+    Requires nonnegative off-diagonal entries and (near-)zero column sums.
+    The null space of such a matrix is spanned by nonnegative vectors, one
+    per closed class, so the minimum-norm least-squares solution of
+    ``[Z; 1^T] t = (0, ..., 0, 1)`` is a positive combination of them.  The
+    residual ``max |Z t|`` must reach ``TOL_NULL``.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise Malformed("matrix must be square")
+    if not np.isfinite(Z).all():
+        raise Malformed("matrix entries must be finite")
     d = Z.shape[0]
     off = Z - np.diag(np.diag(Z))
     if off.min(initial=0.0) < -TOL_P:
@@ -112,42 +107,14 @@ def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
         raise Malformed("column sums must vanish")
     if d == 1:
         return np.array([1.0])
-
-    def _residual(t):
-        return np.abs(Z @ t).max()
-
-    scale = max(np.abs(Z).max(), 1.0)
-    try:
-        _, svals, vt = np.linalg.svd(Z)
-    except np.linalg.LinAlgError:
-        svals = None
-    if svals is not None and svals[-1] <= 1e-12 * scale and (
-        d < 2 or svals[-2] > 1e-8 * scale
-    ):
-        t = vt[-1]
-        if t.sum() < 0:
-            t = -t
-        if t.min() > -1e-8 * max(t.sum(), 1e-30):
-            t = np.clip(t, 0.0, None)
-            if t.sum() > 0:
-                t = t / t.sum()
-                if _residual(t) <= TOL_NULL:
-                    return t
-
-    lam = scale + 1.0
-    t = np.full(d, 1.0 / d)
-    for _ in range(MAX_NULL_ITERS):
-        if _residual(t) <= TOL_NULL:
-            return t
-        t = t + (Z @ t) / lam
-        t = np.clip(t, 0.0, None)
-        total = t.sum()
-        if total <= 0:
-            raise NotConverged("power iteration collapsed to zero")
-        t = t / total
-    if _residual(t) <= TOL_NULL:
-        return t
-    raise NotConverged("null-vector power iteration hit the iteration cap")
+    rhs = np.zeros(d + 1)
+    rhs[-1] = 1.0
+    t = np.linalg.lstsq(np.vstack([Z, np.ones(d)]), rhs, rcond=None)[0]
+    t = np.clip(t, 0.0, None)
+    t = t / t.sum()
+    if not np.abs(Z @ t).max() <= TOL_NULL:
+        raise NotConverged("null-vector residual above tolerance")
+    return t
 
 
 def _require_unit_supply(inst: Instance) -> None:
@@ -191,19 +158,12 @@ def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
     if inst.variant != EXCHANGE:
         raise WrongVariant("initial prices require the exchange variant")
     _require_unit_supply(inst)
-    d = dec.d
-    if d == 0:
+    if dec.d == 0:
         raise ConstructionFailed("no components to price")
-    chosen = [comp.chores[0] for comp in dec.components]
-    W = np.zeros((d, d))
-    for k, comp in enumerate(dec.components):
-        for kk, b in enumerate(chosen):
-            W[k, kk] = float(sum(inst.endowment[a][b] for a in comp.agents))
-    W -= np.eye(d)
-    t = stochastic_null_vector(W)
+    chosen = dec.chore_membership.argmax(axis=0)  # first chore of each component
+    W = dec.agent_membership.T @ inst.float_wealth[:, chosen]
     p = np.zeros(inst.m)
-    for k, b in enumerate(chosen):
-        p[b] = t[k]
+    p[chosen] = stochastic_null_vector(W - np.eye(dec.d))
     if not np.isfinite(p).all() or abs(p.sum() - 1.0) > TOL_P:
         raise ConstructionFailed("initial price vector is not normalized")
     return p
@@ -244,39 +204,30 @@ def clearing_residual(inst: Instance, X: np.ndarray) -> float:
     return float(np.abs(inst.float_supply - X.sum(axis=0)).max())
 
 
-def phi_step(inst: Instance, state: IterationState, dec: ComponentDecomposition):
+def phi_step(
+    inst: Instance, p: np.ndarray, X: np.ndarray, dec: ComponentDecomposition
+):
     """One undamped update: new prices from (p, X), new allocation at p.
+
+    With ``A`` and ``C`` the agent and chore membership matrices and ``Q``
+    the component masses of ``q``, the exchange matrix is
+    ``M = A^T W (C * q / Q[comp]) - I`` and chore ``j`` of component ``k``
+    gets price ``q_j / Q_k * t_k`` for the null vector ``t`` of ``M``.
 
     Returns ``(new_prices, new_allocation, diagnostics)`` where diagnostics
     carry the price bump ``q - p`` minimum and the worst column-sum error of
     the component matrix.
     """
-    p = state.prices
-    X = state.allocation
+    A = dec.agent_membership
+    C = dec.chore_membership
     q = p + np.maximum(inst.float_supply - X.sum(axis=0), 0.0)
-    d = dec.d
-    Q = np.zeros(d)
-    comp_of = np.full(inst.m, -1)
-    for k, comp in enumerate(dec.components):
-        for b in comp.chores:
-            comp_of[b] = k
-        Q[k] = sum(q[b] for b in comp.chores)
+    Q = q @ C
     if Q.min(initial=np.inf) <= 0:
         raise ConstructionFailed("a component has zero price mass")
-    M = np.zeros((d, d))
-    w = inst.float_wealth
-    for k, comp in enumerate(dec.components):
-        for a in comp.agents:
-            for j in range(inst.m):
-                kk = comp_of[j]
-                if kk >= 0 and w[a, j] > 0:
-                    M[k, kk] += w[a, j] * q[j] / Q[kk]
-    M -= np.eye(d)
+    share = q / (C @ Q)
+    M = A.T @ inst.float_wealth @ (C * share[:, None]) - np.eye(dec.d)
     colsum_error = float(np.abs(M.sum(axis=0)).max())
-    mass = stochastic_null_vector(M)
-    new_p = np.zeros(inst.m)
-    for j in range(inst.m):
-        new_p[j] = q[j] / Q[comp_of[j]] * mass[comp_of[j]]
+    new_p = share * (C @ stochastic_null_vector(M))
     new_X = optimal_allocation(inst, p)
     diagnostics = {
         "min_price_bump": float((q - p).min()),
@@ -286,13 +237,8 @@ def phi_step(inst: Instance, state: IterationState, dec: ComponentDecomposition)
 
 
 def _balance_error(inst: Instance, dec: ComponentDecomposition, p: np.ndarray) -> float:
-    worst = 0.0
-    budgets = inst.float_budgets(p).tolist()
-    for comp in dec.components:
-        spent = sum(budgets[a] for a in comp.agents)
-        mass = sum(p[b] for b in comp.chores)
-        worst = max(worst, abs(spent - mass))
-    return worst
+    spent = inst.float_budgets(p) @ dec.agent_membership
+    return float(np.abs(spent - p @ dec.chore_membership).max(initial=0.0))
 
 
 def _tie_pattern(inst: Instance, p: np.ndarray):
@@ -310,13 +256,24 @@ def _tie_pattern(inst: Instance, p: np.ndarray):
     return tuple(pattern)
 
 
-def _try_snap(scaled: Instance, p: np.ndarray, attempted: set):
-    """Solve the pattern LP for the current near-tie pattern, if new."""
+def _attempts(scaled: Instance, p: np.ndarray, it: int, cleared: bool, attempted: set):
+    """Candidates after iteration ``it``: the iterate once it clears, then,
+    every ``SNAP_INTERVAL`` iterations, the exact solution of the near-tie
+    pattern's LP if that pattern is new."""
+    if cleared:
+        yield p, optimal_allocation(scaled, p)
+    if scaled.n * scaled.m > SNAP_SIZE_CAP or (it + 1) % SNAP_INTERVAL:
+        return
     pattern = _tie_pattern(scaled, p)
     if pattern is None or pattern in attempted:
-        return None
+        return
     attempted.add(pattern)
-    return _solve_pattern(scaled, pattern, Fraction(0))
+    hit = _solve_pattern(scaled, pattern, Fraction(0))
+    if hit is not None:
+        yield (
+            np.array(hit.candidate.prices, dtype=float),
+            np.array(hit.candidate.allocation, dtype=float),
+        )
 
 
 def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
@@ -325,8 +282,8 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     Gates on both sufficiency conditions (raising
     :class:`ConditionViolated` otherwise), works internally on the
     unit-supply exchange form, and reports a float-mode candidate in the
-    original units once the clearing residual is below tolerance and the
-    candidate passes float verification.
+    original units once its clearing residual is below tolerance and it
+    passes float verification.
     """
     report = check_conditions(inst)
     if not report.condition1.ok:
@@ -346,14 +303,12 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     residual = clearing_residual(scaled, X)
 
     for it in range(config.max_iters):
-        state = IterationState(p, X, it)
-        new_p, new_X, diag = phi_step(scaled, state, dec)
+        new_p, X, diag = phi_step(scaled, p, X, dec)
         p = (1.0 - gamma) * p + gamma * new_p
         total = p.sum()
         if total <= 0:
             raise ConstructionFailed("price iterate collapsed to zero")
         p = p / total
-        X = new_X
         residual = clearing_residual(scaled, X)
         trace.append(
             IterationRecord(
@@ -365,39 +320,16 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
                 colsum_error=diag["colsum_error"],
             )
         )
-        if residual <= config.residual_tol:
-            final_X = optimal_allocation(scaled, p)
-            if clearing_residual(scaled, final_X) <= config.residual_tol:
-                candidate = _to_original(inst, p, final_X, sup)
-                report = verify_equilibrium(
-                    inst,
-                    candidate,
-                    tol_mpb=VERIFY_TOL,
-                    tol_clearing=VERIFY_TOL,
-                )
-                if report.ok:
-                    return SolveOutcome(
-                        True, candidate, it + 1, residual, tuple(trace)
-                    )
-        if scaled.n * scaled.m <= SNAP_SIZE_CAP and (it + 1) % SNAP_INTERVAL == 0:
-            hit = _try_snap(scaled, p, attempted)
-            if hit is not None:
-                snap_p = np.array([float(x) for x in hit.candidate.prices])
-                snap_X = np.array(
-                    [[float(x) for x in row] for row in hit.candidate.allocation]
-                )
-                residual = clearing_residual(scaled, snap_X)
-                candidate = _to_original(inst, snap_p, snap_X, sup)
-                report = verify_equilibrium(
-                    inst,
-                    candidate,
-                    tol_mpb=VERIFY_TOL,
-                    tol_clearing=VERIFY_TOL,
-                )
-                if report.ok and residual <= config.residual_tol:
-                    return SolveOutcome(
-                        True, candidate, it + 1, residual, tuple(trace)
-                    )
+        cleared = residual <= config.residual_tol
+        for cand_p, cand_X in _attempts(scaled, p, it, cleared, attempted):
+            cand_residual = clearing_residual(scaled, cand_X)
+            if cand_residual > config.residual_tol:
+                continue
+            candidate = _to_original(inst, cand_p, cand_X, sup)
+            if verify_equilibrium(
+                inst, candidate, tol_mpb=VERIFY_TOL, tol_clearing=VERIFY_TOL
+            ).ok:
+                return SolveOutcome(True, candidate, it + 1, cand_residual, tuple(trace))
     return SolveOutcome(False, None, config.max_iters, residual, tuple(trace))
 
 

@@ -1,15 +1,14 @@
 """Exact rational linear programming.
 
 A small two-phase tableau simplex over :class:`fractions.Fraction` with
-Bland's anti-cycling rule.  Variables default to the bound ``x >= 0``; general
-lower/upper bounds (including free variables) are handled by substitution.
+Bland's anti-cycling rule.  Every variable is nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import Malformed
 
@@ -34,17 +33,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``max/min c.x`` subject to linear constraints and variable bounds.
-
-    ``bounds[i]`` is a ``(lower, upper)`` pair with ``None`` meaning
-    unbounded on that side; omitted bounds default to ``(0, None)``.
-    """
+    """``max/min c.x`` subject to linear constraints and ``x >= 0``."""
 
     num_vars: int
     constraints: Tuple[Constraint, ...]
     objective: Tuple[Fraction, ...]
     maximize: bool = True
-    bounds: Optional[Tuple[Tuple[Optional[Fraction], Optional[Fraction]], ...]] = None
 
     def __post_init__(self):
         if self.num_vars <= 0:
@@ -56,8 +50,6 @@ class LinearProgram:
                 raise Malformed("constraint width must equal num_vars")
             if con.rel not in (LE, EQ, GE):
                 raise Malformed(f"unknown relation {con.rel!r}")
-        if self.bounds is not None and len(self.bounds) != self.num_vars:
-            raise Malformed("bounds length must equal num_vars")
 
 
 @dataclass(frozen=True)
@@ -71,46 +63,6 @@ def constraint(coeffs, rel, rhs) -> Constraint:
     return Constraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
 
 
-def _substitute(lp: LinearProgram):
-    """Rewrite general bounds into nonnegative variables.
-
-    Returns (num std vars, exprs, extra constraints) where ``exprs[i]`` is a
-    pair (terms, const) expressing original variable ``i`` as an affine
-    combination of the standard variables.
-    """
-    bounds = lp.bounds or tuple([(Fraction(0), None)] * lp.num_vars)
-    exprs = []
-    extra = []
-    count = 0
-    for i, (lo, up) in enumerate(bounds):
-        if lo is not None and up is not None and up < lo:
-            return None, None, None  # trivially infeasible box
-        if lo is None and up is None:
-            exprs.append((((count, _ONE), (count + 1, -_ONE)), _ZERO))
-            count += 2
-        elif lo is None:
-            exprs.append((((count, -_ONE),), Fraction(up)))
-            count += 1
-        else:
-            exprs.append((((count, _ONE),), Fraction(lo)))
-            if up is not None:
-                extra.append((i, Fraction(up) - Fraction(lo)))
-            count += 1
-    return count, exprs, extra
-
-
-def _expand(coeffs, exprs, num_std):
-    row = [_ZERO] * num_std
-    shift = _ZERO
-    for c, (terms, const) in zip(coeffs, exprs):
-        if c == 0:
-            continue
-        shift += c * const
-        for var, mult in terms:
-            row[var] += c * mult
-    return row, shift
-
-
 def _pivot(tableau, basis, row, col):
     piv = tableau[row][col]
     tableau[row] = [x / piv for x in tableau[row]]
@@ -121,14 +73,14 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, cost, allowed):
+def _run_simplex(tableau, basis, cost):
     """Maximize, in place.  ``cost`` is the reduced-cost row (last entry =
     current objective value).  Returns "optimal" or "unbounded"."""
     num_cols = len(cost) - 1
     while True:
         enter = -1
         for j in range(num_cols):
-            if allowed[j] and cost[j] > 0:
+            if cost[j] > 0:
                 enter = j
                 break
         if enter < 0:
@@ -152,35 +104,19 @@ def _run_simplex(tableau, basis, cost, allowed):
 
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve the program exactly; returns status plus an optimal point."""
-    num_std, exprs, extra = _substitute(lp)
-    if num_std is None:
-        return LPResult(INFEASIBLE)
-
-    rows = []  # (coeffs over std vars, rel, rhs)
-    for con in lp.constraints:
-        row, shift = _expand(con.coeffs, exprs, num_std)
-        rows.append((row, con.rel, con.rhs - shift))
-    for var, cap in extra:
-        row = [_ZERO] * num_std
-        for v, mult in exprs[var][0]:
-            row[v] += mult
-        rows.append((row, LE, cap))
-
-    obj, obj_shift = _expand(lp.objective, exprs, num_std)
+    num_vars = lp.num_vars
     sign = _ONE if lp.maximize else -_ONE
-    obj = [sign * c for c in obj]
+    obj = [sign * c for c in lp.objective]
 
     # Standard form: equalities with slack columns, rhs >= 0.
-    num_slack = sum(1 for _, rel, _ in rows if rel != EQ)
-    total = num_std + num_slack
+    num_slack = sum(1 for con in lp.constraints if con.rel != EQ)
+    total = num_vars + num_slack
     tableau = []
-    slack_col = num_std
-    slack_sign = []
-    for row, rel, rhs in rows:
-        line = list(row) + [_ZERO] * num_slack + [rhs]
-        if rel != EQ:
-            line[slack_col] = _ONE if rel == LE else -_ONE
-            slack_sign.append(_ONE if rel == LE else -_ONE)
+    slack_col = num_vars
+    for con in lp.constraints:
+        line = list(con.coeffs) + [_ZERO] * num_slack + [con.rhs]
+        if con.rel != EQ:
+            line[slack_col] = _ONE if con.rel == LE else -_ONE
             slack_col += 1
         if line[-1] < 0:
             line = [-x for x in line]
@@ -191,7 +127,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     art_cols = []
     for r, line in enumerate(tableau):
         found = -1
-        for j in range(num_std, total):
+        for j in range(num_vars, total):
             if line[j] == 1 and all(
                 other[j] == 0 for rr, other in enumerate(tableau) if rr != r
             ):
@@ -211,7 +147,6 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             if basis[r] >= total:
                 line[basis[r]] = _ONE
         width = total + len(art_cols)
-        allowed = [True] * width
         # Phase-1 objective: maximize -(sum of artificials), priced out.
         cost = [_ZERO] * (width + 1)
         for col in art_cols:
@@ -219,7 +154,7 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         for r, line in enumerate(tableau):
             if basis[r] >= total:
                 cost = [x + y for x, y in zip(cost, line)]
-        _run_simplex(tableau, basis, cost, allowed)
+        _run_simplex(tableau, basis, cost)
         if cost[-1] != 0:
             return LPResult(INFEASIBLE)
         # Drive remaining zero-level artificials out of the basis.
@@ -239,25 +174,18 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         tableau = [line[:total] + [line[-1]] for line in tableau]
 
     # Phase 2.
-    allowed = [True] * total
     cost = obj + [_ZERO] * num_slack + [_ZERO]
     for r, line in enumerate(tableau):
         if cost[basis[r]] != 0:
             factor = cost[basis[r]]
             cost = [x - factor * y for x, y in zip(cost, line)]
-    status = _run_simplex(tableau, basis, cost, allowed)
+    status = _run_simplex(tableau, basis, cost)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
-    std_point = [_ZERO] * total
+    point = [_ZERO] * num_vars
     for r, col in enumerate(basis):
-        if col < total:
-            std_point[col] = tableau[r][-1]
-    point = []
-    for terms, const in exprs:
-        val = const
-        for var, mult in terms:
-            val += mult * std_point[var]
-        point.append(val)
+        if col < num_vars:
+            point[col] = tableau[r][-1]
     value = sum(c * x for c, x in zip(lp.objective, point))
     return LPResult(OPTIMAL, tuple(point), value)

@@ -128,6 +128,22 @@ class TestSolve:
         assert run("solve-fixedpoint", "--instance", paths["example1"]) == 1
         assert "error" in json.loads(capsys.readouterr().out)
 
+    def test_converged_solve(self, intro, tmp_path, capsys):
+        path = tmp_path / "intro.json"
+        save_json(instance_to_json(intro), str(path))
+        keys = {"iteration", "residual", "simplex_error", "balance_error", "colsum_error"}
+        for flags in ((), ("--trace",)):
+            assert run("solve-fixedpoint", "--instance", str(path), *flags) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["converged"] is True
+            eq = doc["equilibrium"]
+            assert eq["mode"] == "float"
+            assert all(isinstance(x, float) for x in eq["prices"])
+            assert all(isinstance(x, float) for row in eq["allocation"] for x in row)
+            expected = doc["iterations"] if flags else 1
+            assert len(doc["trace"]) == expected
+            assert all(set(rec) == keys for rec in doc["trace"])
+
 
 class TestSatCommands:
     def test_gen_sat(self, paths, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from choremarket.errors import ConditionViolated, Malformed, WrongVariant
 from choremarket.fixedpoint import (
-    IterationState,
     SolverConfig,
     allocation_bound,
     clearing_residual,
@@ -32,6 +31,24 @@ def _decomposition(inst):
     return check_condition1(build_disutility_graph(inst)).decomposition
 
 
+def _reference_phi(inst, p, X, dec):
+    """The price map of ``phi_step``, one agent and one chore at a time."""
+    q = p + np.maximum(inst.float_supply - X.sum(axis=0), 0.0)
+    comp_of = {j: k for k, comp in enumerate(dec.components) for j in comp.chores}
+    Q = [sum(q[j] for j in comp.chores) for comp in dec.components]
+    M = -np.eye(dec.d)
+    for k, comp in enumerate(dec.components):
+        for a in comp.agents:
+            for j in range(inst.m):
+                kk = comp_of[j]
+                M[k, kk] += float(inst.endowment[a][j]) * q[j] / Q[kk]
+    mass = stochastic_null_vector(M)
+    new_p = np.array(
+        [q[j] / Q[comp_of[j]] * mass[comp_of[j]] for j in range(inst.m)]
+    )
+    return new_p, float(np.abs(M.sum(axis=0)).max())
+
+
 class TestNullVector:
     def test_zero_matrix_gives_uniform(self):
         t = stochastic_null_vector(np.zeros((3, 3)))
@@ -51,6 +68,11 @@ class TestNullVector:
     def test_rejects_nonzero_column_sums(self):
         with pytest.raises(Malformed):
             stochastic_null_vector(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(Malformed):
+            stochastic_null_vector(np.array([[bad, 1.0], [1.0, -1.0]]))
 
     def test_reducible_chain(self):
         # One absorbing state: the null vector concentrates there.
@@ -98,7 +120,7 @@ class TestPhiStep:
         dec = _decomposition(inst)
         p = np.array([1.0])
         X = optimal_allocation(inst, p)
-        new_p, new_X, diag = phi_step(inst, IterationState(p, X), dec)
+        new_p, new_X, diag = phi_step(inst, p, X, dec)
         assert np.allclose(new_p, p) and np.allclose(new_X, X)
         assert diag["colsum_error"] <= 1e-12
 
@@ -106,8 +128,23 @@ class TestPhiStep:
         dec = _decomposition(intro)
         p = np.array([0.9, 0.1])
         X = optimal_allocation(intro, p)  # both agents prefer chore 0
-        new_p, _, _ = phi_step(intro, IterationState(p, X), dec)
+        new_p, _, _ = phi_step(intro, p, X, dec)
         assert new_p[1] > p[1]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_per_agent_loop(self, seed):
+        inst, _ = rescale_to_unit_supply(
+            random_conditioned_instance(random.Random(seed))
+        )
+        dec = _decomposition(inst)
+        p0 = initial_prices(inst, dec)
+        for p in (p0, 0.5 * p0 + 0.5 / inst.m):
+            X = optimal_allocation(inst, p)
+            new_p, new_X, diag = phi_step(inst, p, X, dec)
+            ref_p, ref_colsum = _reference_phi(inst, p, X, dec)
+            assert np.abs(new_p - ref_p).max() <= 1e-12
+            assert abs(diag["colsum_error"] - ref_colsum) <= 1e-12
+            assert np.array_equal(new_X, X)
 
     def test_rescale_roundtrip(self):
         inst = exchange_instance(10, [[1, 2]], [[2, 4]])

@@ -1,4 +1,4 @@
-"""Exact simplex: hand cases, bounds handling, and an enumeration oracle."""
+"""Exact simplex: hand cases and an enumeration oracle."""
 
 import random
 from fractions import Fraction
@@ -12,14 +12,13 @@ from choremarket.errors import Malformed
 F = Fraction
 
 
-def solve(num, cons, obj, maximize=True, bounds=None):
+def solve(num, cons, obj, maximize=True):
     return lp.lp_solve(
         lp.LinearProgram(
             num,
             tuple(lp.constraint(c, r, b) for c, r, b in cons),
             tuple(F(x) for x in obj),
             maximize=maximize,
-            bounds=bounds,
         )
     )
 
@@ -71,30 +70,6 @@ class TestHandCases:
     def test_malformed(self):
         with pytest.raises(Malformed):
             lp.LinearProgram(2, (), (F(1),))
-
-
-class TestBounds:
-    def test_free_variable(self):
-        res = solve(
-            1,
-            [((1,), lp.GE, -5)],
-            (1,),
-            maximize=False,
-            bounds=((None, None),),
-        )
-        assert res.status == lp.OPTIMAL and res.value == -5
-
-    def test_upper_bound(self):
-        res = solve(1, [], (1,), bounds=((F(0), F(7)),))
-        assert res.status == lp.OPTIMAL and res.value == 7
-
-    def test_shifted_lower_bound(self):
-        res = solve(1, [((1,), lp.LE, 10)], (-1,), bounds=((F(2), None),))
-        assert res.status == lp.OPTIMAL and res.point == (F(2),)
-
-    def test_crossed_bounds_infeasible(self):
-        res = solve(1, [], (1,), bounds=((F(3), F(2)),))
-        assert res.status == lp.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
