@@ -185,6 +185,13 @@ class Instance:
         return _read_only([float(chore_supply(self, j)) for j in range(self.m)])
 
     @cached_property
+    def float_disutility(self) -> np.ndarray:
+        """The disutility matrix as floats (read-only), ``inf`` for ``None``."""
+        return _read_only(
+            [[np.inf if d is None else float(d) for d in row] for row in self.disutility]
+        )
+
+    @cached_property
     def float_wealth(self) -> np.ndarray:
         """The endowment matrix, or the earning vector, as floats (read-only)."""
         if self.variant == FIXED_EARNINGS:

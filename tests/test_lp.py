@@ -1,4 +1,4 @@
-"""Exact simplex: hand cases and an enumeration oracle."""
+"""Exact simplex: hand cases, an enumeration oracle and a reference simplex."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,10 @@ from itertools import combinations
 import pytest
 
 from choremarket import lp
+from choremarket.enumeration import _pattern_lp, _patterns, enumerate_equilibria
 from choremarket.errors import Malformed
+
+from conftest import random_conditioned_instance
 
 F = Fraction
 
@@ -156,3 +159,210 @@ def test_oracle_equivalence_sample(seed):
         assert res.status == status
         if status == lp.OPTIMAL:
             assert res.value == value
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: the same two-phase Bland simplex on a Fraction tableau,
+# each row divided through by its pivot.  ``lp_solve`` keeps every row as an
+# integer multiple of these rows, so it must make the same choices and
+# return the same point.
+
+
+def _ref_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [x - factor * y for x, y in zip(line, tableau[row])]
+    basis[row] = col
+
+
+def _ref_run_simplex(tableau, basis, cost):
+    num_cols = len(cost) - 1
+    while True:
+        enter = next((j for j in range(num_cols) if cost[j] > 0), -1)
+        if enter < 0:
+            return lp.OPTIMAL
+        leave = -1
+        best = None
+        for r, line in enumerate(tableau):
+            if line[enter] > 0:
+                ratio = line[-1] / line[enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            return lp.UNBOUNDED
+        _ref_pivot(tableau, basis, leave, enter)
+        factor = cost[enter]
+        cost[:] = [x - factor * y for x, y in zip(cost, tableau[leave])]
+
+
+def _reference_solve(program):
+    """``(status, point, value)`` of ``program`` by the Fraction simplex."""
+    num_vars = program.num_vars
+    sign = 1 if program.maximize else -1
+    num_slack = sum(1 for con in program.constraints if con.rel != lp.EQ)
+    total = num_vars + num_slack
+    tableau = []
+    slack_col = num_vars
+    for con in program.constraints:
+        line = list(con.coeffs) + [F(0)] * num_slack + [con.rhs]
+        if con.rel != lp.EQ:
+            line[slack_col] = F(1) if con.rel == lp.LE else F(-1)
+            slack_col += 1
+        if line[-1] < 0:
+            line = [-x for x in line]
+        tableau.append(line)
+    basis = [-1] * len(tableau)
+    art_cols = []
+    for r, line in enumerate(tableau):
+        found = next(
+            (
+                j
+                for j in range(num_vars, total)
+                if line[j] == 1
+                and all(o[j] == 0 for rr, o in enumerate(tableau) if rr != r)
+            ),
+            -1,
+        )
+        if found < 0:
+            found = total + len(art_cols)
+            art_cols.append(found)
+        basis[r] = found
+    if art_cols:
+        for r, line in enumerate(tableau):
+            line[-1:-1] = [F(0)] * len(art_cols)
+            if basis[r] >= total:
+                line[basis[r]] = F(1)
+        cost = [F(0)] * (total + len(art_cols) + 1)
+        for col in art_cols:
+            cost[col] = F(-1)
+        for r, line in enumerate(tableau):
+            if basis[r] >= total:
+                cost = [x + y for x, y in zip(cost, line)]
+        _ref_run_simplex(tableau, basis, cost)
+        if cost[-1] != 0:
+            return lp.INFEASIBLE, None, None
+        drop_rows = []
+        for r in range(len(tableau)):
+            if basis[r] >= total:
+                col = next((j for j in range(total) if tableau[r][j] != 0), None)
+                if col is None:
+                    drop_rows.append(r)
+                else:
+                    _ref_pivot(tableau, basis, r, col)
+        for r in reversed(drop_rows):
+            del tableau[r]
+            del basis[r]
+        tableau = [line[:total] + [line[-1]] for line in tableau]
+    cost = [sign * c for c in program.objective] + [F(0)] * (num_slack + 1)
+    for r, line in enumerate(tableau):
+        factor = cost[basis[r]]
+        if factor != 0:
+            cost = [x - factor * y for x, y in zip(cost, line)]
+    if _ref_run_simplex(tableau, basis, cost) == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    point = [F(0)] * num_vars
+    for r, col in enumerate(basis):
+        if col < num_vars:
+            point[col] = tableau[r][-1]
+    value = sum(c * x for c, x in zip(program.objective, point))
+    return lp.OPTIMAL, tuple(point), value
+
+
+def _program(num, cons, obj, maximize=True):
+    return lp.LinearProgram(
+        num,
+        tuple(lp.constraint(c, r, b) for c, r, b in cons),
+        tuple(F(x) for x in obj),
+        maximize=maximize,
+    )
+
+
+def _assert_matches_reference(program):
+    res = lp.lp_solve(program)
+    assert (res.status, res.point, res.value) == _reference_solve(program)
+
+
+def _redundant_program(rng, num):
+    """Equality rows plus negated, scaled and summed copies of them, so
+    phase 1 ends with artificials at zero level: in rows that reduce to
+    zero, and in rows where a drive-out pivot is needed."""
+    base = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(num)]
+        base.append((coeffs, F(rng.randint(-6, 6), rng.randint(1, 2))))
+    cons = [(c, lp.EQ, b) for c, b in base]
+    for _ in range(rng.randint(1, 3)):
+        k = F(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 3))
+        (c1, b1), (c2, b2) = rng.choice(base), rng.choice(base)
+        cons.append(([k * x + y for x, y in zip(c1, c2)], lp.EQ, k * b1 + b2))
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [F(rng.randint(-4, 4)) for _ in range(num)]
+        cons.append((coeffs, rng.choice([lp.LE, lp.GE]), F(rng.randint(-6, 10))))
+    rng.shuffle(cons)
+    obj = [F(rng.randint(-5, 5)) for _ in range(num)]
+    return cons, obj
+
+
+class TestReferenceSimplex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_programs(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(10):
+            num = rng.randint(1, 3)
+            cons, obj = _random_program(rng, num, rng.randint(1, 5))
+            for maximize in (True, False):
+                _assert_matches_reference(_program(num, cons, obj, maximize))
+
+    def test_redundant_and_negated_equalities(self, monkeypatch):
+        negative_pivots = 0
+        pivot = lp._pivot
+
+        def watched(tableau, basis, row, col):
+            nonlocal negative_pivots
+            negative_pivots += tableau[row][col] < 0
+            return pivot(tableau, basis, row, col)
+
+        monkeypatch.setattr(lp, "_pivot", watched)
+        rng = random.Random(7)
+        statuses = set()
+        for _ in range(300):
+            num = rng.randint(2, 5)
+            cons, obj = _redundant_program(rng, num)
+            program = _program(num, cons, obj, rng.random() < 0.5)
+            _assert_matches_reference(program)
+            statuses.add(lp.lp_solve(program).status)
+        assert negative_pivots > 0  # a drive-out pivot on a negative entry
+        assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_pattern_programs(self, seed):
+        inst = random_conditioned_instance(random.Random(seed))
+        for pattern in _patterns(inst, 10**6):
+            _assert_matches_reference(_pattern_lp(inst, pattern, F(0)))
+
+
+def test_pivot_counts_on_conditioned_seeds(monkeypatch):
+    """Pins the Bland pivot sequence of exact search on the 50 conftest
+    seeds, and ``_pivot`` as the one function called once per pivot."""
+    counts = {"lp_solve": 0, "_pivot": 0}
+
+    def counting(name):
+        original = getattr(lp, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(lp, name, counting(name))
+    for k in range(50):
+        enumerate_equilibria(random_conditioned_instance(random.Random(k)))
+    assert counts == {"lp_solve": 314, "_pivot": 4393}

@@ -114,6 +114,11 @@ class TestFloatView:
     def test_views_are_read_only(self, intro):
         with pytest.raises(ValueError):
             intro.float_supply[0] = 2.0
+        with pytest.raises(ValueError):
+            intro.float_disutility[0, 0] = 2.0
+
+    def test_disutility_view(self, warmup):
+        assert warmup.float_disutility.tolist() == [[1.0, 3.0], [np.inf, 1.0]]
 
 
 class TestJson:

@@ -1,7 +1,9 @@
 """Equilibrium verification, fairness, and Pareto checks."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from choremarket.errors import Infeasible, Malformed
@@ -12,6 +14,8 @@ from choremarket.verification import (
     mpb_sets,
     verify_equilibrium,
 )
+
+from conftest import random_conditioned_instance
 
 F = Fraction
 
@@ -62,6 +66,46 @@ class TestMpbSets:
         assert mpb_sets(warmup, prices, tol=1e-8)[0].members == {1}
         assert mpb_sets(warmup, prices)[0].members == {1}
         assert mpb_sets(warmup, prices, tol=1e-6)[0].ratio == 3 / prices[1]
+
+
+    def test_float_prices_match_fraction_division(self):
+        # The float path must give what dividing each Fraction disutility
+        # by the float price gives, sets and ratios bit for bit.
+        def reference(inst, prices, tol):
+            out = []
+            for i in range(inst.n):
+                ratios = {
+                    j: inst.disutility[i][j] / prices[j]
+                    for j in inst.finite_chores(i)
+                    if prices[j] > 0
+                }
+                if not ratios:
+                    out.append((frozenset(), None, bool(inst.finite_chores(i))))
+                    continue
+                best = min(ratios.values())
+                bound = best * (1 + tol) if tol else best
+                members = frozenset(j for j, r in ratios.items() if r <= bound)
+                out.append((members, best, False))
+            return out
+
+        rng = random.Random(5)
+        for seed in range(50):
+            inst = random_conditioned_instance(random.Random(seed))
+            agent = rng.randrange(inst.n)
+            near_tie = [
+                0.37 * float(d) * (1 + rng.choice([0, 1e-10, 1e-7])) if d else 1.0
+                for d in inst.disutility[agent]
+            ]
+            draws = [near_tie, [rng.random() for _ in range(inst.m)]]
+            draws.append([0.0] + [rng.random() for _ in range(inst.m - 1)])
+            for prices in draws:
+                for tol in (0, 1e-9, 1e-6):
+                    for given in (np.array(prices), tuple(prices)):
+                        got = [
+                            (s.members, s.ratio, s.degenerate)
+                            for s in mpb_sets(inst, given, tol)
+                        ]
+                        assert got == reference(inst, given, tol)
 
 
 class TestVerify:
