@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Every command reads and writes JSON.  Exit codes: 0 on success (or a passing
-check), 1 when a check fails or a search comes up empty, 2 on malformed input
-or usage errors.
+check), 1 when a check fails, a search comes up empty or a search exceeds its
+budget (``--cap``), 2 on malformed input or usage errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     NotGadget,
     NotSatisfying,
     OutOfBand,
-    PatternBudgetExceeded,
     WrongVariant,
 )
 from .model import (
@@ -45,7 +44,6 @@ _USAGE_ERRORS = (
     BadParams,
     BadGame,
     DegenerateSize,
-    PatternBudgetExceeded,
 )
 
 

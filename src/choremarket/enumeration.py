@@ -4,16 +4,27 @@ Every equilibrium induces a pattern: for each agent, the set of chores tied at
 the minimum pain-per-buck ratio.  For each candidate pattern we solve one
 exact LP -- maximizing a slack that keeps prices positive and the off-pattern
 ratios strictly worse -- and read an equilibrium off any strictly feasible
-solution.  Enumerating all patterns is therefore complete, and every returned
-candidate is re-verified, so the output is exactly the set of equilibrium
-price rays.
+solution.  Trying every pattern that could hold an equilibrium is therefore
+complete, and every returned candidate is re-verified, so the output is
+exactly the set of equilibrium price rays.
+
+Patterns come from a backtracking search over agents.  Each agent's set fixes
+price ratios: members tie with the set's first chore, and the agent's other
+finite chores have strictly higher pain per buck.  The search keeps the exact
+closure of these ratio bounds and cuts a branch as soon as a cycle of them
+multiplies to less than 1, or to exactly 1 through a strict bound, or when the
+remaining agents can no longer cover every chore.  The cut is safe: a
+pattern's LP has a positive optimum only at positive prices that meet its
+ratio bounds strictly, and no such prices exist past a bad cycle; an
+uncovered chore cannot clear at a positive price.  So the search loses no
+equilibrium, for any ``epsilon``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -195,7 +206,67 @@ def _solve_pattern(inst, pattern, epsilon) -> Optional[EnumeratedEquilibrium]:
     return EnumeratedEquilibrium(normalize_prices(prices), tuple(pattern), cand)
 
 
+#: A bound ``(ratio, weak)`` on ``p_x / p_y`` means ``p_x / p_y <= ratio``
+#: when ``weak`` and ``p_x / p_y < ratio`` otherwise.  Tuple order is
+#: tightness order, and bounds compose as ``(r1 * r2, w1 and w2)``.
+_UNIT = (Fraction(1), True)
+
+
+def _agent_edges(inst: Instance, agent: int, members: frozenset):
+    """The price-ratio bounds of one agent's MPB set, as ``(x, y, bound)``.
+
+    With ``r`` the set's smallest chore, a member ``j`` ties with it,
+    ``p_j = (d_ij / d_ir) p_r``; any other finite chore ``j`` is strictly
+    worse, ``p_j < (d_ij / d_ir) p_r``.
+    """
+    if not members:
+        return []
+    d = inst.disutility[agent]
+    rep = min(members)
+    edges = []
+    for j in inst.finite_chores(agent):
+        if j == rep:
+            continue
+        tie = j in members
+        edges.append((j, rep, (d[j] / d[rep], tie)))
+        if tie:
+            edges.append((rep, j, (d[rep] / d[j], True)))
+    return edges
+
+
+def _tighten(closure, edges) -> bool:
+    """Add ``edges`` to the ratio closure in place; ``False`` on a bad cycle.
+
+    ``closure[x][y]`` is the tightest bound on ``p_x / p_y`` implied so far,
+    or ``None``.  A bad cycle multiplies to less than 1, or to exactly 1
+    through a strict bound; then no positive prices meet the bounds.
+    """
+    for u, v, (ratio, weak) in edges:
+        back = closure[v][u]
+        if back is not None and (ratio * back[0], weak and back[1]) < _UNIT:
+            return False
+        if closure[u][v] is not None and closure[u][v] <= (ratio, weak):
+            continue  # already implied
+        sources = [(row, row[u]) for row in closure if row[u] is not None]
+        targets = [(y, b) for y, b in enumerate(closure[v]) if b is not None]
+        for row, (r1, w1) in sources:
+            r1 *= ratio
+            w1 = w1 and weak
+            for y, (r2, w2) in targets:
+                bound = (r1 * r2, w1 and w2)
+                if row[y] is None or bound < row[y]:
+                    row[y] = bound
+    return True
+
+
 def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
+    """Every covering, price-consistent pattern, in agent-product order.
+
+    A depth-first search assigns MPB sets agent by agent, carrying the exact
+    closure of the price-ratio bounds chosen so far.  A branch is cut when
+    its bounds have a bad cycle, or when its sets and those the remaining
+    agents could still take leave a chore uncovered.
+    """
     options = _agent_options(inst)
     if options is None:
         return
@@ -204,11 +275,31 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
             f"{_pattern_count(options)} patterns exceed the cap of {cap}"
         )
     all_chores = frozenset(range(inst.m))
-    for pattern in product(*options):
-        covered = frozenset().union(*pattern) if pattern else frozenset()
-        if covered != all_chores:
-            continue  # some chore could not be cleared at positive price
-        yield pattern
+    reach = [frozenset()] * (inst.n + 1)  # chores agents i.. can still take
+    for i in reversed(range(inst.n)):
+        reach[i] = reach[i + 1].union(*options[i])
+    edges = [
+        [_agent_edges(inst, i, members) for members in subsets]
+        for i, subsets in enumerate(options)
+    ]
+    chosen = []
+
+    def search(i, covered, closure):
+        if i == inst.n:
+            yield tuple(chosen)
+            return
+        for members, bounds in zip(options[i], edges[i]):
+            if covered | members | reach[i + 1] != all_chores:
+                continue
+            grown = [row[:] for row in closure]
+            if not _tighten(grown, bounds):
+                continue
+            chosen.append(members)
+            yield from search(i + 1, covered | members, grown)
+            chosen.pop()
+
+    unit = [[_UNIT if x == y else None for y in range(inst.m)] for x in range(inst.m)]
+    yield from search(0, frozenset(), unit)
 
 
 def enumerate_equilibria(

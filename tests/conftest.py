@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from choremarket.enumeration import _agent_options
 from choremarket.model import exchange_instance, fixed_earnings_instance
 
 
@@ -72,3 +74,13 @@ def random_conditioned_instance(rng: random.Random):
         for _ in range(total_agents)
     ]
     return exchange_instance(100, d, w)
+
+
+def covering_patterns(inst):
+    """Every MPB pattern whose sets cover all chores, in agent-product order:
+    the whole space that pattern search prunes, built without pruning."""
+    options = _agent_options(inst)
+    if options is None:
+        return []
+    chores = frozenset(range(inst.m))
+    return [p for p in product(*options) if frozenset().union(*p) == chores]

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestSatReduction:
         for e in res.equilibria:
             works_both = e.candidate.allocation[0][1] > 0
             assert works_both == negated  # x = False exactly when demanded
+
+    @pytest.mark.parametrize("clause", [(1, 2, 3), (1, -2, 3)])
+    def test_equilibria_are_exactly_the_satisfying_assignments(self, clause):
+        formula = CNFFormula(3, [clause])
+        gadget = build_sat_gadget(formula)
+        res = enumerate_equilibria(gadget.instance)
+        for e in res.equilibria:
+            assert verify_equilibrium(gadget.instance, e.candidate).ok
+        readbacks = {equilibrium_to_assignment(gadget, e.candidate) for e in res.equilibria}
+        satisfying = {a for a in product((False, True), repeat=3) if formula.satisfies(a)}
+        assert len(satisfying) == 7
+        assert readbacks == satisfying
 
 
 class TestRandomConditionedInstances:

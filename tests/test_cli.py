@@ -113,8 +113,9 @@ class TestEnumerateAndVerify:
         assert run("enumerate", "--instance", paths["example1"]) == 1
         assert json.loads(capsys.readouterr().out)["count"] == 0
 
-    def test_cap_is_usage_error(self, paths, capsys):
-        assert run("enumerate", "--instance", paths["warmup"], "--cap", "1") == 2
+    def test_cap_exhaustion_exits_one(self, paths, capsys):
+        assert run("enumerate", "--instance", paths["warmup"], "--cap", "1") == 1
+        assert "exceed the cap" in capsys.readouterr().err
 
     def test_determinism(self, paths, capsys):
         run("enumerate", "--instance", paths["warmup"])

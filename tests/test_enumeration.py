@@ -1,16 +1,22 @@
 """Pattern enumeration of exact equilibria."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from choremarket.enumeration import (
+    PATTERN_CAP,
+    _patterns,
+    _solve_pattern,
     enumerate_equilibria,
     exists_equilibrium,
 )
 from choremarket.errors import Malformed, PatternBudgetExceeded
 from choremarket.model import fixed_earnings_instance
 from choremarket.verification import verify_equilibrium
+
+from conftest import covering_patterns, random_conditioned_instance
 
 F = Fraction
 
@@ -86,3 +92,46 @@ class TestControls:
         assert res.equilibria
         for e in res.equilibria:
             assert all(x == 0 for x in e.candidate.allocation[2])
+
+
+class TestPatternSearch:
+    """The search keeps covering patterns in product order, and every
+    covering pattern it cuts has no equilibrium, at any epsilon."""
+
+    @staticmethod
+    def _assert_cuts_are_safe(inst):
+        full = covering_patterns(inst)
+        kept = set(_patterns(inst, PATTERN_CAP))
+        assert list(_patterns(inst, PATTERN_CAP)) == [p for p in full if p in kept]
+        for epsilon in (F(0), F(1, 10)):
+            for pattern in full:
+                if pattern not in kept:
+                    assert _solve_pattern(inst, pattern, epsilon) is None
+
+    @pytest.mark.parametrize("name", ["warmup", "intro", "example1", "example2"])
+    def test_fixtures(self, name, request):
+        self._assert_cuts_are_safe(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_conditioned_seeds(self, seed):
+        self._assert_cuts_are_safe(random_conditioned_instance(random.Random(seed)))
+
+    # Agents 0 and 1 tie p1 = 2 p0 and p2 = 3 p1, so p2 = 6 p0; agent 2's
+    # disutility c on chore 2 and its set close a three-chore cycle.
+    @pytest.mark.parametrize(
+        "c, last, kept",
+        [
+            (6, {0, 2}, True),  # ties only, product exactly 1
+            (6, {2}, False),  # p0 < p2 / 6: product 1 through a strict bound
+            (6, {0}, False),  # p2 < 6 p0: the same, the other way round
+            (5, {0, 2}, False),  # p2 = 5 p0: product 5/6 below 1
+            (7, {0}, True),  # p2 < 7 p0: strict, product 7/6
+        ],
+    )
+    def test_ratio_cycles(self, c, last, kept):
+        inst = fixed_earnings_instance(
+            10, [[1, 2, None], [None, 1, 3], [1, None, c]], [1, 1, 1]
+        )
+        pattern = (frozenset({0, 1}), frozenset({1, 2}), frozenset(last))
+        assert pattern in covering_patterns(inst)
+        assert (pattern in set(_patterns(inst, PATTERN_CAP))) == kept
