@@ -2,7 +2,7 @@
 
 Every command reads and writes JSON.  Exit codes: 0 on success (or a passing
 check), 1 when a check fails, a search comes up empty or a search exceeds its
-budget (``--cap``), 2 on malformed input or usage errors.
+budget (``--cap``, ``--max-iters``), 2 on malformed input or usage errors.
 """
 
 from __future__ import annotations
@@ -180,11 +180,7 @@ def _cmd_enumerate(args):
 
 def _cmd_solve_fixedpoint(args):
     inst = _load_instance(args.instance)
-    config = fixedpoint.SolverConfig(
-        max_iters=args.max_iters,
-        residual_tol=args.tol,
-        damping=args.damping,
-    )
+    config = fixedpoint.SolverConfig(max_iters=args.max_iters)
     try:
         outcome = fixedpoint.solve(inst, config)
     except ConditionViolated as exc:
@@ -193,22 +189,13 @@ def _cmd_solve_fixedpoint(args):
     doc = {
         "converged": outcome.converged,
         "iterations": outcome.iterations,
-        "residual": outcome.residual,
+        "reason": outcome.reason,
+        "residual": 0.0 if outcome.converged else None,
         "equilibrium": (
             candidate_to_json(outcome.candidate) if outcome.candidate else None
         ),
+        "trace": [],
     }
-    records = outcome.trace if args.trace else outcome.trace[-1:]
-    doc["trace"] = [
-        {
-            "iteration": r.iteration,
-            "residual": r.residual,
-            "simplex_error": r.simplex_error,
-            "balance_error": r.balance_error,
-            "colsum_error": r.colsum_error,
-        }
-        for r in records
-    ]
     _emit(doc, args.output)
     return 0 if outcome.converged else 1
 
@@ -373,12 +360,14 @@ def _build_parser():
     p.add_argument("--epsilon", default="0")
     p.add_argument("--cap", type=int, default=enumeration.PATTERN_CAP)
 
-    p = add("solve-fixedpoint", _cmd_solve_fixedpoint, "approximate equilibrium search")
+    p = add("solve-fixedpoint", _cmd_solve_fixedpoint, "exact equilibrium by pattern search")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-iters", type=int, default=fixedpoint.SolverConfig.max_iters)
-    p.add_argument("--tol", type=float, default=fixedpoint.RESIDUAL_TOL)
-    p.add_argument("--damping", type=float, default=fixedpoint.DAMPING)
-    p.add_argument("--trace", action="store_true")
+    p.add_argument(
+        "--max-iters",
+        type=int,
+        default=fixedpoint.SolverConfig.max_iters,
+        help="most pattern LPs to solve",
+    )
 
     p = add("gen-sat", _cmd_gen_sat, "build the market gadget of a 3-CNF formula")
     p.add_argument("--cnf", required=True, help="DIMACS CNF file")

@@ -315,6 +315,8 @@ def enumerate_equilibria(
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise Malformed("epsilon must lie in [0, 1)")
+    if cap < 0:
+        raise Malformed("cap must be nonnegative")
     found = {}
     tried = 0
     for pattern in _patterns(inst, cap):
@@ -334,6 +336,8 @@ def exists_equilibrium(
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise Malformed("epsilon must lie in [0, 1)")
+    if cap < 0:
+        raise Malformed("cap must be nonnegative")
     for pattern in _patterns(inst, cap):
         hit = _solve_pattern(inst, pattern, epsilon)
         if hit is not None:

@@ -34,7 +34,7 @@ class ConditionViolated(ChoreMarketError):
 
 
 class ConstructionFailed(ChoreMarketError):
-    """Initial-price construction produced an invalid vector."""
+    """A construction or search that must succeed produced no valid result."""
 
 
 class NotConverged(ChoreMarketError):

@@ -1,22 +1,28 @@
-"""Float fixed-point price iteration for instances passing both conditions.
+"""The existence proof's price map, and an exact solver behind the condition gate.
 
-The iteration follows the existence proof, which prices whole components of
-the disutility graph.  Prices stay nonnegative, sum to one and balance each
-component's budget against its price mass.  One step bumps the price of
-under-done chores (``q = p + unmet supply``), forms the exchange matrix ``M``
-between components from 0/1 agent and chore membership matrices, takes the
-component masses from the unit-sum null vector of ``M`` (one least-squares
-solve), and reallocates greedily at minimum pain-per-buck, splitting each
-agent's budget across its tied chores in proportion to prices.  Equilibria
-are exactly the fixed points; the loop damps the update and stops when the
-worst clearing residual is small and the candidate passes float verification.
+The paper's existence proof prices whole components of the disutility graph.
+Prices stay nonnegative, sum to one and balance each component's budget
+against its price mass.  One step of its map (:func:`phi_step`) bumps the
+price of under-done chores (``q = p + unmet supply``), forms the exchange
+matrix ``M`` between components from 0/1 agent and chore membership matrices,
+takes the component masses from the unit-sum null vector of ``M`` (one
+least-squares solve), and reallocates greedily at minimum pain-per-buck,
+splitting each agent's budget across its tied chores in proportion to prices.
+Equilibria are exactly the fixed points.  The map is kept, with its tests,
+as the documented form of the proof; damped iteration of it converged on
+only about a third of the random conditioned markets, so it is no solver.
+
+:func:`solve` gates on both sufficiency conditions, which guarantee an
+equilibrium, and then walks the exact minimum pain-per-buck pattern search of
+:mod:`choremarket.enumeration`, one exact LP per pattern, until a pattern
+yields a verified equilibrium.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,64 +31,41 @@ from .errors import (
     ConstructionFailed,
     Malformed,
     NotConverged,
+    PatternBudgetExceeded,
     WrongVariant,
 )
-from .enumeration import _solve_pattern
+from .enumeration import PATTERN_CAP, _patterns, _solve_pattern
 from .graphs import ComponentDecomposition, check_conditions
-from .model import (
-    EXCHANGE,
-    FIXED_EARNINGS,
-    FLOAT,
-    EquilibriumCandidate,
-    Instance,
-    chore_supply,
-)
-from .verification import mpb_sets, verify_equilibrium
+from .model import EXCHANGE, EquilibriumCandidate, Instance, chore_supply
+from .verification import mpb_sets
 
 #: Tolerances for the numeric machinery.
 TOL_P = 1e-9
 TOL_NULL = 1e-10
-RESIDUAL_TOL = 1e-7
-DAMPING = 0.5
 #: Relative tie band of the greedy allocation's MPB sets.
 ALLOCATION_TIE_TOL = 1e-9
-#: Float-verification tolerance (MPB and clearing) of a reported candidate.
-VERIFY_TOL = 1e-6
-#: Every this many iterations, try snapping the near-tie minimum pain-per-buck
-#: pattern of the current prices to an exact equilibrium with the pattern LP.
-SNAP_INTERVAL = 5
-SNAP_TIE_TOL = 1e-6
-#: Skip snapping on instances with more agent-chore pairs than this (the
-#: exact LP would dominate the run time).
-SNAP_SIZE_CAP = 600
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    #: Most pattern LPs one solve may run.
     max_iters: int = 20000
-    residual_tol: float = RESIDUAL_TOL
-    damping: float = DAMPING
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-iteration invariants, for inspection and testing."""
-
-    iteration: int
-    residual: float
-    simplex_error: float
-    balance_error: float
-    min_price_bump: float
-    colsum_error: float
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """What :func:`solve` found and why it stopped.
+
+    ``iterations`` counts the pattern LPs solved.  ``reason`` is ``"found"``
+    (``candidate`` is an exact equilibrium), ``"budget"`` (``max_iters`` LPs
+    solved without one) or ``"cap"`` (the pattern space exceeds
+    ``enumeration.PATTERN_CAP``, so no LP ran).
+    """
+
     converged: bool
     candidate: Optional[EquilibriumCandidate]
     iterations: int
-    residual: float
-    trace: Tuple[IterationRecord, ...]
+    reason: str
 
 
 def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
@@ -115,11 +98,6 @@ def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
     if not np.abs(Z @ t).max() <= TOL_NULL:
         raise NotConverged("null-vector residual above tolerance")
     return t
-
-
-def _require_unit_supply(inst: Instance) -> None:
-    if np.abs(inst.float_supply - 1.0).max() > TOL_P:
-        raise Malformed("operation requires unit chore supplies")
 
 
 def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ...]]:
@@ -157,7 +135,8 @@ def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
     """
     if inst.variant != EXCHANGE:
         raise WrongVariant("initial prices require the exchange variant")
-    _require_unit_supply(inst)
+    if np.abs(inst.float_supply - 1.0).max() > TOL_P:
+        raise Malformed("operation requires unit chore supplies")
     if dec.d == 0:
         raise ConstructionFailed("no components to price")
     chosen = dec.chore_membership.argmax(axis=0)  # first chore of each component
@@ -167,14 +146,6 @@ def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
     if not np.isfinite(p).all() or abs(p.sum() - 1.0) > TOL_P:
         raise ConstructionFailed("initial price vector is not normalized")
     return p
-
-
-def allocation_bound(inst: Instance) -> float:
-    """Upper bound ``m * d_max / d_min`` used to keep allocations compact."""
-    finite = [float(x) for row in inst.disutility for x in row if x is not None]
-    if not finite:
-        return float(inst.m)
-    return inst.m * max(finite) / min(finite)
 
 
 def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
@@ -198,10 +169,6 @@ def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
         for j in members:
             X[i, j] = budget / mass
     return X
-
-
-def clearing_residual(inst: Instance, X: np.ndarray) -> float:
-    return float(np.abs(inst.float_supply - X.sum(axis=0)).max())
 
 
 def phi_step(
@@ -236,118 +203,32 @@ def phi_step(
     return new_p, new_X, diagnostics
 
 
-def _balance_error(inst: Instance, dec: ComponentDecomposition, p: np.ndarray) -> float:
-    spent = inst.float_budgets(p) @ dec.agent_membership
-    return float(np.abs(spent - p @ dec.chore_membership).max(initial=0.0))
-
-
-def _tie_pattern(inst: Instance, p: np.ndarray):
-    """Near-tie MPB sets at float prices, as an enumeration pattern."""
-    pattern = []
-    for i, mpb in enumerate(mpb_sets(inst, p, SNAP_TIE_TOL)):
-        if not inst.has_positive_wealth(i):
-            pattern.append(frozenset())
-        elif mpb.ratio is None:
-            return None
-        else:
-            pattern.append(mpb.members)
-    if frozenset().union(*pattern) != frozenset(range(inst.m)):
-        return None
-    return tuple(pattern)
-
-
-def _attempts(scaled: Instance, p: np.ndarray, it: int, cleared: bool, attempted: set):
-    """Candidates after iteration ``it``: the iterate once it clears, then,
-    every ``SNAP_INTERVAL`` iterations, the exact solution of the near-tie
-    pattern's LP if that pattern is new."""
-    if cleared:
-        yield p, optimal_allocation(scaled, p)
-    if scaled.n * scaled.m > SNAP_SIZE_CAP or (it + 1) % SNAP_INTERVAL:
-        return
-    pattern = _tie_pattern(scaled, p)
-    if pattern is None or pattern in attempted:
-        return
-    attempted.add(pattern)
-    hit = _solve_pattern(scaled, pattern, Fraction(0))
-    if hit is not None:
-        yield (
-            np.array(hit.candidate.prices, dtype=float),
-            np.array(hit.candidate.allocation, dtype=float),
-        )
-
-
 def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
-    """Search for an approximate equilibrium by damped fixed-point iteration.
+    """Find one exact equilibrium of an instance that passes both conditions.
 
-    Gates on both sufficiency conditions (raising
-    :class:`ConditionViolated` otherwise), works internally on the
-    unit-supply exchange form, and reports a float-mode candidate in the
-    original units once its clearing residual is below tolerance and it
-    passes float verification.
+    Raises :class:`ConditionViolated` when a condition fails.  Otherwise
+    solves the LPs of the exact pattern search in order, at most
+    ``config.max_iters`` of them, and returns the first verified equilibrium
+    in the caller's units and variant.  The conditions guarantee an
+    equilibrium, so a search that runs out of patterns is a bug and raises
+    :class:`ConstructionFailed`.
     """
+    if config.max_iters < 0:
+        raise Malformed("max_iters must be nonnegative")
     report = check_conditions(inst)
     if not report.condition1.ok:
         raise ConditionViolated(f"condition 1 fails: {report.condition1.witness}")
     if not report.condition2.ok:
         raise ConditionViolated(f"condition 2 fails: order {report.condition2.scc_order}")
-    ex = inst if inst.variant == EXCHANGE else inst.to_exchange()
-    dec = report.condition1.decomposition
-    scaled, supplies = rescale_to_unit_supply(ex)
-    sup = np.array([float(s) for s in supplies])
-
-    p = initial_prices(scaled, dec)
-    X = optimal_allocation(scaled, p)
-    trace: List[IterationRecord] = []
-    attempted: set = set()
-    gamma = config.damping
-    residual = clearing_residual(scaled, X)
-
-    for it in range(config.max_iters):
-        new_p, X, diag = phi_step(scaled, p, X, dec)
-        p = (1.0 - gamma) * p + gamma * new_p
-        total = p.sum()
-        if total <= 0:
-            raise ConstructionFailed("price iterate collapsed to zero")
-        p = p / total
-        residual = clearing_residual(scaled, X)
-        trace.append(
-            IterationRecord(
-                iteration=it,
-                residual=residual,
-                simplex_error=abs(float(p.sum()) - 1.0),
-                balance_error=_balance_error(scaled, dec, p),
-                min_price_bump=diag["min_price_bump"],
-                colsum_error=diag["colsum_error"],
-            )
-        )
-        cleared = residual <= config.residual_tol
-        for cand_p, cand_X in _attempts(scaled, p, it, cleared, attempted):
-            cand_residual = clearing_residual(scaled, cand_X)
-            if cand_residual > config.residual_tol:
-                continue
-            candidate = _to_original(inst, cand_p, cand_X, sup)
-            if verify_equilibrium(
-                inst, candidate, tol_mpb=VERIFY_TOL, tol_clearing=VERIFY_TOL
-            ).ok:
-                return SolveOutcome(True, candidate, it + 1, cand_residual, tuple(trace))
-    return SolveOutcome(False, None, config.max_iters, residual, tuple(trace))
-
-
-def _to_original(
-    inst: Instance, p: np.ndarray, X: np.ndarray, supplies: np.ndarray
-) -> EquilibriumCandidate:
-    """Map a unit-supply iterate back to the caller's units and variant."""
-    orig_p = p / supplies
-    orig_X = X * supplies
-    if inst.variant == FIXED_EARNINGS:
-        total_value = float(sum(
-            float(chore_supply(inst, j)) * orig_p[j] for j in range(inst.m)
-        ))
-        total_earning = float(sum(inst.earning))
-        if total_value > 0:
-            orig_p = orig_p * (total_earning / total_value)
-    return EquilibriumCandidate(
-        tuple(float(x) for x in orig_p),
-        tuple(tuple(float(x) for x in row) for row in orig_X),
-        mode=FLOAT,
-    )
+    solved = 0
+    try:
+        for pattern in _patterns(inst, PATTERN_CAP):
+            if solved == config.max_iters:
+                return SolveOutcome(False, None, solved, "budget")
+            solved += 1
+            hit = _solve_pattern(inst, pattern, Fraction(0))
+            if hit is not None:
+                return SolveOutcome(True, hit.candidate, solved, "found")
+    except PatternBudgetExceeded:
+        return SolveOutcome(False, None, solved, "cap")
+    raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

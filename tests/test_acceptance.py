@@ -12,13 +12,12 @@ from choremarket.enumeration import enumerate_equilibria, exists_equilibrium
 from choremarket.fixedpoint import SolverConfig, solve, stochastic_null_vector
 from choremarket.graphs import check_conditions
 from choremarket.lp import OPTIMAL
-from choremarket.model import chore_supply, fixed_earnings_instance
+from choremarket.model import EXACT, chore_supply, fixed_earnings_instance, normalize_prices
 from choremarket.polymatrix import (
     PolymatrixGame,
     build_polymatrix_gadget,
     recover_strategy,
     verify_gadget_properties,
-    verify_polymatrix_equilibrium,
 )
 from choremarket.sat_reduction import (
     CNFFormula,
@@ -141,20 +140,14 @@ class TestRandomConditionedInstances:
         assert exists_equilibrium(inst) is not None
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_solver_invariants_hold(self, seed):
+    def test_solve_returns_exact_equilibrium(self, seed):
         inst = random_conditioned_instance(random.Random(seed))
         out = solve(inst, SolverConfig(max_iters=300))
-        for rec in out.trace:
-            assert rec.simplex_error <= 1e-9
-            assert rec.balance_error <= 1e-9
-            assert rec.min_price_bump >= 0
-            assert rec.colsum_error <= 1e-12
-        if out.converged and out.residual is not None:
-            assert out.residual <= 1e-7
-        if out.converged:
-            assert verify_equilibrium(
-                inst, out.candidate, tol_mpb=1e-6, tol_clearing=1e-6
-            ).ok
+        assert out.converged and out.reason == "found"
+        assert out.candidate.mode == EXACT
+        assert verify_equilibrium(inst, out.candidate).ok
+        assert normalize_prices(out.candidate.prices) in enumerate_equilibria(inst).rays
+        assert 1 <= out.iterations <= 300
 
 
 class TestPolymatrixReduction:
@@ -199,18 +192,16 @@ class TestPolymatrixReduction:
             for pair in range(gadget.params.n):
                 assert sorted((x[2 * pair], x[2 * pair + 1])) == [0.0, 1.0]
 
-    def test_solver_candidate_recovers_equilibrium_when_verified(self):
+    def test_solver_stops_at_pattern_cap(self):
+        """GAME2 has about 10**26 raw patterns, past the search's cap, so
+        ``solve`` stops before any LP.  ROADMAP item 3 (exact complementary
+        pivoting) turns this back into the assertion that the solver's
+        equilibrium recovers a polymatrix equilibrium."""
         gadget = build_polymatrix_gadget(GAME2)
         out = solve(gadget.instance, SolverConfig(max_iters=60))
-        if not out.converged:
-            return
-        report = verify_equilibrium(
-            gadget.instance, out.candidate, tol_mpb=1e-7, tol_clearing=1e-7
-        )
-        if not report.ok:
-            return
-        x = recover_strategy(gadget, out.candidate)
-        assert verify_polymatrix_equilibrium(GAME2, x, slack=1e-6).ok
+        assert out.converged is False
+        assert out.reason == "cap"
+        assert out.iterations == 0
 
 
 class TestNullVectorRobustness:

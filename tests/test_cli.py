@@ -117,6 +117,10 @@ class TestEnumerateAndVerify:
         assert run("enumerate", "--instance", paths["warmup"], "--cap", "1") == 1
         assert "exceed the cap" in capsys.readouterr().err
 
+    def test_negative_cap_is_usage_error(self, paths, capsys):
+        assert run("enumerate", "--instance", paths["warmup"], "--cap", "-1") == 2
+        assert "cap must be nonnegative" in capsys.readouterr().err
+
     def test_determinism(self, paths, capsys):
         run("enumerate", "--instance", paths["warmup"])
         first = capsys.readouterr().out
@@ -129,21 +133,40 @@ class TestSolve:
         assert run("solve-fixedpoint", "--instance", paths["example1"]) == 1
         assert "error" in json.loads(capsys.readouterr().out)
 
-    def test_converged_solve(self, intro, tmp_path, capsys):
+    @pytest.fixture
+    def intro_path(self, intro, tmp_path):
         path = tmp_path / "intro.json"
         save_json(instance_to_json(intro), str(path))
-        keys = {"iteration", "residual", "simplex_error", "balance_error", "colsum_error"}
-        for flags in ((), ("--trace",)):
-            assert run("solve-fixedpoint", "--instance", str(path), *flags) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["converged"] is True
-            eq = doc["equilibrium"]
-            assert eq["mode"] == "float"
-            assert all(isinstance(x, float) for x in eq["prices"])
-            assert all(isinstance(x, float) for row in eq["allocation"] for x in row)
-            expected = doc["iterations"] if flags else 1
-            assert len(doc["trace"]) == expected
-            assert all(set(rec) == keys for rec in doc["trace"])
+        return str(path)
+
+    def test_converged_solve(self, intro_path, capsys):
+        assert run("solve-fixedpoint", "--instance", intro_path) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True and doc["reason"] == "found"
+        eq = doc["equilibrium"]
+        assert eq["mode"] == "exact"
+        values = eq["prices"] + [x for row in eq["allocation"] for x in row]
+        assert all(isinstance(x, str) and Fraction(x) >= 0 for x in values)
+        assert doc["residual"] == 0.0
+        assert doc["trace"] == []
+
+    def test_budget_exhaustion_exits_one(self, intro_path, capsys):
+        assert run("solve-fixedpoint", "--instance", intro_path, "--max-iters", "0") == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False and doc["reason"] == "budget"
+        assert doc["equilibrium"] is None and doc["residual"] is None
+
+    def test_negative_budget_is_usage_error(self, intro_path, capsys):
+        assert run("solve-fixedpoint", "--instance", intro_path, "--max-iters", "-1") == 2
+        assert "max_iters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [("--trace",), ("--tol", "1e-7"), ("--damping", "0.5")]
+    )
+    def test_removed_flags_are_usage_errors(self, intro_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            run("solve-fixedpoint", "--instance", intro_path, *flags)
+        assert exc.value.code == 2
 
 
 class TestSatCommands:

@@ -1,0 +1,14 @@
+"""README's library quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    # The block ends by printing the solver's outcome.
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True (Fraction(")
