@@ -140,7 +140,8 @@ class TestRandomConditionedInstances:
         assert exists_equilibrium(inst) is not None
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_solve_returns_exact_equilibrium(self, seed):
+    def test_solver_invariants_hold(self, seed):
+        """ROADMAP's acceptance gate: solve returns an exact equilibrium."""
         inst = random_conditioned_instance(random.Random(seed))
         out = solve(inst, SolverConfig(max_iters=300))
         assert out.converged and out.reason == "found"
