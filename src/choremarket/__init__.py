@@ -2,10 +2,10 @@
 
 Markets where agents are paid to do divisible chores they dislike, with a
 threshold above which an agent refuses a chore outright.  The package checks
-the structural conditions under which equilibria exist, verifies and
-enumerates exact equilibria, approximates them by fixed-point iteration, and
-builds the reductions that tie equilibrium existence to satisfiability and
-threshold polymatrix games.
+the structural conditions under which equilibria exist, verifies,
+enumerates and finds exact equilibria by a search over minimum pain-per-buck
+patterns, and builds the reductions that tie equilibrium existence to
+satisfiability and threshold polymatrix games.
 """
 
 from .errors import ChoreMarketError

@@ -33,6 +33,7 @@ from .model import (
     instance_from_json,
     instance_to_json,
     load_json,
+    save_json,
     to_fraction,
 )
 
@@ -56,12 +57,10 @@ def _num(x):
 
 
 def _emit(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        save_json(doc, path)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _load_instance(path):

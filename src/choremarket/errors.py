@@ -38,7 +38,7 @@ class ConstructionFailed(ChoreMarketError):
 
 
 class NotConverged(ChoreMarketError):
-    """Iterative routine hit its iteration cap before reaching tolerance."""
+    """A null vector's residual stayed above its tolerance."""
 
 
 class BadParams(ChoreMarketError):

@@ -11,6 +11,8 @@ splitting each agent's budget across its tied chores in proportion to prices.
 Equilibria are exactly the fixed points.  The map is kept, with its tests,
 as the documented form of the proof; damped iteration of it converged on
 only about a third of the random conditioned markets, so it is no solver.
+The map computes in floats, on arrays it builds from the exact market data
+on every call.
 
 :func:`solve` gates on both sufficiency conditions, which guarantee an
 equilibrium, and then walks the exact minimum pain-per-buck pattern search of
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .enumeration import PATTERN_CAP, _patterns, _solve_pattern
 from .graphs import ComponentDecomposition, check_conditions
-from .model import EXCHANGE, EquilibriumCandidate, Instance, chore_supply
+from .model import EXCHANGE, EquilibriumCandidate, Instance, agent_budget, chore_supply
 from .verification import mpb_sets
 
 #: Tolerances for the numeric machinery.
@@ -126,6 +128,21 @@ def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ..
     return scaled, supplies
 
 
+def _float_market(inst: Instance, dec: ComponentDecomposition):
+    """Float arrays of the map: chore supplies, the endowment matrix, and the
+    0/1 agents x components and chores x components membership matrices."""
+    if inst.variant != EXCHANGE:
+        raise WrongVariant("the price map requires the exchange variant")
+    supply = np.array([float(chore_supply(inst, j)) for j in range(inst.m)])
+    W = np.array([[float(w) for w in row] for row in inst.endowment])
+    A = np.zeros((inst.n, dec.d))
+    C = np.zeros((inst.m, dec.d))
+    for k, comp in enumerate(dec.components):
+        A[list(comp.agents), k] = 1.0
+        C[list(comp.chores), k] = 1.0
+    return supply, W, A, C
+
+
 def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
     """A starting point in the normalized price domain.
 
@@ -133,16 +150,14 @@ def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
     same null-vector machinery applied to the endowment totals of the chosen
     chores.  Requires unit chore supplies.
     """
-    if inst.variant != EXCHANGE:
-        raise WrongVariant("initial prices require the exchange variant")
-    if np.abs(inst.float_supply - 1.0).max() > TOL_P:
+    supply, W, A, _ = _float_market(inst, dec)
+    if np.abs(supply - 1.0).max() > TOL_P:
         raise Malformed("operation requires unit chore supplies")
     if dec.d == 0:
         raise ConstructionFailed("no components to price")
-    chosen = dec.chore_membership.argmax(axis=0)  # first chore of each component
-    W = dec.agent_membership.T @ inst.float_wealth[:, chosen]
+    chosen = [comp.chores[0] for comp in dec.components]
     p = np.zeros(inst.m)
-    p[chosen] = stochastic_null_vector(W - np.eye(dec.d))
+    p[chosen] = stochastic_null_vector(A.T @ W[:, chosen] - np.eye(dec.d))
     if not np.isfinite(p).all() or abs(p.sum() - 1.0) > TOL_P:
         raise ConstructionFailed("initial price vector is not normalized")
     return p
@@ -159,9 +174,9 @@ def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
     if prices.shape != (inst.m,):
         raise Malformed("price vector length must match chore count")
     X = np.zeros((inst.n, inst.m))
-    budgets = inst.float_budgets(prices).tolist()
     sets = mpb_sets(inst, prices, ALLOCATION_TIE_TOL)
-    for i, (budget, mpb) in enumerate(zip(budgets, sets)):
+    for i, mpb in enumerate(sets):
+        budget = float(agent_budget(inst, i, prices))
         if budget <= 0:
             continue
         members = sorted(mpb.members)
@@ -185,14 +200,13 @@ def phi_step(
     carry the price bump ``q - p`` minimum and the worst column-sum error of
     the component matrix.
     """
-    A = dec.agent_membership
-    C = dec.chore_membership
-    q = p + np.maximum(inst.float_supply - X.sum(axis=0), 0.0)
+    supply, W, A, C = _float_market(inst, dec)
+    q = p + np.maximum(supply - X.sum(axis=0), 0.0)
     Q = q @ C
     if Q.min(initial=np.inf) <= 0:
         raise ConstructionFailed("a component has zero price mass")
     share = q / (C @ Q)
-    M = A.T @ inst.float_wealth @ (C * share[:, None]) - np.eye(dec.d)
+    M = A.T @ W @ (C * share[:, None]) - np.eye(dec.d)
     colsum_error = float(np.abs(M.sum(axis=0)).max())
     new_p = share * (C @ stochastic_null_vector(M))
     new_X = optimal_allocation(inst, p)

@@ -13,11 +13,9 @@ Condition 2: the directed exchange graph over the components -- with an edge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from .errors import WrongVariant
 from .model import EXCHANGE, Instance
@@ -61,26 +59,6 @@ class ComponentDecomposition:
     @property
     def d(self) -> int:
         return len(self.components)
-
-    @cached_property
-    def agent_membership(self) -> np.ndarray:
-        """0/1 agents x components matrix; isolated agents are zero rows."""
-        n = sum(len(c.agents) for c in self.components) + len(self.isolated_agents)
-        return _membership(n, [c.agents for c in self.components])
-
-    @cached_property
-    def chore_membership(self) -> np.ndarray:
-        """0/1 chores x components matrix (all chores under Condition 1)."""
-        m = 1 + max((c.chores[-1] for c in self.components), default=-1)
-        return _membership(m, [c.chores for c in self.components])
-
-
-def _membership(rows: int, groups) -> np.ndarray:
-    out = np.zeros((rows, len(groups)))
-    for k, members in enumerate(groups):
-        out[list(members), k] = 1.0
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -126,11 +104,6 @@ def _components(graph: DisutilityGraph):
             comps.append(Component(agents, chores))
     comps.sort(key=lambda c: c.agents[0])
     return comps, sorted(lone_agents), sorted(lone_chores)
-
-
-def decompose(graph: DisutilityGraph) -> ComponentDecomposition:
-    comps, lone_agents, _ = _components(graph)
-    return ComponentDecomposition(tuple(comps), tuple(lone_agents))
 
 
 def check_condition1(graph: DisutilityGraph) -> Condition1Result:

@@ -11,12 +11,11 @@ candidates tagged with ``mode="float"``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -58,12 +57,6 @@ def format_rational(value: Fraction) -> str:
 
 def _freeze_matrix(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
-
-
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -179,36 +172,6 @@ class Instance:
         ]
         return Instance(EXCHANGE, self.tau, self.disutility, endowment=_freeze_matrix(w))
 
-    @cached_property
-    def float_supply(self) -> np.ndarray:
-        """Chore supplies as floats (read-only): each exact total, rounded once."""
-        return _read_only([float(chore_supply(self, j)) for j in range(self.m)])
-
-    @cached_property
-    def float_disutility(self) -> np.ndarray:
-        """The disutility matrix as floats (read-only), ``inf`` for ``None``."""
-        return _read_only(
-            [[np.inf if d is None else float(d) for d in row] for row in self.disutility]
-        )
-
-    @cached_property
-    def float_wealth(self) -> np.ndarray:
-        """The endowment matrix, or the earning vector, as floats (read-only)."""
-        if self.variant == FIXED_EARNINGS:
-            return _read_only([float(e) for e in self.earning])
-        return _read_only([[float(w) for w in row] for row in self.endowment])
-
-    def float_budgets(self, p: np.ndarray) -> np.ndarray:
-        """Every agent's budget at float prices ``p``.
-
-        The float data is converted once per instance.  Exchange budgets add
-        ``w_ij * p_j`` in chore order, as :func:`agent_budget` does, so each
-        entry equals ``float(agent_budget(inst, i, p))`` bit for bit.
-        """
-        if self.variant == FIXED_EARNINGS:
-            return self.float_wealth
-        return np.add.accumulate(self.float_wealth * p, axis=1)[:, -1]
-
 
 def exchange_instance(tau, disutility, endowment) -> Instance:
     """Build an exchange instance from plain int/str/Fraction data."""
@@ -276,8 +239,8 @@ class EquilibriumCandidate:
     """Prices plus an allocation, with an optional explicit money flow.
 
     ``mode`` tags the numeric representation: ``"exact"`` candidates carry
-    Fractions and are compared exactly, ``"float"`` candidates carry binary
-    floats and are verified within tolerances.
+    Fractions and are compared exactly, ``"float"`` candidates carry finite
+    binary floats and are verified within tolerances.
     """
 
     prices: tuple
@@ -304,6 +267,14 @@ class EquilibriumCandidate:
                     for j, fij in enumerate(row):
                         if fij != self.allocation[i][j] * self.prices[j]:
                             raise Malformed("flow must equal allocation times prices")
+        if self.mode == FLOAT:
+            entries = chain(self.prices, *self.allocation, *(self.flow or ()))
+            try:
+                finite = all(map(math.isfinite, entries))
+            except TypeError:  # None, strings and other non-numbers
+                finite = False
+            if not finite:
+                raise Malformed("float candidate entries must be finite real numbers")
 
     @property
     def n(self) -> int:
@@ -410,9 +381,9 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
 
 
 def save_json(doc: dict, path: str) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_json(path: str) -> dict:

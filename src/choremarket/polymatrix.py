@@ -77,12 +77,15 @@ def verify_polymatrix_equilibrium(
 
     ``x`` must be a nonnegative vector with each strategy pair summing to
     one; whenever one strategy of a pair beats the other by more than
-    ``1/n``, the losing strategy must carry no weight.
+    ``1/n``, the losing strategy must carry no weight.  A NaN or infinite
+    weight is :class:`Malformed`.
     """
     size = 2 * game.n
     if len(x) != size:
         raise DimensionMismatch("strategy length must be 2n")
     x = [float(v) for v in x]
+    if not all(map(math.isfinite, x)):
+        raise Malformed("strategy weights must be finite")
     violations = []
     for j, v in enumerate(x):
         if v < -slack:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DimensionMismatch, Infeasible, Malformed
 from .model import (
     EXACT,
@@ -55,15 +53,13 @@ def mpb_sets(inst: Instance, prices: Sequence, tol: float = 0) -> Tuple[MPBSet, 
     With ``tol=0`` a chore is a member exactly when its ratio equals the
     minimum; on Fraction prices the sets are exact.  With ``tol > 0`` (meant
     for float prices) a chore is a member when its ratio is at most
-    ``(1 + tol)`` times the minimum.  Ratios on float prices are
-    ``float(d) / p``, from :attr:`Instance.float_disutility`.  Zero-price
-    chores are never members: a finite-disutility chore at price zero has
-    unbounded pain per buck.
+    ``(1 + tol)`` times the minimum.  Dividing a Fraction disutility by a
+    float price gives the float ``float(d) / p``.  Zero-price chores are
+    never members: a finite-disutility chore at price zero has unbounded pain
+    per buck.
     """
     if len(prices) != inst.m:
         raise DimensionMismatch("price vector length must match chore count")
-    if any(isinstance(p, float) for p in prices):
-        return _float_mpb_sets(inst, prices, tol)
     out = []
     for i in range(inst.n):
         ratios = {
@@ -79,23 +75,6 @@ def mpb_sets(inst: Instance, prices: Sequence, tol: float = 0) -> Tuple[MPBSet, 
         out.append(
             MPBSet(frozenset(j for j, r in ratios.items() if r <= bound), best)
         )
-    return tuple(out)
-
-
-def _float_mpb_sets(inst: Instance, prices, tol: float) -> Tuple[MPBSet, ...]:
-    """:func:`mpb_sets` on float prices.  ``Fraction / float`` is computed
-    as ``float(d) / p``, so reading ``float(d)`` from the cached array gives
-    the same ratios bit for bit."""
-    prices = np.asarray(prices, dtype=float).tolist()
-    out = []
-    for row in inst.float_disutility.tolist():
-        ratios = {j: d / p for j, (d, p) in enumerate(zip(row, prices)) if p > 0 and d < np.inf}
-        if not ratios:
-            out.append(MPBSet(frozenset(), None, degenerate=min(row) < np.inf))
-            continue
-        best = min(ratios.values())
-        bound = best * (1 + tol) if tol else best
-        out.append(MPBSet(frozenset(j for j, r in ratios.items() if r <= bound), best))
     return tuple(out)
 
 

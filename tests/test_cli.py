@@ -290,3 +290,39 @@ class TestPolymatrixCommands:
         game = tmp_path / "game.json"
         game.write_text(json.dumps({"n": "two", "payoff": []}))
         assert run("gen-polymatrix", "--game", str(game)) == 2
+
+
+class TestNonFiniteFloats:
+    """NaN and infinite floats are bad input, never a passing check."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", "-inf"])
+    def test_verify(self, paths, tmp_path, capsys, bad):
+        eq = tmp_path / "eq.json"
+        doc = {"mode": "float", "prices": [bad, bad], "allocation": [[bad, bad]] * 2}
+        eq.write_text(json.dumps(doc))
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)]
+        assert run(*argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_recover_strategy(self, paths, tmp_path, capsys):
+        gadget = tmp_path / "pm.json"
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        rows = json.loads(gadget.read_text())["instance"]["disutility"]
+        eq = tmp_path / "eq.json"
+        doc = {
+            "mode": "float",
+            "prices": [float("nan")] * len(rows[0]),
+            "allocation": [[0.0] * len(rows[0]) for _ in rows],
+        }
+        eq.write_text(json.dumps(doc))
+        argv = ["recover-strategy", "--instance", str(gadget), "--equilibrium", str(eq)]
+        assert run(*argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_verify_polymatrix(self, paths, tmp_path, capsys, bad):
+        strategy = tmp_path / "x.json"
+        strategy.write_text(json.dumps({"x": [bad] * 4}))
+        argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
+        assert run(*argv) == 2
+        assert capsys.readouterr().out == ""

@@ -107,12 +107,11 @@ class TestCondition2:
         dec = check_condition1(build_disutility_graph(intro)).decomposition
         assert check_condition2(build_exchange_graph(intro, dec)).ok
 
-    def test_requires_exchange_variant(self, warmup):
-        from choremarket.graphs import decompose
-
-        dec = decompose(build_disutility_graph(warmup))
+    def test_requires_exchange_variant(self):
+        inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [1, 1])
+        dec = check_condition1(build_disutility_graph(inst)).decomposition
         with pytest.raises(WrongVariant):
-            build_exchange_graph(warmup, dec)
+            build_exchange_graph(inst, dec)
 
 
 class TestCheckConditions:
