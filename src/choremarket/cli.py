@@ -8,7 +8,9 @@ budget (``--cap``, ``--max-iters``), 2 on malformed input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -331,6 +333,20 @@ def _cmd_verify_polymatrix(args):
 # Parser
 
 
+def _tolerance(text):
+    """A finite, nonnegative float; NaN would make every comparison pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite nonnegative number: {text!r}"
+        )
+    return value
+
+
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="choremarket",
@@ -351,8 +367,8 @@ def _build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--equilibrium", required=True)
     p.add_argument("--epsilon", default="0")
-    p.add_argument("--tol-mpb", type=float, default=verification.TOL_MPB)
-    p.add_argument("--tol-clearing", type=float, default=verification.TOL_CLEARING)
+    p.add_argument("--tol-mpb", type=_tolerance, default=verification.TOL_MPB)
+    p.add_argument("--tol-clearing", type=_tolerance, default=verification.TOL_CLEARING)
 
     p = add("enumerate", _cmd_enumerate, "enumerate all equilibrium price rays")
     p.add_argument("--instance", required=True)
@@ -395,24 +411,23 @@ def _build_parser():
     p = add("check-gadget", _cmd_check_gadget, "verify gadget structure and price shape")
     p.add_argument("--instance", required=True, help="gadget JSON with metadata")
     p.add_argument("--equilibrium")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = add("recover-strategy", _cmd_recover_strategy, "strategy from top-layer prices")
     p.add_argument("--instance", required=True, help="gadget JSON with metadata")
     p.add_argument("--equilibrium", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = add("verify-polymatrix", _cmd_verify_polymatrix, "check a threshold equilibrium")
     p.add_argument("--game", required=True)
     p.add_argument("--strategy", required=True, help='JSON {"x": [...]}')
-    p.add_argument("--slack", type=float, default=1e-6)
+    p.add_argument("--slack", type=_tolerance, default=1e-6)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (*_USAGE_ERRORS, OSError, json.JSONDecodeError) as exc:

@@ -10,6 +10,7 @@ candidates tagged with ``mode="float"``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,25 +35,43 @@ Number = Union[Fraction, int, float]
 
 
 def to_fraction(value) -> Fraction:
-    """Convert ints, strings like ``"3/4"``, and Fractions to a Fraction."""
+    """Convert ints, rational literals and Fractions to a Fraction.
+
+    A string is read as :class:`fractions.Fraction` reads it: ``"3/4"``,
+    ``"-3/4"``, ``"+3/4"``, ``" 3/4 "``, ``"7"``, ``"1.5"`` or ``"1e3"``.
+    Decoding is memoised over the 4,096 most recent literals, so a literal
+    repeated within a document is parsed once.  Bools, floats and other
+    types, and strings ``Fraction`` rejects (including a zero denominator),
+    raise :class:`Malformed`.
+    """
+    if isinstance(value, str):
+        return _parse_rational(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise Malformed(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise Malformed(f"bad rational literal: {value!r}") from exc
     raise Malformed(f"not a rational: {value!r}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise Malformed(f"bad rational literal: {text!r}") from exc
+
+
 def format_rational(value: Fraction) -> str:
-    """Encode a Fraction as a ``"num/den"`` string."""
-    frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    """Encode a rational as a ``"num/den"`` string in lowest terms.
+
+    The denominator is positive and ``"0/1"`` encodes zero.  Ints and floats
+    are converted exactly first; Fractions are used as they are.
+    """
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _freeze_matrix(rows) -> tuple:
@@ -114,7 +133,8 @@ class Instance:
                     if not isinstance(entry, Fraction) or entry < 0:
                         raise Malformed("endowments must be nonnegative rationals")
             for j in range(m):
-                if sum(row[j] for row in w) <= 0:
+                # Entries are nonnegative, so the total is positive when any is.
+                if not any(row[j] for row in w):
                     raise Malformed(f"chore {j} has zero total endowment")
         else:
             if self.endowment is not None or self.earning is None:
@@ -234,6 +254,26 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def _flow_matches(flow, allocation, prices) -> bool:
+    """Whether ``flow[i][j] == allocation[i][j] * prices[j]`` exactly.
+
+    Each entry is one integer cross-multiplication: with ``f = a/b``,
+    ``x = c/d`` and ``p = e/g`` it tests ``a*d*g == c*e*b``.  An entry that
+    is not a finite rational number (``None``, NaN) never matches.
+    """
+    try:
+        ratios = [p.as_integer_ratio() for p in prices]
+        for frow, xrow in zip(flow, allocation):
+            for fij, xij, (pn, pd) in zip(frow, xrow, ratios):
+                fn, fd = fij.as_integer_ratio()
+                xn, xd = xij.as_integer_ratio()
+                if fn * xd * pd != xn * pn * fd:
+                    return False
+    except (AttributeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class EquilibriumCandidate:
     """Prices plus an allocation, with an optional explicit money flow.
@@ -262,11 +302,8 @@ class EquilibriumCandidate:
             object.__setattr__(self, "flow", f)
             if len(f) != len(self.allocation) or any(len(row) != m for row in f):
                 raise DimensionMismatch("flow shape must match allocation")
-            if self.mode == EXACT:
-                for i, row in enumerate(f):
-                    for j, fij in enumerate(row):
-                        if fij != self.allocation[i][j] * self.prices[j]:
-                            raise Malformed("flow must equal allocation times prices")
+            if self.mode == EXACT and not _flow_matches(f, self.allocation, self.prices):
+                raise Malformed("flow must equal allocation times prices")
         if self.mode == FLOAT:
             entries = chain(self.prices, *self.allocation, *(self.flow or ()))
             try:

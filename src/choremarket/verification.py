@@ -117,6 +117,8 @@ def verify_equilibrium(
     mpb_ok = threshold_ok = budget_ok = clearing_ok = True
 
     pos = (lambda x: x > 0) if exact else (lambda x: x > POS_TOL)
+    # Exact sums skip zero entries, which leave a rational sum unchanged.
+    total = (lambda xs: sum(x for x in xs if x)) if exact else sum
     prices = cand.prices
     X = cand.allocation
     flow = cand.money_flow()
@@ -142,7 +144,7 @@ def verify_equilibrium(
 
     for i in range(inst.n):
         budget = agent_budget(inst, i, prices)
-        earned = sum(flow[i])
+        earned = total(flow[i])
         if exact:
             bad = earned != budget
         else:
@@ -155,7 +157,7 @@ def verify_equilibrium(
 
     for j in range(inst.m):
         supply = chore_supply(inst, j)
-        done = sum(X[i][j] for i in range(inst.n))
+        done = total(row[j] for row in X)
         lo = (1 - epsilon) * supply
         hi = supply / (1 - epsilon)
         if exact:

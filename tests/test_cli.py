@@ -121,6 +121,16 @@ class TestEnumerateAndVerify:
         assert run("enumerate", "--instance", paths["warmup"], "--cap", "-1") == 2
         assert "cap must be nonnegative" in capsys.readouterr().err
 
+    def test_overlong_literal_is_usage_error(self, paths, tmp_path, capsys):
+        # int() refuses strings past its digit limit (4,300 by default).
+        eq = tmp_path / "eq.json"
+        doc = {"prices": ["1" * 5000 + "/3", "1/2"], "allocation": [["0/1"] * 2] * 2}
+        eq.write_text(json.dumps(doc))
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad rational literal" in captured.err
+
     def test_determinism(self, paths, capsys):
         run("enumerate", "--instance", paths["warmup"])
         first = capsys.readouterr().out
@@ -326,3 +336,82 @@ class TestNonFiniteFloats:
         argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
         assert run(*argv) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestToleranceFlags:
+    """A tolerance must be finite and nonnegative: with NaN every comparison
+    is false, so a failing input would pass."""
+
+    BAD = ["nan", "inf", "-0.5", "x"]
+
+    @staticmethod
+    def usage_error(*argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        return exc.value.code == 2
+
+    @pytest.fixture
+    def zero_allocation(self, tmp_path):
+        eq = tmp_path / "eq.json"
+        eq.write_text(
+            json.dumps({"mode": "float", "prices": [1.0, 1.0], "allocation": [[0.0] * 2] * 2})
+        )
+        return str(eq)
+
+    @pytest.fixture
+    def gadget(self, paths, tmp_path):
+        """GAME2's gadget and a candidate with out-of-band prices [1, 5, 5, ...]."""
+        gadget = tmp_path / "pm.json"
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        rows = json.loads(gadget.read_text())["instance"]["disutility"]
+        m = len(rows[0])
+        eq = tmp_path / "band.json"
+        eq.write_text(
+            json.dumps(
+                {
+                    "mode": "float",
+                    "prices": [1.0] + [5.0] * (m - 1),
+                    "allocation": [[0.0] * m for _ in rows],
+                }
+            )
+        )
+        return str(gadget), str(eq)
+
+    @pytest.mark.parametrize("flag", ["--tol-mpb", "--tol-clearing"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_verify(self, paths, zero_allocation, capsys, flag, bad):
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", zero_allocation]
+        assert run(*argv) == 1
+        capsys.readouterr()
+        assert self.usage_error(*argv, flag, bad)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_check_gadget(self, gadget, capsys, bad):
+        argv = ["check-gadget", "--instance", gadget[0]]
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert self.usage_error(*argv, "--tol", bad)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_recover_strategy(self, gadget, capsys, bad):
+        argv = ["recover-strategy", "--instance", gadget[0], "--equilibrium", gadget[1]]
+        assert run(*argv) == 1
+        capsys.readouterr()
+        assert self.usage_error(*argv, "--tol", bad)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_verify_polymatrix(self, paths, tmp_path, capsys, bad):
+        strategy = tmp_path / "x.json"
+        strategy.write_text(json.dumps({"x": [5, 5, 5, 5]}))
+        argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
+        assert run(*argv) == 1
+        capsys.readouterr()
+        assert self.usage_error(*argv, "--slack", bad)
+        assert capsys.readouterr().out == ""
+
+    def test_zero_and_finite_tolerances_are_accepted(self, paths, zero_allocation):
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", zero_allocation]
+        assert run(*argv, "--tol-mpb", "0", "--tol-clearing", "1e-3") == 1

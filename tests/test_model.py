@@ -1,5 +1,6 @@
 """Data model, validation, and JSON round-tripping."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,31 @@ class TestNormalization:
             to_fraction("x")
 
 
+class TestLiteralParity:
+    def test_to_fraction_reads_literals_as_fraction_does(self):
+        rng = random.Random(0)
+        literals = [
+            "0/1", "-3/4", "+3/4", " 3/4 ", "6/8", "-0/5", "007/010", "7",
+            "1234567890123456789012345678901234567890/3",
+            "3/-4", "--3/4", "3/0", "0/0", "-3/00", "/4", "3/", "-/4", "3/4/5",
+            "1.5", "1e3", "1_0/3", "\u0663/4", "3/\u0664", "\u00b2/3", "x", "",
+            "1" * 5000 + "/3", "3/" + "7" * 5000,  # past int()'s digit limit
+        ] + [
+            f"{rng.choice(['', '-'])}{rng.randrange(10 ** rng.randint(1, 30))}"
+            f"/{rng.randrange(1, 10 ** rng.randint(1, 30))}"
+            for _ in range(200)
+        ]
+        for text in literals * 2:  # the second round reads from the memo
+            try:
+                want = Fraction(text)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(Malformed, match="bad rational literal"):
+                    to_fraction(text)
+                continue
+            got = to_fraction(text)
+            assert type(got) is Fraction and got == want, text
+
+
 class TestToExchange:
     def test_preserves_supplies_and_budget_ratios(self, warmup):
         ex = warmup.to_exchange()
@@ -145,3 +171,26 @@ class TestJson:
             EquilibriumCandidate(
                 (Fraction(1),), ((Fraction(1),),), flow=((Fraction(2),),)
             )
+
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("delta", [Fraction(1, 10**30), -Fraction(1, 10**30)])
+    def test_exact_flow_off_by_a_tiny_rational_is_malformed(self, row, delta):
+        prices = (Fraction(2, 3), Fraction(5, 7))
+        allocation = ((Fraction(1, 2), 0), (Fraction(3, 4), Fraction(1, 5)))
+        flow = [[x * p for x, p in zip(r, prices)] for r in allocation]
+        EquilibriumCandidate(prices, allocation, flow=flow)
+        flow[row][1] += delta
+        with pytest.raises(Malformed, match="flow must equal allocation times prices"):
+            EquilibriumCandidate(prices, allocation, flow=flow)
+
+    def test_exact_flow_accepts_plain_ints(self):
+        cand = EquilibriumCandidate((2, 3), ((1, 0), (0, 2)), flow=((2, 0), (0, 6)))
+        assert cand.money_flow() == ((2, 0), (0, 6))
+        with pytest.raises(Malformed):
+            EquilibriumCandidate((2, 3), ((1, 0), (0, 2)), flow=((2, 0), (0, 5)))
+
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf")])
+    def test_exact_flow_with_non_rational_entry_is_malformed(self, bad):
+        with pytest.raises(Malformed):
+            EquilibriumCandidate((Fraction(1),), ((Fraction(1),),), flow=((bad,),))
+

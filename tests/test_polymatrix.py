@@ -6,7 +6,14 @@ import pytest
 
 from choremarket.errors import BadGame, DegenerateSize, NotGadget, OutOfBand
 from choremarket.graphs import check_conditions
-from choremarket.model import EquilibriumCandidate, chore_supply
+from choremarket.model import (
+    EquilibriumCandidate,
+    candidate_from_json,
+    candidate_to_json,
+    chore_supply,
+    instance_from_json,
+    instance_to_json,
+)
 from choremarket.polymatrix import (
     PPADGadgetParams,
     PolymatrixGame,
@@ -128,9 +135,25 @@ class TestGadgetStructure:
         again = gadget_from_json(gadget_to_json(g))
         assert again.instance == g.instance
 
-    def test_plain_instance_is_not_a_gadget(self):
-        from choremarket.model import instance_to_json
+    def test_model_json_roundtrip(self):
+        g = build_polymatrix_gadget(GAME2)
+        inst = g.instance
+        assert instance_from_json(instance_to_json(inst)) == inst
+        prices = [F(1)] * inst.m
+        for k in range(1, g.params.K + 1):
+            a = g.params.alpha[k - 1]
+            for pair in range(g.params.n):
+                prices[g.chore(k, 2 * pair)] = 1 + (-1) ** k * a
+                prices[g.chore(k, 2 * pair + 1)] = 1 - (-1) ** k * a
+        allocation = [[F(0)] * inst.m for _ in range(inst.n)]
+        allocation[0][0] = F(1, 3)
+        flow = [[x * p for x, p in zip(row, prices)] for row in allocation]
+        exact = EquilibriumCandidate(prices, allocation, flow=flow)
+        assert candidate_from_json(candidate_to_json(exact)) == exact
+        floats = synthetic_endpoint_prices(g, (1, -1))
+        assert candidate_from_json(candidate_to_json(floats)) == floats
 
+    def test_plain_instance_is_not_a_gadget(self):
         g = build_polymatrix_gadget(GAME2)
         with pytest.raises(NotGadget):
             gadget_from_json(instance_to_json(g.instance))

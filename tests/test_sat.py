@@ -1,5 +1,6 @@
 """Satisfiability reduction: gadget structure, equilibria, readback."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,14 @@ from choremarket.errors import (
     NotSatisfying,
 )
 from choremarket.graphs import build_disutility_graph, check_condition1
-from choremarket.model import agent_budget, fixed_earnings_instance
+from choremarket.model import (
+    agent_budget,
+    candidate_from_json,
+    candidate_to_json,
+    fixed_earnings_instance,
+    instance_from_json,
+    instance_to_json,
+)
 from choremarket.sat_reduction import (
     CNFFormula,
     SATGadgetParams,
@@ -101,9 +109,23 @@ class TestGadgetStructure:
         assert again.instance == g.instance
         assert again.formula == g.formula
 
-    def test_plain_instance_is_not_a_gadget(self):
-        from choremarket.model import instance_to_json
+    def test_json_roundtrip_largest_gadget(self):
+        """The 12x20 planted formula, the largest SAT gadget of the benchmark."""
+        rng = random.Random(0)
+        clauses = []
+        while len(clauses) < 20:
+            chosen = rng.sample(range(1, 13), 3)
+            clause = tuple(v if rng.random() < 0.5 else -v for v in chosen)
+            if any(lit > 0 for lit in clause):  # all-true satisfies it
+                clauses.append(clause)
+        g = build_sat_gadget(CNFFormula(12, clauses))
+        assert (g.instance.n, g.instance.m) == (104, 84)
+        assert instance_from_json(instance_to_json(g.instance)) == g.instance
+        cand = assignment_to_equilibrium(g, [True] * 12)
+        assert cand.flow is not None
+        assert candidate_from_json(candidate_to_json(cand)) == cand
 
+    def test_plain_instance_is_not_a_gadget(self):
         g = build_sat_gadget(PHI)
         with pytest.raises(NotGadget):
             gadget_from_json(instance_to_json(g.instance))
