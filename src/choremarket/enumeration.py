@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterator, List, Optional, Tuple
 
 from . import lp
 from .errors import Malformed, PatternBudgetExceeded
@@ -33,7 +34,6 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
-    agent_budget,
     chore_supply,
     normalize_prices,
 )
@@ -91,101 +91,132 @@ def _pattern_count(options) -> int:
     return count
 
 
-def _pattern_lp(inst: Instance, pattern, epsilon: Fraction) -> Optional[lp.LinearProgram]:
+def _scaled_row(values):
+    """``values`` (``None`` kept) times the lcm of their denominators, and
+    that lcm."""
+    scale = lcm(*(v.denominator for v in values if v is not None))
+    ints = [None if v is None else v.numerator * (scale // v.denominator) for v in values]
+    return ints, scale
+
+
+class _IntegerView:
+    """The instance's pattern-LP data as integers, built once per search.
+
+    ``disutility[i]`` is agent ``i``'s disutility row times the lcm of its
+    denominators, with that lcm.  ``budget[i]`` is ``(scale, price
+    coefficients or None, rhs)`` of the budget row, whose flows have
+    coefficient ``scale``: exchange rows are the negated endowment row times
+    the lcm of its denominators, fixed-earnings rows have the earning on the
+    right.  ``clearing[j]`` lists chore ``j``'s rows as ``(relation, scale,
+    price coefficient)``, flows again at ``scale``.  Divided by its scale,
+    each row is the rational row of the pattern LP.
+    """
+
+    def __init__(self, inst: Instance, epsilon: Fraction):
+        self.inst = inst
+        self.epsilon = epsilon
+        self.finite = [inst.finite_chores(i) for i in range(inst.n)]
+        self.disutility = [_scaled_row(row) for row in inst.disutility]
+        if inst.variant == EXCHANGE:
+            self.budget = [
+                (scale, [-x for x in ints], 0)
+                for ints, scale in map(_scaled_row, inst.endowment)
+            ]
+        else:
+            self.budget = [(e.denominator, None, e.numerator) for e in inst.earning]
+        if epsilon == 0:
+            factors = [(lp.EQ, Fraction(1))]
+        else:
+            factors = [(lp.GE, 1 - epsilon), (lp.LE, 1 / (1 - epsilon))]
+        self.clearing = []
+        for j in range(inst.m):
+            supply = chore_supply(inst, j)
+            rows = []
+            for rel, factor in factors:
+                bound = factor * supply
+                rows.append((rel, bound.denominator, -bound.numerator))
+            self.clearing.append(rows)
+
+
+def _pattern_lp(view: _IntegerView, pattern) -> lp.LinearProgram:
     """Build the strict-feasibility LP for one pattern.
 
     Variables: prices ``p_j``, flows ``f_ij`` for ``j`` in the agent's
     pattern set, and one slack ``s`` (maximized).  Feasible with positive
     optimum iff the pattern supports an equilibrium.
     """
-    m, n = inst.m, inst.n
-    flow_index = {}
-    for i in range(n):
-        for j in sorted(pattern[i]):
-            flow_index[(i, j)] = m + len(flow_index)
-    slack = m + len(flow_index)
+    m = view.inst.m
+    members = [sorted(s) for s in pattern]
+    takers = [[] for _ in range(m)]  # flow variables of each chore
+    first = []  # each agent's first flow variable
+    k = m
+    for mem in members:
+        first.append(k)
+        for j in mem:
+            takers[j].append(k)
+            k += 1
+    slack = k
     num = slack + 1
-    zero = [Fraction(0)] * num
+    zero = [0] * num
     cons = []
 
-    def row():
-        return list(zero)
-
-    for i in range(n):
-        members = sorted(pattern[i])
-        finite = inst.finite_chores(i)
-        if members:
-            rep = members[0]
-            d_rep = inst.disutility[i][rep]
+    for i, mem in enumerate(members):
+        if mem:
+            d, scale = view.disutility[i]
+            rep = mem[0]
             # Equal ratios inside the pattern: d(i,rep) p_j = d(i,j) p_rep.
-            for j in members[1:]:
-                r = row()
-                r[j] = d_rep
-                r[rep] -= inst.disutility[i][j]
-                cons.append(lp.Constraint(tuple(r), lp.EQ, Fraction(0)))
+            for j in mem[1:]:
+                r = zero[:]
+                r[j] = d[rep]
+                r[rep] = -d[j]
+                cons.append(lp.Constraint(tuple(r), lp.EQ, 0, scale))
             # Strictly worse ratios outside: d(i,rep) p_j' + s <= d(i,j') p_rep.
-            for j in finite:
+            for j in view.finite[i]:
                 if j in pattern[i]:
                     continue
-                r = row()
-                r[j] = d_rep
-                r[rep] -= inst.disutility[i][j]
-                r[slack] = Fraction(1)
-                cons.append(lp.Constraint(tuple(r), lp.LE, Fraction(0)))
+                r = zero[:]
+                r[j] = d[rep]
+                r[rep] = -d[j]
+                r[slack] = scale
+                cons.append(lp.Constraint(tuple(r), lp.LE, 0, scale))
         # Budget: sum of flows equals the agent's budget.
-        r = row()
-        for j in members:
-            r[flow_index[(i, j)]] = Fraction(1)
-        if inst.variant == EXCHANGE:
-            for j in range(m):
-                r[j] -= inst.endowment[i][j]
-            cons.append(lp.Constraint(tuple(r), lp.EQ, Fraction(0)))
-        else:
-            cons.append(lp.Constraint(tuple(r), lp.EQ, inst.earning[i]))
+        scale, prices, rhs = view.budget[i]
+        r = zero[:]
+        if prices is not None:
+            r[:m] = prices
+        for k in range(first[i], first[i] + len(mem)):
+            r[k] = scale
+        cons.append(lp.Constraint(tuple(r), lp.EQ, rhs, scale))
 
+    # Clearing: the flows into chore j against its supply value (within
+    # the epsilon band when epsilon > 0).
     for j in range(m):
-        supply = chore_supply(inst, j)
-        units = [(flow_index[(i, j)], 1) for i in range(n) if (i, j) in flow_index]
-        if epsilon == 0:
-            r = row()
-            for k, _ in units:
-                r[k] = Fraction(1)
-            r[j] -= supply
-            cons.append(lp.Constraint(tuple(r), lp.EQ, Fraction(0)))
-        else:
-            r = row()
-            for k, _ in units:
-                r[k] = Fraction(1)
-            r[j] -= (1 - epsilon) * supply
-            cons.append(lp.Constraint(tuple(r), lp.GE, Fraction(0)))
-            r = row()
-            for k, _ in units:
-                r[k] = Fraction(1)
-            r[j] -= supply / (1 - epsilon)
-            cons.append(lp.Constraint(tuple(r), lp.LE, Fraction(0)))
+        for rel, scale, coeff in view.clearing[j]:
+            r = zero[:]
+            for k in takers[j]:
+                r[k] = scale
+            r[j] = coeff
+            cons.append(lp.Constraint(tuple(r), rel, 0, scale))
 
     # Positive prices: p_j >= s for every chore.
     for j in range(m):
-        r = row()
-        r[j] = Fraction(1)
-        r[slack] = Fraction(-1)
-        cons.append(lp.Constraint(tuple(r), lp.GE, Fraction(0)))
+        r = zero[:]
+        r[j] = 1
+        r[slack] = -1
+        cons.append(lp.Constraint(tuple(r), lp.GE, 0))
 
-    if inst.variant == EXCHANGE:
+    if view.inst.variant == EXCHANGE:
         # Fix the scale of the price ray; fixed-earnings budgets pin it already.
-        r = row()
-        for j in range(m):
-            r[j] = Fraction(1)
-        cons.append(lp.Constraint(tuple(r), lp.EQ, Fraction(1)))
+        cons.append(lp.Constraint((1,) * m + (0,) * (num - m), lp.EQ, 1))
 
-    obj = list(zero)
-    obj[slack] = Fraction(1)
+    obj = zero[:]
+    obj[slack] = 1
     return lp.LinearProgram(num, tuple(cons), tuple(obj))
 
 
-def _solve_pattern(inst, pattern, epsilon) -> Optional[EnumeratedEquilibrium]:
-    program = _pattern_lp(inst, pattern, epsilon)
-    result = lp.lp_solve(program)
+def _solve_pattern(view: _IntegerView, pattern) -> Optional[EnumeratedEquilibrium]:
+    inst = view.inst
+    result = lp.lp_solve(_pattern_lp(view, pattern))
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
     point = result.point
@@ -201,7 +232,7 @@ def _solve_pattern(inst, pattern, epsilon) -> Optional[EnumeratedEquilibrium]:
         [flow[i][j] / prices[j] for j in range(m)] for i in range(inst.n)
     ]
     cand = EquilibriumCandidate(prices, allocation, flow=tuple(map(tuple, flow)))
-    if not verify_equilibrium(inst, cand, epsilon).ok:
+    if not verify_equilibrium(inst, cand, view.epsilon).ok:
         return None
     return EnumeratedEquilibrium(normalize_prices(prices), tuple(pattern), cand)
 
@@ -265,11 +296,13 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
     A depth-first search assigns MPB sets agent by agent, carrying the exact
     closure of the price-ratio bounds chosen so far.  A branch is cut when
     its bounds have a bad cycle, or when its sets and those the remaining
-    agents could still take leave a chore uncovered.
+    agents could still take leave a chore uncovered.  Raises
+    :class:`PatternBudgetExceeded` at the call, before any search, when the
+    raw pattern space is larger than ``cap``.
     """
     options = _agent_options(inst)
     if options is None:
-        return
+        return iter(())
     if _pattern_count(options) > cap:
         raise PatternBudgetExceeded(
             f"{_pattern_count(options)} patterns exceed the cap of {cap}"
@@ -299,7 +332,7 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
             chosen.pop()
 
     unit = [[_UNIT if x == y else None for y in range(inst.m)] for x in range(inst.m)]
-    yield from search(0, frozenset(), unit)
+    return search(0, frozenset(), unit)
 
 
 def enumerate_equilibria(
@@ -317,11 +350,13 @@ def enumerate_equilibria(
         raise Malformed("epsilon must lie in [0, 1)")
     if cap < 0:
         raise Malformed("cap must be nonnegative")
+    patterns = _patterns(inst, cap)
+    view = _IntegerView(inst, epsilon)
     found = {}
     tried = 0
-    for pattern in _patterns(inst, cap):
+    for pattern in patterns:
         tried += 1
-        hit = _solve_pattern(inst, pattern, epsilon)
+        hit = _solve_pattern(view, pattern)
         if hit is not None and hit.ray not in found:
             found[hit.ray] = hit
     return EquilibriumSet(tuple(found.values()), tried)
@@ -338,8 +373,10 @@ def exists_equilibrium(
         raise Malformed("epsilon must lie in [0, 1)")
     if cap < 0:
         raise Malformed("cap must be nonnegative")
-    for pattern in _patterns(inst, cap):
-        hit = _solve_pattern(inst, pattern, epsilon)
+    patterns = _patterns(inst, cap)
+    view = _IntegerView(inst, epsilon)
+    for pattern in patterns:
+        hit = _solve_pattern(view, pattern)
         if hit is not None:
             return hit
     return None

@@ -36,7 +36,7 @@ from .errors import (
     PatternBudgetExceeded,
     WrongVariant,
 )
-from .enumeration import PATTERN_CAP, _patterns, _solve_pattern
+from .enumeration import PATTERN_CAP, _IntegerView, _patterns, _solve_pattern
 from .graphs import ComponentDecomposition, check_conditions
 from .model import EXCHANGE, EquilibriumCandidate, Instance, agent_budget, chore_supply
 from .verification import mpb_sets
@@ -234,15 +234,17 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
         raise ConditionViolated(f"condition 1 fails: {report.condition1.witness}")
     if not report.condition2.ok:
         raise ConditionViolated(f"condition 2 fails: order {report.condition2.scc_order}")
-    solved = 0
     try:
-        for pattern in _patterns(inst, PATTERN_CAP):
-            if solved == config.max_iters:
-                return SolveOutcome(False, None, solved, "budget")
-            solved += 1
-            hit = _solve_pattern(inst, pattern, Fraction(0))
-            if hit is not None:
-                return SolveOutcome(True, hit.candidate, solved, "found")
+        patterns = _patterns(inst, PATTERN_CAP)
     except PatternBudgetExceeded:
-        return SolveOutcome(False, None, solved, "cap")
+        return SolveOutcome(False, None, 0, "cap")
+    view = _IntegerView(inst, Fraction(0))
+    solved = 0
+    for pattern in patterns:
+        if solved == config.max_iters:
+            return SolveOutcome(False, None, solved, "budget")
+        solved += 1
+        hit = _solve_pattern(view, pattern)
+        if hit is not None:
+            return SolveOutcome(True, hit.candidate, solved, "found")
     raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

@@ -1,14 +1,24 @@
 """Exact rational linear programming.
 
 A small two-phase tableau simplex with Bland's anti-cycling rule.  Every
-variable is nonnegative.  Programs come in and points go out as
-:class:`fractions.Fraction`; inside, each tableau row is an integer row, a
-positive multiple of its rational row (scaled by the lcm of its
-denominators).  A pivot negates the pivot row if its pivot is negative,
-then eliminates the other rows fraction-free (``line * pivot - f * prow``)
-over the pivot row's nonzero columns only, and divides each result by the
-gcd of its entries.  Positive row multiples leave every sign and every
-ratio test as in the rational tableau, so the pivots are the same.
+variable is nonnegative.  A program's constraints are integer rows, each
+with a positive ``scale``: the rational row is the integers divided by
+``scale``, so a slack or artificial column has entry ``scale`` (the
+rational 1) in its row.  :func:`constraint` builds such a row from rational
+coefficients.  Points and values come out as :class:`fractions.Fraction`.
+
+The tableau is condensed: a row keeps its entries in the nonbasic columns
+(``labels``) and the right-hand side, plus its ``head``, its entry in its
+own basic column, which is the only nonzero entry of a basic column.  Every
+row is a positive integer multiple of its rational row, divided by the gcd
+of its entries and head.  A pivot on row ``r`` at position ``k`` with entry
+``a`` (negated with the row when negative, met only when phase 1 drives a
+zero-level artificial out) swaps ``a`` and the head, and the leaving column
+takes position ``k``.  Every other row with ``f = T[i][k] != 0`` becomes
+``T[i] * a - f * T[r]`` with ``-f * head[r]`` at ``k``, its head is
+multiplied by ``a``, and row and head are divided by their gcd.  These are
+the integers, Bland choices, statuses and points of the same simplex on the
+full tableau, without the basic columns' zeros.
 """
 
 from __future__ import annotations
@@ -33,14 +43,20 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: Tuple[Fraction, ...]
+    """``coeffs . x  rel  rhs``, all divided by ``scale``: integer
+    ``coeffs`` and ``rhs`` and a positive integer ``scale``."""
+
+    coeffs: Tuple[int, ...]
     rel: str
-    rhs: Fraction
+    rhs: int
+    scale: int = 1
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``max/min c.x`` subject to linear constraints and ``x >= 0``."""
+    """``max/min c.x`` subject to linear constraints and ``x >= 0``.
+
+    ``objective`` holds rationals (ints or Fractions)."""
 
     num_vars: int
     constraints: Tuple[Constraint, ...]
@@ -57,6 +73,8 @@ class LinearProgram:
                 raise Malformed("constraint width must equal num_vars")
             if con.rel not in (LE, EQ, GE):
                 raise Malformed(f"unknown relation {con.rel!r}")
+            if con.scale <= 0:
+                raise Malformed("constraint scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,7 +85,9 @@ class LPResult:
 
 
 def constraint(coeffs, rel, rhs) -> Constraint:
-    return Constraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+    """The constraint ``coeffs . x  rel  rhs`` over rationals."""
+    line, scale = _integer_row([Fraction(c) for c in coeffs] + [Fraction(rhs)])
+    return Constraint(tuple(line[:-1]), rel, line[-1], scale)
 
 
 def _integer_row(values):
@@ -76,79 +96,96 @@ def _integer_row(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _reduce(line):
-    """``line`` divided by the gcd of its entries."""
-    g = gcd(*line)
-    return [x // g for x in line] if g > 1 else line
+class _Tableau:
+    """Rows over the nonbasic columns ``labels`` plus a right-hand side;
+    ``heads[r]`` is row ``r``'s entry in its basic column ``basis[r]``.
+    ``cost`` is a positive multiple of the reduced-cost row in the same
+    layout (last entry: minus the objective value), or ``None``."""
+
+    __slots__ = ("rows", "heads", "basis", "labels", "cost")
+
+    def __init__(self, rows, heads, basis, labels):
+        self.rows = rows
+        self.heads = heads
+        self.basis = basis
+        self.labels = labels
+        self.cost = None
 
 
-def _eliminate(line, col, prow, nonzeros):
-    """Zero ``line[col]`` with the pivot row ``prow`` (``prow[col] > 0``).
+def _pivot(tab, row, pos):
+    """Make the column at position ``pos`` basic in ``row``; the leaving
+    column takes ``pos``.  Updates every other row and the cost row."""
+    prow = tab.rows[row]
+    a = prow[pos]
+    head = tab.heads[row]
+    if a < 0:
+        prow = [-x for x in prow]
+        a, head = -a, -head
+        tab.rows[row] = prow
+    prow[pos] = head
+    tab.heads[row] = a
+    tab.basis[row], tab.labels[pos] = tab.labels[pos], tab.basis[row]
+    rows, heads = tab.rows, tab.heads
+    for i, line in enumerate(rows):
+        f = line[pos]
+        if f and i != row:
+            out = [x * a - f * y for x, y in zip(line, prow)]
+            out[pos] = -f * head
+            h = heads[i] * a
+            g = gcd(h, *out)
+            if g > 1:
+                out = [x // g for x in out]
+                h //= g
+            rows[i] = out
+            heads[i] = h
+    cost = tab.cost
+    if cost is not None and cost[pos]:
+        f = cost[pos]
+        out = [x * a - f * y for x, y in zip(cost, prow)]
+        out[pos] = -f * head
+        g = gcd(*out)
+        tab.cost = [x // g for x in out] if g > 1 else out
 
-    ``line * prow[col] - line[col] * prow``, subtracting only at the pivot
-    row's ``nonzeros`` (column, value) pairs, then gcd-reduced.  The factor
-    ``prow[col]`` is positive, so every sign in ``line`` keeps its meaning.
-    """
-    piv = prow[col]
-    f = line[col]
-    out = [x * piv for x in line] if piv != 1 else list(line)
-    for j, y in nonzeros:
-        out[j] -= f * y
-    return _reduce(out)
 
-
-def _pivot(tableau, basis, row, col):
-    """Make ``col`` basic in ``row``; returns the pivot row's nonzeros.
-
-    A negative pivot, met only when phase 1 drives a zero-level artificial
-    out, first negates the pivot row so that its multiple stays positive.
-    """
-    if tableau[row][col] < 0:
-        tableau[row] = [-x for x in tableau[row]]
-    prow = tableau[row]
-    nonzeros = [(j, x) for j, x in enumerate(prow) if x]
-    for r, line in enumerate(tableau):
-        if r != row and line[col]:
-            tableau[r] = _eliminate(line, col, prow, nonzeros)
-    basis[row] = col
-    return nonzeros
-
-
-def _run_simplex(tableau, basis, cost):
-    """Maximize, in place.  ``cost`` is a positive multiple of the
-    reduced-cost row (last entry: minus the current objective value).
-    Returns "optimal" or "unbounded"."""
-    num_cols = len(cost) - 1
+def _run_simplex(tab):
+    """Maximize, in place; returns "optimal" or "unbounded"."""
+    rows, basis, labels = tab.rows, tab.basis, tab.labels
     while True:
-        enter = next((j for j in range(num_cols) if cost[j] > 0), -1)
-        if enter < 0:
+        # Bland: the lowest column index with a positive reduced cost.
+        entering = [lab for lab, c in zip(labels, tab.cost) if c > 0]
+        if not entering:
             return OPTIMAL
+        pos = labels.index(min(entering))
         # Ratio test on rhs/a by cross-multiplying (a > 0); ties go to the
         # lowest basic index.
         leave = -1
-        for r, line in enumerate(tableau):
-            a = line[enter]
+        for r, line in enumerate(rows):
+            a = line[pos]
             if a > 0:
                 if leave < 0:
                     leave = r
                     continue
-                lhs = line[-1] * tableau[leave][enter]
-                rhs = tableau[leave][-1] * a
+                lhs = line[-1] * rows[leave][pos]
+                rhs = rows[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave < 0:
             return UNBOUNDED
-        nonzeros = _pivot(tableau, basis, leave, enter)
-        cost[:] = _eliminate(cost, enter, tableau[leave], nonzeros)
+        _pivot(tab, leave, pos)
 
 
-def _price_out(cost, tableau, basis):
-    """Zero the cost entries of the basic columns."""
-    for r, line in enumerate(tableau):
-        if cost[basis[r]]:
-            nonzeros = [(j, x) for j, x in enumerate(line) if x]
-            cost = _eliminate(cost, basis[r], line, nonzeros)
-    return cost
+def _price_out(tab, costs):
+    """The reduced-cost row of the column costs ``costs``, gcd-reduced:
+    ``costs`` minus every basic row divided by its head, times its cost."""
+    priced = [(costs[b], r) for r, b in enumerate(tab.basis) if costs[b]]
+    scale = lcm(*(tab.heads[r] for _, r in priced))
+    out = [costs[lab] * scale for lab in tab.labels]
+    out.append(0)
+    for c, r in priced:
+        f = c * (scale // tab.heads[r])
+        out = [x - f * y for x, y in zip(out, tab.rows[r])]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
@@ -158,77 +195,84 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     if not lp.maximize:
         obj = [-c for c in obj]
 
-    # Standard form: equalities with slack columns, rhs >= 0, each row
-    # scaled by the lcm of its denominators.
+    # Standard form: equalities with slack columns, rhs >= 0.  A row whose
+    # slack entry is positive starts with the slack basic (head ``scale``);
+    # any other row gets an artificial column with head ``scale``, and its
+    # negative slack, if any, is nonbasic.
     num_slack = sum(1 for con in lp.constraints if con.rel != EQ)
     total = num_vars + num_slack
-    tableau = []
-    scales = []
+    basis = []
+    labels = list(range(num_vars))
+    layout = []  # per row: its sign, and the position of a nonbasic slack
     slack_col = num_vars
+    num_art = 0
     for con in lp.constraints:
-        line, scale = _integer_row((*con.coeffs, con.rhs))
-        line[-1:-1] = [0] * num_slack
-        if con.rel != EQ:
-            line[slack_col] = scale if con.rel == LE else -scale
-            slack_col += 1
-        if line[-1] < 0:
-            line = [-x for x in line]
-        tableau.append(line)
-        scales.append(scale)
-
-    # Phase 1: identity basis from usable slack columns, artificials
-    # elsewhere.  A slack column is nonzero in its own row only, so a
-    # positive entry makes it a unit column.
-    basis = [-1] * len(tableau)
-    art_cols = []
-    for r, line in enumerate(tableau):
-        found = next((j for j in range(num_vars, total) if line[j] > 0), -1)
-        if found >= 0:
-            basis[r] = found
+        sign = -1 if con.rhs < 0 else 1
+        slack_pos = None
+        if con.rel != EQ and (sign > 0) == (con.rel == LE):
+            basis.append(slack_col)
         else:
-            col = total + len(art_cols)
-            art_cols.append(col)
-            basis[r] = col
-    if art_cols:
-        for r, line in enumerate(tableau):
-            line[-1:-1] = [0] * len(art_cols)
-            if basis[r] >= total:
-                line[basis[r]] = scales[r]
-    tableau = [_reduce(line) for line in tableau]
-    if art_cols:
-        # Phase-1 objective: maximize -(sum of artificials), priced out.
-        cost = [0] * (total + len(art_cols) + 1)
-        for col in art_cols:
-            cost[col] = -1
-        cost = _price_out(cost, tableau, basis)
-        _run_simplex(tableau, basis, cost)
-        if cost[-1] != 0:
+            if con.rel != EQ:
+                slack_pos = len(labels)
+                labels.append(slack_col)
+            basis.append(total + num_art)
+            num_art += 1
+        slack_col += con.rel != EQ
+        layout.append((sign, slack_pos))
+    rows = []
+    heads = []
+    for con, (sign, slack_pos) in zip(lp.constraints, layout):
+        line = [sign * c for c in con.coeffs]
+        line += [0] * (len(labels) - num_vars)
+        line.append(sign * con.rhs)
+        if slack_pos is not None:
+            line[slack_pos] = -con.scale
+        head = con.scale
+        g = gcd(head, *line)
+        if g > 1:
+            line = [x // g for x in line]
+            head //= g
+        rows.append(line)
+        heads.append(head)
+    tab = _Tableau(rows, heads, basis, labels)
+
+    if num_art:
+        # Phase 1: maximize -(sum of artificials).
+        tab.cost = _price_out(tab, [0] * total + [-1] * num_art)
+        _run_simplex(tab)
+        if tab.cost[-1] != 0:
             return LPResult(INFEASIBLE)
         # Drive remaining zero-level artificials out of the basis.
+        tab.cost = None
         drop_rows = []
-        for r in range(len(tableau)):
-            if basis[r] >= total:
-                col = next(
-                    (j for j in range(total) if tableau[r][j] != 0), None
+        for r in range(len(tab.rows)):
+            if tab.basis[r] >= total:
+                line = tab.rows[r]
+                pos = min(
+                    ((lab, k) for k, lab in enumerate(tab.labels) if lab < total and line[k]),
+                    default=None,
                 )
-                if col is None:
+                if pos is None:
                     drop_rows.append(r)
                 else:
-                    _pivot(tableau, basis, r, col)
-        for r in sorted(drop_rows, reverse=True):
-            del tableau[r]
-            del basis[r]
-        tableau = [line[:total] + [line[-1]] for line in tableau]
+                    _pivot(tab, r, pos[1])
+        for r in reversed(drop_rows):
+            del tab.rows[r]
+            del tab.heads[r]
+            del tab.basis[r]
+        keep = [k for k, lab in enumerate(tab.labels) if lab < total]
+        keep.append(len(tab.labels))
+        tab.rows = [[line[k] for k in keep] for line in tab.rows]
+        tab.labels = [tab.labels[k] for k in keep[:-1]]
 
     # Phase 2.
-    cost = _price_out(obj + [0] * (num_slack + 1), tableau, basis)
-    status = _run_simplex(tableau, basis, cost)
-    if status == UNBOUNDED:
+    tab.cost = _price_out(tab, obj + [0] * num_slack)
+    if _run_simplex(tab) == UNBOUNDED:
         return LPResult(UNBOUNDED)
 
     point = [_ZERO] * num_vars
-    for r, col in enumerate(basis):
+    for line, head, col in zip(tab.rows, tab.heads, tab.basis):
         if col < num_vars:
-            point[col] = Fraction(tableau[r][-1], tableau[r][col])
+            point[col] = Fraction(line[-1], head)
     value = sum(c * x for c, x in zip(lp.objective, point))
     return LPResult(OPTIMAL, tuple(point), value)

@@ -274,6 +274,17 @@ def _flow_matches(flow, allocation, prices) -> bool:
     return True
 
 
+def _rational(entries) -> bool:
+    """Whether every entry is a finite rational number: the entries
+    :func:`_flow_matches` can compare (not ``None``, NaN or a string)."""
+    try:
+        for x in entries:
+            x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class EquilibriumCandidate:
     """Prices plus an allocation, with an optional explicit money flow.
@@ -304,6 +315,8 @@ class EquilibriumCandidate:
                 raise DimensionMismatch("flow shape must match allocation")
             if self.mode == EXACT and not _flow_matches(f, self.allocation, self.prices):
                 raise Malformed("flow must equal allocation times prices")
+        elif self.mode == EXACT and not _rational(chain(self.prices, *self.allocation)):
+            raise Malformed("exact candidate entries must be rational numbers")
         if self.mode == FLOAT:
             entries = chain(self.prices, *self.allocation, *(self.flow or ()))
             try:

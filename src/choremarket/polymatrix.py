@@ -317,11 +317,16 @@ def verify_gadget_properties(
     size = 2 * n
     checks: List[PropertyCheck] = []
 
+    columns = tuple(zip(*inst.endowment))
+
+    def endowed(chore):
+        return sum(w for w in columns[chore] if w)
+
     details = []
     for k in range(1, K + 1):
         for pair in range(n):
-            even = sum(row[gadget.chore(k, 2 * pair)] for row in inst.endowment)
-            odd = sum(row[gadget.chore(k, 2 * pair + 1)] for row in inst.endowment)
+            even = endowed(gadget.chore(k, 2 * pair))
+            odd = endowed(gadget.chore(k, 2 * pair + 1))
             if even != odd:
                 details.append(f"layer {k} pair {pair}: {even} vs {odd}")
     checks.append(PropertyCheck("pairwise-equal-endowments", not details, tuple(details)))

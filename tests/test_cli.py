@@ -131,6 +131,25 @@ class TestEnumerateAndVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad rational literal" in captured.err
 
+    @pytest.mark.parametrize(
+        "prices, allocation",
+        [
+            (["1/2", "1/2"], [[None, "0/1"], ["0/1", "1/1"]]),
+            ([None, "1/2"], [["1/1", "0/1"], ["0/1", "1/1"]]),
+        ],
+    )
+    def test_null_entry_without_flow_is_usage_error(
+        self, paths, tmp_path, capsys, prices, allocation
+    ):
+        eq = tmp_path / "eq.json"
+        doc = {"mode": "exact", "prices": prices, "allocation": allocation}
+        eq.write_text(json.dumps(doc))
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact candidate entries must be rational numbers" in captured.err
+
     def test_determinism(self, paths, capsys):
         run("enumerate", "--instance", paths["warmup"])
         first = capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 
 from choremarket.enumeration import (
     PATTERN_CAP,
+    _IntegerView,
     _patterns,
     _solve_pattern,
     enumerate_equilibria,
@@ -104,9 +105,10 @@ class TestPatternSearch:
         kept = set(_patterns(inst, PATTERN_CAP))
         assert list(_patterns(inst, PATTERN_CAP)) == [p for p in full if p in kept]
         for epsilon in (F(0), F(1, 10)):
+            view = _IntegerView(inst, epsilon)
             for pattern in full:
                 if pattern not in kept:
-                    assert _solve_pattern(inst, pattern, epsilon) is None
+                    assert _solve_pattern(view, pattern) is None
 
     @pytest.mark.parametrize("name", ["warmup", "intro", "example1", "example2"])
     def test_fixtures(self, name, request):

@@ -128,6 +128,23 @@ class TestPhiStep:
         assert np.allclose(new_p, p) and np.allclose(new_X, X)
         assert diag["colsum_error"] <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_solver_equilibria_are_fixed_points(self, seed):
+        # Equilibria are fixed points of the map: at the solver's exact
+        # equilibrium, in units of supply and normalised to sum one, the map
+        # returns the same prices.
+        inst = random_conditioned_instance(random.Random(seed))
+        out = solve(inst)
+        assert out.converged
+        scaled, supplies = rescale_to_unit_supply(inst)
+        q = [p * s for p, s in zip(out.candidate.prices, supplies)]
+        p = np.array([float(x / sum(q)) for x in q])
+        X = np.array(
+            [[float(x / s) for x, s in zip(row, supplies)] for row in out.candidate.allocation]
+        )
+        new_p, _, _ = phi_step(scaled, p, X, _decomposition(scaled))
+        assert np.abs(new_p - p).max() <= 1e-12
+
     def test_underdone_chore_price_rises(self, intro):
         dec = _decomposition(intro)
         p = np.array([0.9, 0.1])

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from choremarket import lp
-from choremarket.enumeration import _pattern_lp, enumerate_equilibria
+from choremarket.enumeration import _IntegerView, _pattern_lp, enumerate_equilibria
 from choremarket.errors import Malformed
 
 from conftest import covering_patterns, random_conditioned_instance
@@ -73,6 +73,12 @@ class TestHandCases:
     def test_malformed(self):
         with pytest.raises(Malformed):
             lp.LinearProgram(2, (), (F(1),))
+        with pytest.raises(Malformed, match="scale"):
+            lp.LinearProgram(1, (lp.Constraint((1,), lp.LE, 1, 0),), (F(1),))
+
+    def test_constraint_scales_by_the_lcm_of_denominators(self):
+        con = lp.constraint((F(1, 2), 1), lp.LE, F(3, 4))
+        assert con == lp.Constraint((2, 4), lp.LE, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +168,15 @@ def test_oracle_equivalence_sample(seed):
 
 
 # ---------------------------------------------------------------------------
-# Reference simplex: the same two-phase Bland simplex on a Fraction tableau,
-# each row divided through by its pivot.  ``lp_solve`` keeps every row as an
-# integer multiple of these rows, so it must make the same choices and
-# return the same point.
+# Reference simplex: the same two-phase Bland simplex on a full Fraction
+# tableau, each row divided through by its pivot, recording every pivot as
+# ``(row, entering column)``.  ``lp_solve`` keeps every row as an integer
+# multiple of these rows, without the basic columns, so it must make the same
+# pivots and return the same point.
 
 
-def _ref_pivot(tableau, basis, row, col):
+def _ref_pivot(tableau, basis, row, col, pivots):
+    pivots.append((row, col))
     piv = tableau[row][col]
     tableau[row] = [x / piv for x in tableau[row]]
     for r, line in enumerate(tableau):
@@ -178,7 +186,7 @@ def _ref_pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _ref_run_simplex(tableau, basis, cost):
+def _ref_run_simplex(tableau, basis, cost, pivots):
     num_cols = len(cost) - 1
     while True:
         enter = next((j for j in range(num_cols) if cost[j] > 0), -1)
@@ -196,13 +204,15 @@ def _ref_run_simplex(tableau, basis, cost):
                     leave = r
         if leave < 0:
             return lp.UNBOUNDED
-        _ref_pivot(tableau, basis, leave, enter)
+        _ref_pivot(tableau, basis, leave, enter, pivots)
         factor = cost[enter]
         cost[:] = [x - factor * y for x, y in zip(cost, tableau[leave])]
 
 
 def _reference_solve(program):
-    """``(status, point, value)`` of ``program`` by the Fraction simplex."""
+    """``(status, point, value)`` of ``program`` by the Fraction simplex,
+    and its pivots."""
+    pivots = []
     num_vars = program.num_vars
     sign = 1 if program.maximize else -1
     num_slack = sum(1 for con in program.constraints if con.rel != lp.EQ)
@@ -210,7 +220,8 @@ def _reference_solve(program):
     tableau = []
     slack_col = num_vars
     for con in program.constraints:
-        line = list(con.coeffs) + [F(0)] * num_slack + [con.rhs]
+        line = [F(c, con.scale) for c in con.coeffs]
+        line += [F(0)] * num_slack + [F(con.rhs, con.scale)]
         if con.rel != lp.EQ:
             line[slack_col] = F(1) if con.rel == lp.LE else F(-1)
             slack_col += 1
@@ -244,9 +255,9 @@ def _reference_solve(program):
         for r, line in enumerate(tableau):
             if basis[r] >= total:
                 cost = [x + y for x, y in zip(cost, line)]
-        _ref_run_simplex(tableau, basis, cost)
+        _ref_run_simplex(tableau, basis, cost, pivots)
         if cost[-1] != 0:
-            return lp.INFEASIBLE, None, None
+            return (lp.INFEASIBLE, None, None), pivots
         drop_rows = []
         for r in range(len(tableau)):
             if basis[r] >= total:
@@ -254,7 +265,7 @@ def _reference_solve(program):
                 if col is None:
                     drop_rows.append(r)
                 else:
-                    _ref_pivot(tableau, basis, r, col)
+                    _ref_pivot(tableau, basis, r, col, pivots)
         for r in reversed(drop_rows):
             del tableau[r]
             del basis[r]
@@ -264,14 +275,14 @@ def _reference_solve(program):
         factor = cost[basis[r]]
         if factor != 0:
             cost = [x - factor * y for x, y in zip(cost, line)]
-    if _ref_run_simplex(tableau, basis, cost) == lp.UNBOUNDED:
-        return lp.UNBOUNDED, None, None
+    if _ref_run_simplex(tableau, basis, cost, pivots) == lp.UNBOUNDED:
+        return (lp.UNBOUNDED, None, None), pivots
     point = [F(0)] * num_vars
     for r, col in enumerate(basis):
         if col < num_vars:
             point[col] = tableau[r][-1]
     value = sum(c * x for c, x in zip(program.objective, point))
-    return lp.OPTIMAL, tuple(point), value
+    return (lp.OPTIMAL, tuple(point), value), pivots
 
 
 def _program(num, cons, obj, maximize=True):
@@ -283,9 +294,25 @@ def _program(num, cons, obj, maximize=True):
     )
 
 
+def _solve_recording(program):
+    """``lp_solve(program)`` and its pivots as ``(row, entering column)``."""
+    pivots = []
+    pivot = lp._pivot
+
+    def recorded(tab, row, pos):
+        pivots.append((row, tab.labels[pos]))
+        return pivot(tab, row, pos)
+
+    lp._pivot = recorded
+    try:
+        res = lp.lp_solve(program)
+    finally:
+        lp._pivot = pivot
+    return (res.status, res.point, res.value), pivots
+
+
 def _assert_matches_reference(program):
-    res = lp.lp_solve(program)
-    assert (res.status, res.point, res.value) == _reference_solve(program)
+    assert _solve_recording(program) == _reference_solve(program)
 
 
 def _redundant_program(rng, num):
@@ -323,10 +350,10 @@ class TestReferenceSimplex:
         negative_pivots = 0
         pivot = lp._pivot
 
-        def watched(tableau, basis, row, col):
+        def watched(tab, row, pos):
             nonlocal negative_pivots
-            negative_pivots += tableau[row][col] < 0
-            return pivot(tableau, basis, row, col)
+            negative_pivots += tab.rows[row][pos] < 0
+            return pivot(tab, row, pos)
 
         monkeypatch.setattr(lp, "_pivot", watched)
         rng = random.Random(7)
@@ -343,8 +370,10 @@ class TestReferenceSimplex:
     @pytest.mark.parametrize("seed", range(50))
     def test_pattern_programs(self, seed):
         inst = random_conditioned_instance(random.Random(seed))
-        for pattern in covering_patterns(inst):
-            _assert_matches_reference(_pattern_lp(inst, pattern, F(0)))
+        for epsilon in (F(0), F(1, 10)):
+            view = _IntegerView(inst, epsilon)
+            for pattern in covering_patterns(inst):
+                _assert_matches_reference(_pattern_lp(view, pattern))
 
 
 def test_pivot_counts_on_conditioned_seeds(monkeypatch):

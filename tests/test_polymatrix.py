@@ -1,5 +1,6 @@
 """Polymatrix reduction: schedules, gadget structure, strategy recovery."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,18 @@ class TestGadgetStructure:
         rep = verify_gadget_properties(g)
         assert rep.ok
         assert rep.check("pairwise-equal-endowments").ok
+
+    def test_unequal_pair_endowments_are_reported(self):
+        g = build_polymatrix_gadget(GAME2)
+        even, odd = g.chore(2, 0), g.chore(2, 1)
+        w = [list(row) for row in g.instance.endowment]
+        w[0][odd] += F(1, 3)
+        bad = replace(g, instance=replace(g.instance, endowment=w))
+        rep = verify_gadget_properties(bad)
+        totals = chore_supply(bad.instance, even), chore_supply(bad.instance, odd)
+        assert rep.check("pairwise-equal-endowments").details == (
+            f"layer 2 pair 0: {totals[0]} vs {totals[1]}",
+        )
 
     def test_json_roundtrip(self):
         g = build_polymatrix_gadget(GAME2)
