@@ -322,7 +322,7 @@ def _cmd_verify_polymatrix(args):
         x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in doc["x"]]
     except KeyError as exc:
         raise Malformed(f"strategy document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"strategy document has a bad value: {exc}") from exc
     verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
     _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)

@@ -37,10 +37,6 @@ class ConstructionFailed(ChoreMarketError):
     """A construction or search that must succeed produced no valid result."""
 
 
-class NotConverged(ChoreMarketError):
-    """A null vector's residual stayed above its tolerance."""
-
-
 class BadParams(ChoreMarketError):
     """Gadget parameters violate their constraints."""
 

@@ -4,15 +4,14 @@ The paper's existence proof prices whole components of the disutility graph.
 Prices stay nonnegative, sum to one and balance each component's budget
 against its price mass.  One step of its map (:func:`phi_step`) bumps the
 price of under-done chores (``q = p + unmet supply``), forms the exchange
-matrix ``M`` between components from 0/1 agent and chore membership matrices,
-takes the component masses from the unit-sum null vector of ``M`` (one
-least-squares solve), and reallocates greedily at minimum pain-per-buck,
-splitting each agent's budget across its tied chores in proportion to prices.
-Equilibria are exactly the fixed points.  The map is kept, with its tests,
-as the documented form of the proof; damped iteration of it converged on
-only about a third of the random conditioned markets, so it is no solver.
-The map computes in floats, on arrays it builds from the exact market data
-on every call.
+matrix ``M`` between components, takes the component masses from a unit-sum
+nonnegative null vector of ``M`` (one exact LP), and reallocates greedily at
+minimum pain-per-buck, splitting each agent's budget across its tied chores
+in proportion to prices.  Equilibria are exactly the fixed points.  The map
+computes in rationals, so a solver equilibrium maps to itself exactly.  It
+is kept, with its tests, as the documented form of the proof; damped
+iteration of it converged on only about a third of the random conditioned
+markets, so it is no solver.
 
 :func:`solve` gates on both sufficiency conditions, which guarantee an
 equilibrium, and then walks the exact minimum pain-per-buck pattern search of
@@ -26,26 +25,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
+from . import lp
 from .errors import (
     ConditionViolated,
     ConstructionFailed,
     Malformed,
-    NotConverged,
     PatternBudgetExceeded,
     WrongVariant,
 )
 from .enumeration import PATTERN_CAP, _IntegerView, _patterns, _solve_pattern
 from .graphs import ComponentDecomposition, check_conditions
-from .model import EXCHANGE, EquilibriumCandidate, Instance, agent_budget, chore_supply
+from .model import (
+    EXCHANGE,
+    EquilibriumCandidate,
+    Instance,
+    agent_budget,
+    chore_supply,
+    to_fraction,
+)
 from .verification import mpb_sets
 
-#: Tolerances for the numeric machinery.
-TOL_P = 1e-9
-TOL_NULL = 1e-10
-#: Relative tie band of the greedy allocation's MPB sets.
-ALLOCATION_TIE_TOL = 1e-9
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -70,36 +70,29 @@ class SolveOutcome:
     reason: str
 
 
-def stochastic_null_vector(Z: np.ndarray) -> np.ndarray:
-    """Nonnegative unit-sum vector ``t`` with ``Z t = 0``.
+def stochastic_null_vector(Z) -> Tuple[Fraction, ...]:
+    """Nonnegative unit-sum vector ``t`` with ``Z t = 0``, exactly.
 
-    Requires nonnegative off-diagonal entries and (near-)zero column sums.
-    The null space of such a matrix is spanned by nonnegative vectors, one
-    per closed class, so the minimum-norm least-squares solution of
-    ``[Z; 1^T] t = (0, ..., 0, 1)`` is a positive combination of them.  The
-    residual ``max |Z t|`` must reach ``TOL_NULL``.
+    ``Z`` is a square matrix of rationals (see :func:`model.to_fraction`)
+    with nonnegative off-diagonal entries and zero column sums.  Its null
+    space is spanned by nonnegative vectors, one per closed class, so the LP
+    ``Z t = 0``, ``1^T t = 1``, ``t >= 0`` is feasible; ``t`` is the vertex
+    the simplex reaches (the zero matrix gives ``(1, 0, ..., 0)``).
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+    rows = [[to_fraction(z) for z in row] for row in Z]
+    d = len(rows)
+    if any(len(row) != d for row in rows):
         raise Malformed("matrix must be square")
-    if not np.isfinite(Z).all():
-        raise Malformed("matrix entries must be finite")
-    d = Z.shape[0]
-    off = Z - np.diag(np.diag(Z))
-    if off.min(initial=0.0) < -TOL_P:
+    if any(z < 0 for i, row in enumerate(rows) for j, z in enumerate(row) if i != j):
         raise Malformed("off-diagonal entries must be nonnegative")
-    if np.abs(Z.sum(axis=0)).max(initial=0.0) > TOL_P:
+    if any(sum(col) != 0 for col in zip(*rows)):
         raise Malformed("column sums must vanish")
-    if d == 1:
-        return np.array([1.0])
-    rhs = np.zeros(d + 1)
-    rhs[-1] = 1.0
-    t = np.linalg.lstsq(np.vstack([Z, np.ones(d)]), rhs, rcond=None)[0]
-    t = np.clip(t, 0.0, None)
-    t = t / t.sum()
-    if not np.abs(Z @ t).max() <= TOL_NULL:
-        raise NotConverged("null-vector residual above tolerance")
-    return t
+    cons = [lp.constraint(row, lp.EQ, 0) for row in rows]
+    cons.append(lp.constraint([1] * d, lp.EQ, 1))
+    result = lp.lp_solve(lp.LinearProgram(d, tuple(cons), (0,) * d))
+    if result.status != lp.OPTIMAL:
+        raise ConstructionFailed("matrix has no stochastic null vector")
+    return result.point
 
 
 def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ...]]:
@@ -128,93 +121,85 @@ def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ..
     return scaled, supplies
 
 
-def _float_market(inst: Instance, dec: ComponentDecomposition):
-    """Float arrays of the map: chore supplies, the endowment matrix, and the
-    0/1 agents x components and chores x components membership matrices."""
-    if inst.variant != EXCHANGE:
-        raise WrongVariant("the price map requires the exchange variant")
-    supply = np.array([float(chore_supply(inst, j)) for j in range(inst.m)])
-    W = np.array([[float(w) for w in row] for row in inst.endowment])
-    A = np.zeros((inst.n, dec.d))
-    C = np.zeros((inst.m, dec.d))
+def _exchange_matrix(inst: Instance, dec: ComponentDecomposition, share):
+    """``M = A^T W (C * share) - I``: entry ``(k, l)`` is the endowment that
+    component ``k``'s agents hold in component ``l``'s chores, each chore
+    weighted by its ``share``, minus one on the diagonal."""
+    M = []
     for k, comp in enumerate(dec.components):
-        A[list(comp.agents), k] = 1.0
-        C[list(comp.chores), k] = 1.0
-    return supply, W, A, C
+        held = [sum(col) for col in zip(*(inst.endowment[a] for a in comp.agents))]
+        M.append([
+            sum(held[j] * share[j] for j in other.chores) - (1 if k == l else 0)
+            for l, other in enumerate(dec.components)
+        ])
+    return M
 
 
-def initial_prices(inst: Instance, dec: ComponentDecomposition) -> np.ndarray:
+def initial_prices(inst: Instance, dec: ComponentDecomposition) -> Tuple[Fraction, ...]:
     """A starting point in the normalized price domain.
 
-    Supported on one chore per component: solve for component masses with the
-    same null-vector machinery applied to the endowment totals of the chosen
-    chores.  Requires unit chore supplies.
+    Supported on one chore per component: the component masses are the null
+    vector of the exchange matrix with all of each component's share on its
+    chosen chore.  Requires unit chore supplies; the prices sum to one.
     """
-    supply, W, A, _ = _float_market(inst, dec)
-    if np.abs(supply - 1.0).max() > TOL_P:
+    if inst.variant != EXCHANGE:
+        raise WrongVariant("the price map requires the exchange variant")
+    if any(chore_supply(inst, j) != 1 for j in range(inst.m)):
         raise Malformed("operation requires unit chore supplies")
     if dec.d == 0:
         raise ConstructionFailed("no components to price")
-    chosen = [comp.chores[0] for comp in dec.components]
-    p = np.zeros(inst.m)
-    p[chosen] = stochastic_null_vector(A.T @ W[:, chosen] - np.eye(dec.d))
-    if not np.isfinite(p).all() or abs(p.sum() - 1.0) > TOL_P:
-        raise ConstructionFailed("initial price vector is not normalized")
-    return p
+    chosen = {comp.chores[0] for comp in dec.components}
+    M = _exchange_matrix(inst, dec, [1 if j in chosen else 0 for j in range(inst.m)])
+    p = [_ZERO] * inst.m
+    for comp, t in zip(dec.components, stochastic_null_vector(M)):
+        p[comp.chores[0]] = t
+    return tuple(p)
 
 
-def optimal_allocation(inst: Instance, prices: np.ndarray) -> np.ndarray:
-    """Greedy budget-clearing response to the given prices.
+def optimal_allocation(inst: Instance, prices) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Greedy budget-clearing response to the given rational prices.
 
-    Each agent spends its whole budget on its minimum pain-per-buck chores,
-    splitting money in proportion to prices (so tied chores get equal units).
-    Agents with nonpositive budget do nothing.
+    Each agent spends its whole budget on its exact minimum pain-per-buck
+    chores, splitting money in proportion to prices (so tied chores get
+    equal units).  Agents with nonpositive budget do nothing.
     """
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (inst.m,):
+    prices = [to_fraction(p) for p in prices]
+    if len(prices) != inst.m:
         raise Malformed("price vector length must match chore count")
-    X = np.zeros((inst.n, inst.m))
-    sets = mpb_sets(inst, prices, ALLOCATION_TIE_TOL)
-    for i, mpb in enumerate(sets):
-        budget = float(agent_budget(inst, i, prices))
-        if budget <= 0:
-            continue
-        members = sorted(mpb.members)
-        mass = sum(prices[j] for j in members)
-        for j in members:
-            X[i, j] = budget / mass
-    return X
+    X = []
+    for i, mpb in enumerate(mpb_sets(inst, prices)):
+        row = [_ZERO] * inst.m
+        budget = agent_budget(inst, i, prices)
+        if budget > 0:
+            unit = budget / sum(prices[j] for j in mpb.members)
+            for j in mpb.members:
+                row[j] = unit
+        X.append(tuple(row))
+    return tuple(X)
 
 
-def phi_step(
-    inst: Instance, p: np.ndarray, X: np.ndarray, dec: ComponentDecomposition
-):
-    """One undamped update: new prices from (p, X), new allocation at p.
+def phi_step(inst: Instance, p, X, dec: ComponentDecomposition):
+    """One undamped update in rationals: new prices from (p, X), new
+    allocation at p.
 
-    With ``A`` and ``C`` the agent and chore membership matrices and ``Q``
-    the component masses of ``q``, the exchange matrix is
-    ``M = A^T W (C * q / Q[comp]) - I`` and chore ``j`` of component ``k``
-    gets price ``q_j / Q_k * t_k`` for the null vector ``t`` of ``M``.
-
-    Returns ``(new_prices, new_allocation, diagnostics)`` where diagnostics
-    carry the price bump ``q - p`` minimum and the worst column-sum error of
-    the component matrix.
+    With ``Q`` the component masses of ``q``, the exchange matrix is
+    ``M = A^T W (C * q / Q[comp]) - I`` (see :func:`_exchange_matrix`) and
+    chore ``j`` of component ``k`` gets price ``q_j / Q_k * t_k`` for the
+    null vector ``t`` of ``M``.  Returns ``(new_prices, new_allocation)``.
     """
-    supply, W, A, C = _float_market(inst, dec)
-    q = p + np.maximum(supply - X.sum(axis=0), 0.0)
-    Q = q @ C
-    if Q.min(initial=np.inf) <= 0:
+    if inst.variant != EXCHANGE:
+        raise WrongVariant("the price map requires the exchange variant")
+    p = [to_fraction(x) for x in p]
+    done = [sum(col) for col in zip(*([to_fraction(x) for x in row] for row in X))]
+    q = [pj + max(chore_supply(inst, j) - done[j], _ZERO) for j, pj in enumerate(p)]
+    comp_of = {j: k for k, comp in enumerate(dec.components) for j in comp.chores}
+    Q = [sum(q[j] for j in comp.chores) for comp in dec.components]
+    if any(mass <= 0 for mass in Q):
         raise ConstructionFailed("a component has zero price mass")
-    share = q / (C @ Q)
-    M = A.T @ W @ (C * share[:, None]) - np.eye(dec.d)
-    colsum_error = float(np.abs(M.sum(axis=0)).max())
-    new_p = share * (C @ stochastic_null_vector(M))
-    new_X = optimal_allocation(inst, p)
-    diagnostics = {
-        "min_price_bump": float((q - p).min()),
-        "colsum_error": colsum_error,
-    }
-    return new_p, new_X, diagnostics
+    share = [qj / Q[comp_of[j]] for j, qj in enumerate(q)]
+    t = stochastic_null_vector(_exchange_matrix(inst, dec, share))
+    new_p = tuple(share[j] * t[comp_of[j]] for j in range(inst.m))
+    return new_p, optimal_allocation(inst, p)
 
 
 def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome:

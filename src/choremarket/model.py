@@ -425,7 +425,7 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
             flow = [[_decode_value(x, mode) for x in row] for row in doc["flow"]]
     except KeyError as exc:
         raise Malformed(f"equilibrium document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"equilibrium document has a bad value: {exc}") from exc
     return EquilibriumCandidate(prices, allocation, flow=flow, mode=mode)
 

@@ -291,10 +291,17 @@ class GadgetPropertyReport:
 
 
 def _scaled_prices(gadget: PolymatrixGadget, prices) -> List[float]:
-    base = float(prices[gadget.chore(1, 0)]) + float(prices[gadget.chore(1, 1)])
+    """The prices as floats, rescaled so the first layer-1 pair sums to two."""
+    if len(prices) != gadget.instance.m:
+        raise DimensionMismatch("candidate shape does not match the gadget")
+    try:
+        p = [float(x) for x in prices]
+    except OverflowError as exc:
+        raise Malformed(f"price out of float range: {exc}") from exc
+    base = p[gadget.chore(1, 0)] + p[gadget.chore(1, 1)]
     if base <= 0:
         raise OutOfBand("first layer-1 pair carries no price mass")
-    return [2.0 * float(p) / base for p in prices]
+    return [2.0 * x / base for x in p]
 
 
 def verify_gadget_properties(
@@ -412,8 +419,6 @@ def recover_strategy(
     weight, clamped to the unit interval.
     """
     params = gadget.params
-    if cand.m != gadget.instance.m:
-        raise DimensionMismatch("candidate shape does not match the gadget")
     p = _scaled_prices(gadget, cand.prices)
     a = float(params.alpha[-1])
     out = []

@@ -288,6 +288,25 @@ class TestSatCommands:
         assert doc["groups"] == [[0, 1], [2]]
 
 
+#: A JSON integer past float range: converting it to float overflows.
+HUGE = 10**400
+
+
+def _gadget_and_candidate(paths, tmp_path, doc):
+    """GAME2's gadget, and a candidate file holding ``doc(m, n)`` for its
+    ``m`` chores and ``n`` agents."""
+    gadget = tmp_path / "pm.json"
+    assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+    rows = json.loads(gadget.read_text())["instance"]["disutility"]
+    eq = tmp_path / "eq.json"
+    eq.write_text(json.dumps(doc(len(rows[0]), len(rows))))
+    return str(gadget), str(eq)
+
+
+def _huge_exact_price(m, n):
+    return {"mode": "exact", "prices": ["1e400"] + ["1"] * (m - 1), "allocation": [["0"] * m] * n}
+
+
 class TestPolymatrixCommands:
     def test_gen_check_recover(self, paths, tmp_path, capsys):
         gadget = tmp_path / "pm.json"
@@ -311,6 +330,15 @@ class TestPolymatrixCommands:
         doc = json.loads(capsys.readouterr().out)
         assert code in (0, 1) and doc["ok"] == (code == 0)
 
+    def test_short_candidate_is_usage_error(self, paths, tmp_path, capsys):
+        # Two prices against the gadget's 32 chores.
+        gadget, eq = _gadget_and_candidate(
+            paths, tmp_path, lambda m, n: {"prices": ["1", "1"], "allocation": [["0", "0"]] * n}
+        )
+        for command in ("check-gadget", "recover-strategy"):
+            assert run(command, "--instance", gadget, "--equilibrium", eq) == 2
+            assert "candidate shape" in capsys.readouterr().err
+
     def test_bad_strategy_and_game_are_usage_errors(self, paths, tmp_path):
         strategy = tmp_path / "x.json"
         strategy.write_text(json.dumps({"y": [1.0, 0.0]}))
@@ -322,9 +350,12 @@ class TestPolymatrixCommands:
 
 
 class TestNonFiniteFloats:
-    """NaN and infinite floats are bad input, never a passing check."""
+    """NaN, infinite and out-of-float-range numbers are bad input, never a
+    passing check or a traceback."""
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", "-inf"])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), "nan", "-inf", pytest.param(HUGE, id="huge-int")]
+    )
     def test_verify(self, paths, tmp_path, capsys, bad):
         eq = tmp_path / "eq.json"
         doc = {"mode": "float", "prices": [bad, bad], "allocation": [[bad, bad]] * 2}
@@ -334,21 +365,29 @@ class TestNonFiniteFloats:
         assert capsys.readouterr().out == ""
 
     def test_recover_strategy(self, paths, tmp_path, capsys):
-        gadget = tmp_path / "pm.json"
-        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
-        rows = json.loads(gadget.read_text())["instance"]["disutility"]
-        eq = tmp_path / "eq.json"
-        doc = {
-            "mode": "float",
-            "prices": [float("nan")] * len(rows[0]),
-            "allocation": [[0.0] * len(rows[0]) for _ in rows],
-        }
-        eq.write_text(json.dumps(doc))
-        argv = ["recover-strategy", "--instance", str(gadget), "--equilibrium", str(eq)]
-        assert run(*argv) == 2
-        assert capsys.readouterr().out == ""
+        def nan_float_price(m, n):
+            return {"mode": "float", "prices": [float("nan")] * m, "allocation": [[0.0] * m] * n}
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+        for doc in (nan_float_price, _huge_exact_price):
+            gadget, eq = _gadget_and_candidate(paths, tmp_path, doc)
+            argv = ["recover-strategy", "--instance", gadget, "--equilibrium", eq]
+            assert run(*argv) == 2
+            assert capsys.readouterr().out == ""
+
+    def test_check_gadget(self, paths, tmp_path, capsys):
+        gadget, eq = _gadget_and_candidate(paths, tmp_path, _huge_exact_price)
+        assert run("check-gadget", "--instance", gadget, "--equilibrium", eq) == 2
+        assert "float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            pytest.param("1e400", id="huge-literal"),
+            pytest.param(HUGE, id="huge-int"),
+        ],
+    )
     def test_verify_polymatrix(self, paths, tmp_path, capsys, bad):
         strategy = tmp_path / "x.json"
         strategy.write_text(json.dumps({"x": [bad] * 4}))

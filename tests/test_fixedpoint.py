@@ -1,9 +1,8 @@
-"""Fixed-point machinery: null vectors, initial prices, steps, solving."""
+"""The proof's price map in exact rationals, and the exact solver."""
 
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from choremarket import fixedpoint
@@ -41,64 +40,67 @@ def _decomposition(inst):
 
 def _reference_phi(inst, p, X, dec):
     """The price map of ``phi_step``, one agent and one chore at a time."""
-    supply = np.array([float(chore_supply(inst, j)) for j in range(inst.m)])
-    q = p + np.maximum(supply - X.sum(axis=0), 0.0)
     comp_of = {j: k for k, comp in enumerate(dec.components) for j in comp.chores}
+    q = [
+        p[j] + max(chore_supply(inst, j) - sum(row[j] for row in X), 0)
+        for j in range(inst.m)
+    ]
     Q = [sum(q[j] for j in comp.chores) for comp in dec.components]
-    M = -np.eye(dec.d)
+    M = [[F(-1) if k == l else F(0) for l in range(dec.d)] for k in range(dec.d)]
     for k, comp in enumerate(dec.components):
         for a in comp.agents:
             for j in range(inst.m):
                 kk = comp_of[j]
-                M[k, kk] += float(inst.endowment[a][j]) * q[j] / Q[kk]
+                M[k][kk] += inst.endowment[a][j] * q[j] / Q[kk]
     mass = stochastic_null_vector(M)
-    new_p = np.array(
-        [q[j] / Q[comp_of[j]] * mass[comp_of[j]] for j in range(inst.m)]
-    )
-    return new_p, float(np.abs(M.sum(axis=0)).max())
+    return tuple(q[j] / Q[comp_of[j]] * mass[comp_of[j]] for j in range(inst.m))
 
 
 class TestNullVector:
-    def test_zero_matrix_gives_uniform(self):
-        t = stochastic_null_vector(np.zeros((3, 3)))
-        assert np.allclose(t, 1 / 3)
+    def test_zero_matrix_gives_a_stochastic_vector(self):
+        # Every unit-sum vector is a null vector; the LP returns a vertex.
+        assert stochastic_null_vector([[0] * 3] * 3) == (1, 0, 0)
 
     def test_two_by_two(self):
-        t = stochastic_null_vector(np.array([[-2.0, 1.0], [2.0, -1.0]]))
-        assert np.allclose(t, [1 / 3, 2 / 3], atol=1e-9)
+        assert stochastic_null_vector([[-2, 1], [2, -1]]) == (F(1, 3), F(2, 3))
 
     def test_one_dimensional(self):
-        assert stochastic_null_vector(np.zeros((1, 1)))[0] == 1.0
+        assert stochastic_null_vector([[0]]) == (1,)
 
     def test_rejects_negative_off_diagonal(self):
         with pytest.raises(Malformed):
-            stochastic_null_vector(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            stochastic_null_vector([[1, -1], [-1, 1]])
 
     def test_rejects_nonzero_column_sums(self):
         with pytest.raises(Malformed):
-            stochastic_null_vector(np.array([[1.0, 0.0], [0.0, 1.0]]))
+            stochastic_null_vector([[1, 0], [0, 1]])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
+    def test_rejects_non_square(self):
         with pytest.raises(Malformed):
-            stochastic_null_vector(np.array([[bad, 1.0], [1.0, -1.0]]))
+            stochastic_null_vector([[0, 0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.0])
+    def test_rejects_non_finite(self, bad):
+        # Entries are rationals: NaN, inf and plain floats are bad input.
+        with pytest.raises(Malformed):
+            stochastic_null_vector([[bad, 1], [1, -1]])
 
     def test_reducible_chain(self):
         # One absorbing state: the null vector concentrates there.
-        z = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        t = stochastic_null_vector(z)
-        assert np.allclose(t, [0.0, 1.0], atol=1e-9)
+        assert stochastic_null_vector([[-1, 0], [1, 0]]) == (0, 1)
+
+    def test_rational_entries(self):
+        z = [[F(-1, 2), "1/3"], [F(1, 2), F(-1, 3)]]
+        assert stochastic_null_vector(z) == (F(2, 5), F(3, 5))
 
 
 class TestInitialPrices:
     def test_example2_support(self, example2):
-        p = initial_prices(example2, _decomposition(example2))
-        assert np.allclose(p, [1.0, 0.0], atol=1e-9)
+        assert initial_prices(example2, _decomposition(example2)) == (1, 0)
 
     def test_single_component(self, intro):
         p = initial_prices(intro, _decomposition(intro))
-        assert np.isclose(p.sum(), 1.0)
-        assert p[0] == 1.0 and p[1] == 0.0
+        assert p == (1, 0) and sum(p) == 1
 
     def test_requires_exchange(self, warmup):
         with pytest.raises(WrongVariant):
@@ -107,49 +109,50 @@ class TestInitialPrices:
 
 class TestOptimalAllocation:
     def test_warmup_tilted(self, warmup):
-        X = optimal_allocation(warmup, np.array([0.25, 0.75]))
-        assert np.allclose(X[0], [1.0, 1.0])
-        assert np.allclose(X[1], [0.0, 4 / 3])
+        X = optimal_allocation(warmup, [F(1, 4), F(3, 4)])
+        assert X == ((1, 1), (0, F(4, 3)))
 
     def test_budgets_spent_exactly(self, intro):
-        p = np.array([0.3, 0.7])
+        p = [F(3, 10), F(7, 10)]
         X = optimal_allocation(intro, p)
         for i in range(2):
-            assert np.isclose((X[i] * p).sum(), 0.5)
+            assert sum(x * pj for x, pj in zip(X[i], p)) == F(1, 2)
+
+    def test_rejects_float_prices(self, intro):
+        with pytest.raises(Malformed):
+            optimal_allocation(intro, [0.3, 0.7])
 
 
 class TestPhiStep:
     def test_fixed_point_single_chore(self):
         inst = exchange_instance(10, [[1]], [[1]])
         dec = _decomposition(inst)
-        p = np.array([1.0])
+        p = (F(1),)
         X = optimal_allocation(inst, p)
-        new_p, new_X, diag = phi_step(inst, p, X, dec)
-        assert np.allclose(new_p, p) and np.allclose(new_X, X)
-        assert diag["colsum_error"] <= 1e-12
+        assert phi_step(inst, p, X, dec) == (p, X)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_solver_equilibria_are_fixed_points(self, seed):
         # Equilibria are fixed points of the map: at the solver's exact
         # equilibrium, in units of supply and normalised to sum one, the map
-        # returns the same prices.
+        # returns exactly the same prices.
         inst = random_conditioned_instance(random.Random(seed))
         out = solve(inst)
         assert out.converged
         scaled, supplies = rescale_to_unit_supply(inst)
         q = [p * s for p, s in zip(out.candidate.prices, supplies)]
-        p = np.array([float(x / sum(q)) for x in q])
-        X = np.array(
-            [[float(x / s) for x, s in zip(row, supplies)] for row in out.candidate.allocation]
-        )
-        new_p, _, _ = phi_step(scaled, p, X, _decomposition(scaled))
-        assert np.abs(new_p - p).max() <= 1e-12
+        p = tuple(x / sum(q) for x in q)
+        X = [[x / s for x, s in zip(row, supplies)] for row in out.candidate.allocation]
+        dec = _decomposition(scaled)
+        new_p, _ = phi_step(scaled, p, X, dec)
+        assert new_p == p
+        assert new_p == _reference_phi(scaled, p, X, dec)
 
     def test_underdone_chore_price_rises(self, intro):
         dec = _decomposition(intro)
-        p = np.array([0.9, 0.1])
+        p = (F(9, 10), F(1, 10))
         X = optimal_allocation(intro, p)  # both agents prefer chore 0
-        new_p, _, _ = phi_step(intro, p, X, dec)
+        new_p, _ = phi_step(intro, p, X, dec)
         assert new_p[1] > p[1]
 
     @pytest.mark.parametrize("seed", range(50))
@@ -159,29 +162,21 @@ class TestPhiStep:
         )
         dec = _decomposition(inst)
         p0 = initial_prices(inst, dec)
-        for p in (p0, 0.5 * p0 + 0.5 / inst.m):
+        for p in (p0, tuple(x / 2 + F(1, 2 * inst.m) for x in p0)):
             X = optimal_allocation(inst, p)
-            new_p, new_X, diag = phi_step(inst, p, X, dec)
-            ref_p, ref_colsum = _reference_phi(inst, p, X, dec)
-            assert np.abs(new_p - ref_p).max() <= 1e-12
-            assert abs(diag["colsum_error"] - ref_colsum) <= 1e-12
-            assert np.array_equal(new_X, X)
-            # The invariants of the proof's map, at the new prices.
-            balance_error = max(
-                abs(
-                    sum(
-                        float(inst.endowment[a][j]) * new_p[j]
-                        for a in comp.agents
-                        for j in range(inst.m)
-                    )
-                    - sum(new_p[j] for j in comp.chores)
+            new_p, new_X = phi_step(inst, p, X, dec)
+            assert new_p == _reference_phi(inst, p, X, dec)
+            assert new_X == X
+            # The invariants of the proof's map, at the new prices: they sum
+            # to one and balance each component's budget against its mass.
+            assert sum(new_p) == 1 and min(new_p) >= 0
+            for comp in dec.components:
+                budget = sum(
+                    inst.endowment[a][j] * new_p[j]
+                    for a in comp.agents
+                    for j in range(inst.m)
                 )
-                for comp in dec.components
-            )
-            assert abs(new_p.sum() - 1.0) <= 1e-12
-            assert balance_error <= 1e-9
-            assert diag["min_price_bump"] >= 0
-            assert diag["colsum_error"] <= 1e-12
+                assert budget == sum(new_p[j] for j in comp.chores)
 
     def test_rescale_roundtrip(self):
         inst = exchange_instance(10, [[1, 2]], [[2, 4]])
