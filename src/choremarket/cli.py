@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import enumeration, fixedpoint, graphs, polymatrix, sat_reduction, verification
 from .errors import (
@@ -48,14 +47,6 @@ _USAGE_ERRORS = (
     BadGame,
     DegenerateSize,
 )
-
-
-def _num(x):
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if x is None:
-        return None
-    return float(x)
 
 
 def _emit(doc, path=None):
@@ -167,7 +158,7 @@ def _cmd_enumerate(args):
             "patterns_tried": result.patterns_tried,
             "equilibria": [
                 {
-                    "ray": [_num(p) for p in e.ray],
+                    "ray": [format_rational(p) for p in e.ray],
                     "pattern": [sorted(s) for s in e.pattern],
                     "equilibrium": candidate_to_json(e.candidate),
                 }
@@ -318,13 +309,9 @@ def _cmd_recover_strategy(args):
 def _cmd_verify_polymatrix(args):
     game = polymatrix.game_from_json(load_json(args.game))
     doc = load_json(args.strategy)
-    try:
-        x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in doc["x"]]
-    except KeyError as exc:
-        raise Malformed(f"strategy document missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise Malformed(f"strategy document has a bad value: {exc}") from exc
-    verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
+    if not isinstance(doc, dict) or "x" not in doc:
+        raise Malformed('strategy document must be an object with field "x"')
+    verdict = polymatrix.verify_polymatrix_equilibrium(game, doc["x"], slack=args.slack)
     _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)
     return 0 if verdict.ok else 1
 

@@ -18,6 +18,10 @@ pattern's LP has a positive optimum only at positive prices that meet its
 ratio bounds strictly, and no such prices exist past a bad cycle; an
 uncovered chore cannot clear at a positive price.  So the search loses no
 equilibrium, for any ``epsilon``.
+
+:func:`enumerate_equilibria` (every ray), :func:`exists_equilibrium` (the
+first hit) and :func:`choremarket.fixedpoint.solve` (the first hit within an
+LP budget) all walk this one search through the private :func:`_search`.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Iterator, List, Optional, Tuple
+from math import lcm, prod
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import lp
 from .errors import Malformed, PatternBudgetExceeded
@@ -82,13 +86,6 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
             subsets.extend(frozenset(c) for c in combinations(finite, size))
         options.append(subsets)
     return options
-
-
-def _pattern_count(options) -> int:
-    count = 1
-    for subsets in options:
-        count *= len(subsets)
-    return count
 
 
 def _scaled_row(values):
@@ -303,10 +300,9 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
     options = _agent_options(inst)
     if options is None:
         return iter(())
-    if _pattern_count(options) > cap:
-        raise PatternBudgetExceeded(
-            f"{_pattern_count(options)} patterns exceed the cap of {cap}"
-        )
+    count = prod(map(len, options))
+    if count > cap:
+        raise PatternBudgetExceeded(f"{count} patterns exceed the cap of {cap}")
     all_chores = frozenset(range(inst.m))
     reach = [frozenset()] * (inst.n + 1)  # chores agents i.. can still take
     for i in reversed(range(inst.n)):
@@ -335,6 +331,20 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
     return search(0, frozenset(), unit)
 
 
+def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
+    """Check the arguments and start the pattern search (which may raise
+    :class:`PatternBudgetExceeded`); return its lazy patterns and a function
+    that solves one pattern's LP, for the caller to call per pattern."""
+    epsilon = Fraction(epsilon)
+    if not 0 <= epsilon < 1:
+        raise Malformed("epsilon must lie in [0, 1)")
+    if cap < 0:
+        raise Malformed("cap must be nonnegative")
+    patterns = _patterns(inst, cap)
+    view = _IntegerView(inst, epsilon)
+    return patterns, lambda pattern: _solve_pattern(view, pattern)
+
+
 def enumerate_equilibria(
     inst: Instance,
     epsilon: Fraction = Fraction(0),
@@ -345,20 +355,13 @@ def enumerate_equilibria(
     Raises :class:`PatternBudgetExceeded` when the pattern space is larger
     than ``cap``.
     """
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon < 1:
-        raise Malformed("epsilon must lie in [0, 1)")
-    if cap < 0:
-        raise Malformed("cap must be nonnegative")
-    patterns = _patterns(inst, cap)
-    view = _IntegerView(inst, epsilon)
+    patterns, solve_pattern = _search(inst, epsilon, cap)
     found = {}
     tried = 0
-    for pattern in patterns:
-        tried += 1
-        hit = _solve_pattern(view, pattern)
-        if hit is not None and hit.ray not in found:
-            found[hit.ray] = hit
+    for tried, pattern in enumerate(patterns, 1):
+        hit = solve_pattern(pattern)
+        if hit is not None:
+            found.setdefault(hit.ray, hit)
     return EquilibriumSet(tuple(found.values()), tried)
 
 
@@ -368,15 +371,6 @@ def exists_equilibrium(
     cap: int = PATTERN_CAP,
 ) -> Optional[EnumeratedEquilibrium]:
     """First equilibrium found, or ``None``; stops at the first hit."""
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon < 1:
-        raise Malformed("epsilon must lie in [0, 1)")
-    if cap < 0:
-        raise Malformed("cap must be nonnegative")
-    patterns = _patterns(inst, cap)
-    view = _IntegerView(inst, epsilon)
-    for pattern in patterns:
-        hit = _solve_pattern(view, pattern)
-        if hit is not None:
-            return hit
-    return None
+    patterns, solve_pattern = _search(inst, epsilon, cap)
+    hits = (solve_pattern(pattern) for pattern in patterns)
+    return next((hit for hit in hits if hit is not None), None)

@@ -14,9 +14,10 @@ iteration of it converged on only about a third of the random conditioned
 markets, so it is no solver.
 
 :func:`solve` gates on both sufficiency conditions, which guarantee an
-equilibrium, and then walks the exact minimum pain-per-buck pattern search of
-:mod:`choremarket.enumeration`, one exact LP per pattern, until a pattern
-yields a verified equilibrium.
+equilibrium, and then walks the exact minimum pain-per-buck pattern search
+of :mod:`choremarket.enumeration` (the one its ``enumerate_equilibria`` and
+``exists_equilibrium`` walk too), solving one exact LP per pattern until a
+pattern yields a verified equilibrium or the LP budget runs out.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from . import lp
 from .errors import (
     ConditionViolated,
     ConstructionFailed,
+    Infeasible,
     Malformed,
     PatternBudgetExceeded,
     WrongVariant,
 )
-from .enumeration import PATTERN_CAP, _IntegerView, _patterns, _solve_pattern
+from .enumeration import PATTERN_CAP, _search
 from .graphs import ComponentDecomposition, check_conditions
 from .model import (
     EXCHANGE,
@@ -161,7 +163,9 @@ def optimal_allocation(inst: Instance, prices) -> Tuple[Tuple[Fraction, ...], ..
 
     Each agent spends its whole budget on its exact minimum pain-per-buck
     chores, splitting money in proportion to prices (so tied chores get
-    equal units).  Agents with nonpositive budget do nothing.
+    equal units).  Agents with nonpositive budget do nothing.  An agent with
+    a positive budget but no positively priced chore it can do raises
+    :class:`Infeasible`.
     """
     prices = [to_fraction(p) for p in prices]
     if len(prices) != inst.m:
@@ -171,6 +175,8 @@ def optimal_allocation(inst: Instance, prices) -> Tuple[Tuple[Fraction, ...], ..
         row = [_ZERO] * inst.m
         budget = agent_budget(inst, i, prices)
         if budget > 0:
+            if not mpb.members:
+                raise Infeasible(f"agent {i} cannot earn {budget}: its chores are priced 0")
             unit = budget / sum(prices[j] for j in mpb.members)
             for j in mpb.members:
                 row[j] = unit
@@ -220,16 +226,15 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     if not report.condition2.ok:
         raise ConditionViolated(f"condition 2 fails: order {report.condition2.scc_order}")
     try:
-        patterns = _patterns(inst, PATTERN_CAP)
+        patterns, solve_pattern = _search(inst, 0, PATTERN_CAP)
     except PatternBudgetExceeded:
         return SolveOutcome(False, None, 0, "cap")
-    view = _IntegerView(inst, Fraction(0))
     solved = 0
     for pattern in patterns:
         if solved == config.max_iters:
             return SolveOutcome(False, None, solved, "budget")
         solved += 1
-        hit = _solve_pattern(view, pattern)
+        hit = solve_pattern(pattern)
         if hit is not None:
             return SolveOutcome(True, hit.candidate, solved, "found")
     raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

@@ -77,13 +77,18 @@ def verify_polymatrix_equilibrium(
 
     ``x`` must be a nonnegative vector with each strategy pair summing to
     one; whenever one strategy of a pair beats the other by more than
-    ``1/n``, the losing strategy must carry no weight.  A NaN or infinite
-    weight is :class:`Malformed`.
+    ``1/n``, the losing strategy must carry no weight.  Weights are numbers
+    or rational strings (see :func:`model.to_fraction`), read as floats; any
+    other weight, or a NaN, infinite or out-of-float-range one, is
+    :class:`Malformed`.
     """
+    try:
+        x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in x]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise Malformed(f"bad strategy weight: {exc}") from exc
     size = 2 * game.n
     if len(x) != size:
         raise DimensionMismatch("strategy length must be 2n")
-    x = [float(v) for v in x]
     if not all(map(math.isfinite, x)):
         raise Malformed("strategy weights must be finite")
     violations = []

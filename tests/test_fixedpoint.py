@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from choremarket import fixedpoint
+from choremarket import enumeration
 from choremarket.errors import (
     ConditionViolated,
     ConstructionFailed,
+    Infeasible,
     Malformed,
     WrongVariant,
 )
 from choremarket.fixedpoint import (
+    SolverConfig,
     initial_prices,
     optimal_allocation,
     phi_step,
@@ -122,6 +124,11 @@ class TestOptimalAllocation:
         with pytest.raises(Malformed):
             optimal_allocation(intro, [0.3, 0.7])
 
+    def test_unspendable_budget_is_infeasible(self, example2):
+        # Agent 0 must earn 1/2, but the only chore it can do is priced 0.
+        with pytest.raises(Infeasible, match="^agent 0 "):
+            optimal_allocation(example2, [0, 1])
+
 
 class TestPhiStep:
     def test_fixed_point_single_chore(self):
@@ -216,6 +223,17 @@ class TestSolve:
     def test_exhausted_search_is_construction_failure(self, intro, monkeypatch):
         # The conditions guarantee an equilibrium, so a search that finds
         # none has a bug; it must not read as bad input or a budget stop.
-        monkeypatch.setattr(fixedpoint, "_solve_pattern", lambda *args: None)
+        monkeypatch.setattr(enumeration, "_solve_pattern", lambda *args: None)
         with pytest.raises(ConstructionFailed, match="ran out"):
             solve(intro)
+
+    def test_budget_stops_only_while_patterns_remain(self, intro, monkeypatch):
+        # With no pattern holding an equilibrium, intro's search solves 3
+        # LPs: a budget of 2 stops with a pattern left, and budgets of 3 and
+        # 4 see the search run out.
+        monkeypatch.setattr(enumeration, "_solve_pattern", lambda *args: None)
+        out = solve(intro, SolverConfig(max_iters=2))
+        assert (out.converged, out.iterations, out.reason) == (False, 2, "budget")
+        for max_iters in (3, 4):
+            with pytest.raises(ConstructionFailed, match="^pattern search ran out after 3 LPs$"):
+                solve(intro, SolverConfig(max_iters=max_iters))

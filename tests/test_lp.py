@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from choremarket import lp
+from choremarket import fixedpoint, lp
 from choremarket.enumeration import _IntegerView, _pattern_lp, enumerate_equilibria
 from choremarket.errors import Malformed
 
@@ -397,3 +397,18 @@ def test_pivot_counts_on_conditioned_seeds(monkeypatch):
     for k in range(50):
         enumerate_equilibria(random_conditioned_instance(random.Random(k)))
     assert counts == {"lp_solve": 114, "_pivot": 1629}
+
+
+def test_solve_lp_counts_on_conditioned_seeds():
+    """Pins where ``solve`` stops in the same pattern search on the 50
+    conftest seeds: 80 LPs in all, at most 8 (seed 16), more than one on 15
+    seeds."""
+    config = fixedpoint.SolverConfig(max_iters=300)
+    iterations = tuple(
+        fixedpoint.solve(random_conditioned_instance(random.Random(k)), config).iterations
+        for k in range(50)
+    )
+    assert iterations == (
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 1, 1, 1, 8, 4, 1, 1, 1, 2, 1, 2, 1,
+        3, 1, 3, 1, 1, 1, 1, 1, 3, 3, 2, 1, 1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 3, 1, 3,
+    )

@@ -1,5 +1,7 @@
-"""The package's runtime dependencies: importing it loads no numpy."""
+"""Package hygiene: importing it loads no numpy, and no module keeps an
+import it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,3 +17,22 @@ def test_import_loads_no_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted((SRC / "choremarket").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from choremarket.errors import BadGame, DegenerateSize, NotGadget, OutOfBand
+from choremarket.errors import BadGame, DegenerateSize, Malformed, NotGadget, OutOfBand
 from choremarket.graphs import check_conditions
 from choremarket.model import (
     EquilibriumCandidate,
@@ -79,6 +79,15 @@ class TestVerifyPolymatrix:
     def test_pair_sum_checked(self):
         game = PolymatrixGame(1, [[1, 0], [0, 1]])
         assert not verify_polymatrix_equilibrium(game, [0.7, 0.7]).ok
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), "1e400", pytest.param(F(10**400), id="huge"), "x", None],
+    )
+    def test_bad_weight_is_malformed(self, bad):
+        game = PolymatrixGame(1, [[1, 0], [0, 1]])
+        with pytest.raises(Malformed):
+            verify_polymatrix_equilibrium(game, [bad, 0.5])
 
 
 class TestParams:
