@@ -8,14 +8,16 @@ covered, and no isolated agent can hold positive wealth.
 Condition 2: the directed exchange graph over the components -- with an edge
 ``(k, k')`` when for every chore of component ``k'`` some agent of component
 ``k`` owns a positive amount -- is strongly connected.
+
+Both are reachability questions, answered by :func:`_reach`: the disutility
+graph's components are its distinct reach sets, and the exchange graph is
+strongly connected when every component reaches all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import networkx as nx
 
 from .errors import WrongVariant
 from .model import EXCHANGE, Instance
@@ -84,18 +86,35 @@ class Condition1Result:
     witness: Optional[Condition1Witness] = None
 
 
+def _reach(succ):
+    """The frozenset each node of adjacency list ``succ`` reaches, itself included."""
+    reach = [None] * len(succ)
+    for start in range(len(succ)):
+        seen, stack = {start}, [start]
+        while stack:
+            for v in succ[stack.pop()]:
+                if reach[v] is not None and start in reach[v]:
+                    seen, stack = reach[v], []  # they reach each other
+                    break
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach[start] = frozenset(seen)
+    return reach
+
+
 def _components(graph: DisutilityGraph):
-    inst = graph.instance
-    g = nx.Graph()
-    g.add_nodes_from(("a", i) for i in range(inst.n))
-    g.add_nodes_from(("b", j) for j in range(inst.m))
-    g.add_edges_from((("a", i), ("b", j)) for i, j in graph.edges)
+    n, m = graph.instance.n, graph.instance.m
+    succ = [[] for _ in range(n + m)]
+    for i, j in graph.edges:
+        succ[i].append(n + j)
+        succ[n + j].append(i)
     comps = []
     lone_agents = []
     lone_chores = []
-    for nodes in nx.connected_components(g):
-        agents = tuple(sorted(i for kind, i in nodes if kind == "a"))
-        chores = tuple(sorted(j for kind, j in nodes if kind == "b"))
+    for nodes in set(_reach(succ)):
+        agents = tuple(sorted(v for v in nodes if v < n))
+        chores = tuple(sorted(v - n for v in nodes if v >= n))
         if not chores:
             lone_agents.extend(agents)
         elif not agents:
@@ -171,7 +190,9 @@ class Condition2Result:
 
     On failure, ``scc_order`` lists the strongly connected components of the
     exchange graph in topological order (sources first), which exhibits an
-    unreachable ordered pair.
+    unreachable ordered pair.  An SCC that reaches another reaches strictly
+    more components, so the order is by reach size, largest first, ties
+    broken by least member.
     """
 
     ok: bool
@@ -180,16 +201,15 @@ class Condition2Result:
 
 def check_condition2(graph: ExchangeGraph) -> Condition2Result:
     d = graph.decomposition.d
-    g = nx.DiGraph()
-    g.add_nodes_from(range(d))
-    g.add_edges_from(graph.edges)
-    if d == 0 or nx.is_strongly_connected(g):
+    succ = [[] for _ in range(d)]
+    for k, kk in graph.edges:
+        succ[k].append(kk)
+    reach = _reach(succ)
+    if all(len(r) == d for r in reach):
         return Condition2Result(ok=True)
-    cond = nx.condensation(g)
-    order = tuple(
-        frozenset(cond.nodes[node]["members"]) for node in nx.topological_sort(cond)
-    )
-    return Condition2Result(ok=False, scc_order=order)
+    sccs = {frozenset(l for l in reach[k] if k in reach[l]) for k in range(d)}
+    order = sorted(sccs, key=lambda s: (-len(reach[min(s)]), min(s)))
+    return Condition2Result(ok=False, scc_order=tuple(order))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,15 @@ def to_fraction(value) -> Fraction:
     raise Malformed(f"not a rational: {value!r}")
 
 
+def to_int(value) -> int:
+    """Return a JSON integer (an int that is not a bool) as it is; anything
+    else, integral floats and numeric strings included, raises
+    :class:`Malformed`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise Malformed(f"not an integer: {value!r}")
+
+
 @functools.lru_cache(maxsize=4096)
 def _parse_rational(text: str) -> Fraction:
     try:

@@ -32,6 +32,7 @@ from .model import (
     format_rational,
     instance_to_json,
     to_fraction,
+    to_int,
 )
 
 
@@ -451,7 +452,7 @@ def game_to_json(game: PolymatrixGame) -> dict:
 
 def game_from_json(doc: dict) -> PolymatrixGame:
     try:
-        n = int(doc["n"])
+        n = to_int(doc["n"])
         payoff = tuple(tuple(to_fraction(x) for x in row) for row in doc["payoff"])
     except KeyError as exc:
         raise Malformed(f"game document missing field {exc}") from exc
@@ -488,9 +489,9 @@ def gadget_from_json(doc: dict) -> PolymatrixGadget:
         game = game_from_json(meta["game"])
         pm = meta["params"]
         params = PPADGadgetParams(
-            n=int(pm["n"]),
-            c=int(pm["c"]),
-            K=int(pm["K"]),
+            n=to_int(pm["n"]),
+            c=to_int(pm["c"]),
+            K=to_int(pm["K"]),
             alpha=tuple(to_fraction(a) for a in pm["alpha"]),
             delta=tuple(to_fraction(d) for d in pm["delta"]),
             tau=to_fraction(pm["tau"]),

@@ -30,6 +30,7 @@ from .model import (
     format_rational,
     instance_to_json,
     to_fraction,
+    to_int,
 )
 
 
@@ -46,7 +47,7 @@ class CNFFormula:
     clauses: Tuple[Tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.num_vars <= 0:
+        if to_int(self.num_vars) <= 0:
             raise Malformed("formula needs at least one variable")
         clauses = tuple(tuple(c) for c in self.clauses)
         object.__setattr__(self, "clauses", clauses)
@@ -57,7 +58,7 @@ class CNFFormula:
                 raise Malformed("every clause must have exactly three literals")
             seen = set()
             for lit in clause:
-                if not isinstance(lit, int) or lit == 0:
+                if to_int(lit) == 0:
                     raise Malformed("literals are nonzero signed integers")
                 var = abs(lit)
                 if var > self.num_vars:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -268,12 +269,20 @@ class TestSatCommands:
         eq = tmp_path / "eq.json"
         run("gen-sat", "--cnf", paths["cnf"], "-o", str(gadget))
         run("sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "111", "-o", str(eq))
-        doc = json.loads(gadget.read_text())
-        del doc["metadata"]["params"]["eps"]
-        gadget.write_text(json.dumps(doc))
+        text = gadget.read_text()
         argv = ["sat-readback", "--instance", str(gadget), "--equilibrium", str(eq)]
+        bad = json.loads(text)
+        del bad["metadata"]["params"]["eps"]
+        gadget.write_text(json.dumps(bad))
         assert run(*argv) == 2
         assert "eps" in capsys.readouterr().err
+        # A float variable count and a bool literal are not JSON integers.
+        for field, value in (("num_vars", 3.0), ("clauses", [[True, -2, 3]])):
+            bad = json.loads(text)
+            bad["metadata"]["formula"][field] = value
+            gadget.write_text(json.dumps(bad))
+            assert run(*argv) == 2
+            assert "not an integer" in capsys.readouterr().err
 
     def test_expand_equal_earnings(self, paths, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -344,9 +353,14 @@ class TestPolymatrixCommands:
         strategy.write_text(json.dumps({"y": [1.0, 0.0]}))
         argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
         assert run(*argv) == 2
+        doc = json.loads(Path(paths["game"]).read_text())
         game = tmp_path / "game.json"
         game.write_text(json.dumps({"n": "two", "payoff": []}))
         assert run("gen-polymatrix", "--game", str(game)) == 2
+        # A size must be a JSON integer, never truncated or parsed.
+        for n in (2.7, 2.0, "2", True):
+            game.write_text(json.dumps(dict(doc, n=n)))
+            assert run("gen-polymatrix", "--game", str(game)) == 2
 
 
 class TestNonFiniteFloats:

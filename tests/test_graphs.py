@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from choremarket import graphs
 from choremarket.errors import WrongVariant
 from choremarket.graphs import (
+    Component,
+    ComponentDecomposition,
+    Condition2Result,
+    ExchangeGraph,
     build_disutility_graph,
     build_exchange_graph,
     check_condition1,
@@ -131,3 +136,96 @@ class TestCheckConditions:
     def test_fixed_earnings_via_exchange_equivalent(self):
         inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [1, 1])
         assert check_conditions(inst).ok
+
+
+# The networkx build of the two checks, kept as a reference.
+
+
+def nx_components(nx, graph):
+    inst = graph.instance
+    g = nx.Graph()
+    g.add_nodes_from(("a", i) for i in range(inst.n))
+    g.add_nodes_from(("b", j) for j in range(inst.m))
+    g.add_edges_from((("a", i), ("b", j)) for i, j in graph.edges)
+    comps = []
+    lone_agents = []
+    lone_chores = []
+    for nodes in nx.connected_components(g):
+        agents = tuple(sorted(i for kind, i in nodes if kind == "a"))
+        chores = tuple(sorted(j for kind, j in nodes if kind == "b"))
+        if not chores:
+            lone_agents.extend(agents)
+        elif not agents:
+            lone_chores.extend(chores)
+        else:
+            comps.append(Component(agents, chores))
+    comps.sort(key=lambda c: c.agents[0])
+    return comps, sorted(lone_agents), sorted(lone_chores)
+
+
+def nx_check_condition2(nx, graph):
+    d = graph.decomposition.d
+    g = nx.DiGraph()
+    g.add_nodes_from(range(d))
+    g.add_edges_from(graph.edges)
+    if d == 0 or nx.is_strongly_connected(g):
+        return Condition2Result(ok=True)
+    cond = nx.condensation(g)
+    order = tuple(
+        frozenset(cond.nodes[node]["members"]) for node in nx.topological_sort(cond)
+    )
+    return Condition2Result(ok=False, scc_order=order)
+
+
+def random_market(rng):
+    """Small exchange market with sparse endowments.  Half the draws put each
+    agent in one of three groups and let it do its group's chores, which
+    mostly passes Condition 1; the other half draw doable pairs
+    independently."""
+    n, m = rng.randint(1, 7), rng.randint(1, 7)
+    if rng.random() < 0.5:
+        mine = [rng.randrange(3) for _ in range(n)]
+        group = [rng.choice(mine) for _ in range(m)]
+        doable = [[group[j] == mine[i] for j in range(m)] for i in range(n)]
+    else:
+        doable = [[rng.random() < 0.4 for _ in range(m)] for _ in range(n)]
+    w = [[int(rng.random() < 0.3) for _ in range(m)] for _ in range(n)]
+    for j in range(m):
+        w[rng.randrange(n)][j] = 1
+    return exchange_instance(
+        10, [[1 if ok else None for ok in row] for row in doable], w
+    )
+
+
+class TestAgainstNetworkx:
+    def test_random_markets(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3)
+        evaluated = 0
+        for _ in range(3000):
+            inst = random_market(rng)
+            dg = build_disutility_graph(inst)
+            with monkeypatch.context() as mp:
+                mp.setattr(graphs, "_components", lambda g: nx_components(nx, g))
+                expected = check_condition1(dg)
+            c1 = check_condition1(dg)
+            assert c1 == expected
+            if not c1.ok:
+                continue
+            evaluated += 1
+            eg = build_exchange_graph(inst, c1.decomposition)
+            c2, ref = check_condition2(eg), nx_check_condition2(nx, eg)
+            assert c2.ok == ref.ok
+            if ref.ok:
+                continue
+            assert set(c2.scc_order) == set(ref.scc_order)
+            # Sources first: no edge leads back to an earlier SCC.
+            pos = {k: p for p, scc in enumerate(c2.scc_order) for k in scc}
+            assert all(pos[k] <= pos[kk] for k, kk in eg.edges)
+        assert evaluated > 500
+
+    def test_tie_order(self):
+        # networkx gives ({0}, {2}, {1}); the reach-size order puts {2} first.
+        dec = ComponentDecomposition(tuple(Component((k,), (k,)) for k in range(3)))
+        res = check_condition2(ExchangeGraph(dec, frozenset({(2, 1), (2, 2)})))
+        assert res.scc_order == (frozenset({2}), frozenset({0}), frozenset({1}))

@@ -180,6 +180,15 @@ class TestGadgetStructure:
         with pytest.raises(NotGadget):
             gadget_from_json(instance_to_json(g.instance))
 
+    @pytest.mark.parametrize("field", ["n", "c", "K"])
+    def test_non_integer_size_is_malformed(self, field):
+        doc = gadget_to_json(build_polymatrix_gadget(GAME2))
+        params = doc["metadata"]["params"]
+        for bad in (params[field] + 0.5, float(params[field]), str(params[field]), True):
+            params[field] = bad
+            with pytest.raises(Malformed, match="not an integer"):
+                gadget_from_json(doc)
+
 
 class TestRecovery:
     def test_synthetic_endpoints_give_pure_pairs(self):
