@@ -357,7 +357,7 @@ def _build_parser():
     p.add_argument("--tol-mpb", type=_tolerance, default=verification.TOL_MPB)
     p.add_argument("--tol-clearing", type=_tolerance, default=verification.TOL_CLEARING)
 
-    p = add("enumerate", _cmd_enumerate, "enumerate all equilibrium price rays")
+    p = add("enumerate", _cmd_enumerate, "one verified equilibrium price ray per pattern")
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", default="0")
     p.add_argument("--cap", type=int, default=enumeration.PATTERN_CAP)

@@ -3,10 +3,16 @@
 Every equilibrium induces a pattern: for each agent, the set of chores tied at
 the minimum pain-per-buck ratio.  For each candidate pattern we solve one
 exact LP -- maximizing a slack that keeps prices positive and the off-pattern
-ratios strictly worse -- and read an equilibrium off any strictly feasible
-solution.  Trying every pattern that could hold an equilibrium is therefore
-complete, and every returned candidate is re-verified, so the output is
-exactly the set of equilibrium price rays.
+ratios strictly worse -- and read an equilibrium off its optimal vertex when
+the slack is positive.  The ties of a pattern's sets fix the price ratios
+inside each tie class, so the LP has one price variable per class and no tie
+rows; this change of variables keeps the feasible set and the optimal slack
+of the LP over one price per chore (see :func:`_pattern_lp`).  Every pattern
+that could hold an equilibrium is tried and every returned candidate is
+re-verified, so the output is one verified equilibrium price ray per pattern
+that has an equilibrium.  That is every equilibrium ray only when each such
+pattern's price ray is unique: a pattern can hold a whole segment of rays, of
+which the LP's vertex is one.
 
 Patterns come from a backtracking search over agents.  Each agent's set fixes
 price ratios: members tie with the set's first chore, and the agent's other
@@ -19,9 +25,10 @@ ratio bounds strictly, and no such prices exist past a bad cycle; an
 uncovered chore cannot clear at a positive price.  So the search loses no
 equilibrium, for any ``epsilon``.
 
-:func:`enumerate_equilibria` (every ray), :func:`exists_equilibrium` (the
-first hit) and :func:`choremarket.fixedpoint.solve` (the first hit within an
-LP budget) all walk this one search through the private :func:`_search`.
+:func:`enumerate_equilibria` (one ray per pattern with a hit),
+:func:`exists_equilibrium` (the first hit) and
+:func:`choremarket.fixedpoint.solve` (the first hit within an LP budget) all
+walk this one search through the private :func:`_search`.
 """
 
 from __future__ import annotations
@@ -38,13 +45,14 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
-    chore_supply,
     normalize_prices,
 )
 from .verification import verify_equilibrium
 
 #: Default cap on the number of candidate patterns.
 PATTERN_CAP = 10**6
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,10 @@ class _IntegerView:
     coefficients or None, rhs)`` of the budget row, whose flows have
     coefficient ``scale``: exchange rows are the negated endowment row times
     the lcm of its denominators, fixed-earnings rows have the earning on the
-    right.  ``clearing[j]`` lists chore ``j``'s rows as ``(relation, scale,
-    price coefficient)``, flows again at ``scale``.  Divided by its scale,
-    each row is the rational row of the pattern LP.
+    right.  ``clearing[j]`` lists chore ``j``'s rows as ``(relation, flow
+    coefficient, price coefficient, scale)`` with right side 0; the lower
+    bound at ``epsilon > 0`` is stored negated as a ``<=`` row.  Divided by
+    its scale, each row is the rational row of the pattern LP.
     """
 
     def __init__(self, inst: Instance, epsilon: Fraction):
@@ -122,31 +131,96 @@ class _IntegerView:
         else:
             self.budget = [(e.denominator, None, e.numerator) for e in inst.earning]
         if epsilon == 0:
-            factors = [(lp.EQ, Fraction(1))]
+            factors = [(lp.EQ, 1, Fraction(1))]
         else:
-            factors = [(lp.GE, 1 - epsilon), (lp.LE, 1 / (1 - epsilon))]
+            # flows >= (1 - eps) supply p, negated so its slack starts basic.
+            factors = [(lp.LE, -1, 1 - epsilon), (lp.LE, 1, 1 / (1 - epsilon))]
         self.clearing = []
-        for j in range(inst.m):
-            supply = chore_supply(inst, j)
+        for supply in inst.supplies:
             rows = []
-            for rel, factor in factors:
+            for rel, sign, factor in factors:
                 bound = factor * supply
-                rows.append((rel, bound.denominator, -bound.numerator))
+                rows.append(
+                    (rel, sign * bound.denominator, -sign * bound.numerator, bound.denominator)
+                )
             self.clearing.append(rows)
 
 
-def _pattern_lp(view: _IntegerView, pattern) -> lp.LinearProgram:
-    """Build the strict-feasibility LP for one pattern.
+def _tie_classes(view: _IntegerView, pattern):
+    """One price variable per tie class of the pattern's MPB sets.
 
-    Variables: prices ``p_j``, flows ``f_ij`` for ``j`` in the agent's
-    pattern set, and one slack ``s`` (maximized).  Feasible with positive
-    optimum iff the pattern supports an equilibrium.
+    Returns ``(cls, mult, tangled)``: chore ``j``'s price is ``mult[j] *
+    q[cls[j]]`` with positive integer ``mult``, classes are numbered by
+    their smallest chore, and ``tangled`` lists the classes whose ties meet
+    at two different ratios, which only zero prices satisfy.
     """
     m = view.inst.m
+    parent = list(range(m))
+    weight = [1] * m  # p_x = weight[x] * p_parent[x]
+
+    def find(x):
+        w = 1
+        while parent[x] != x:
+            w *= weight[x]
+            x = parent[x]
+        return x, w
+
+    clashes = []
+    for i, members in enumerate(pattern):
+        d = view.disutility[i][0]
+        rep = min(members, default=None)
+        for j in members:
+            if j == rep:
+                continue
+            r, wr = find(rep)
+            x, wx = find(j)
+            tie = Fraction(d[j], d[rep]) * wr  # p_j = tie * p_r
+            if x == r:
+                if wx != tie:
+                    clashes.append(r)
+            elif r < x:
+                parent[x], weight[x] = r, tie / wx
+            else:
+                parent[r], weight[r] = x, wx / tie
+    found = [find(j) for j in range(m)]
+    den = {}
+    for root, w in found:
+        den[root] = lcm(den.get(root, 1), w.denominator)
+    # The root has weight 1, so these multipliers have no common factor.
+    mult = [w.numerator * (den[root] // w.denominator) for root, w in found]
+    number = {root: c for c, root in enumerate(sorted(den))}
+    cls = [number[root] for root, _ in found]
+    tangled = sorted({number[find(r)[0]] for r in clashes})
+    return cls, mult, tangled
+
+
+def _pattern_lp(view: _IntegerView, pattern):
+    """Build the strict-feasibility LP for one pattern, and its price map.
+
+    Variables: one price ``q_c`` per tie class (see :func:`_tie_classes`),
+    flows ``f_ij`` for ``j`` in the agent's pattern set, and one slack
+    ``s`` (maximized).  Feasible with positive optimum iff the pattern
+    supports an equilibrium.
+
+    This is the program over prices ``p_j`` with a tie row
+    ``d_ir p_j = d_ij p_r`` per MPB set member and ``p_j >= s`` per chore,
+    rewritten through ``p_j = mult_j q_cls(j)``: the map is a bijection
+    between the nonnegative ``q`` and the nonnegative ``p`` that meet the
+    ties (a tangled class gets the row ``q_c <= 0``, as its ties force its
+    prices to 0), so the tie rows go, and with ``q_c >= 0`` the smallest
+    multiplier's row ``mult q_c >= s`` implies the rest of its class.
+    Feasible set and optimal slack are therefore those of the price program.
+    Every ``>=`` row with right side 0 is written negated as a ``<=`` row,
+    so its slack starts basic and it needs no artificial column.
+
+    Returns the program and ``(cls, mult)``.
+    """
+    m = view.inst.m
+    cls, mult, tangled = _tie_classes(view, pattern)
     members = [sorted(s) for s in pattern]
     takers = [[] for _ in range(m)]  # flow variables of each chore
     first = []  # each agent's first flow variable
-    k = m
+    k = max(cls) + 1
     for mem in members:
         first.append(k)
         for j in mem:
@@ -161,26 +235,21 @@ def _pattern_lp(view: _IntegerView, pattern) -> lp.LinearProgram:
         if mem:
             d, scale = view.disutility[i]
             rep = mem[0]
-            # Equal ratios inside the pattern: d(i,rep) p_j = d(i,j) p_rep.
-            for j in mem[1:]:
-                r = zero[:]
-                r[j] = d[rep]
-                r[rep] = -d[j]
-                cons.append(lp.Constraint(tuple(r), lp.EQ, 0, scale))
             # Strictly worse ratios outside: d(i,rep) p_j' + s <= d(i,j') p_rep.
             for j in view.finite[i]:
                 if j in pattern[i]:
                     continue
                 r = zero[:]
-                r[j] = d[rep]
-                r[rep] = -d[j]
+                r[cls[j]] += d[rep] * mult[j]
+                r[cls[rep]] -= d[j] * mult[rep]
                 r[slack] = scale
                 cons.append(lp.Constraint(tuple(r), lp.LE, 0, scale))
         # Budget: sum of flows equals the agent's budget.
         scale, prices, rhs = view.budget[i]
         r = zero[:]
         if prices is not None:
-            r[:m] = prices
+            for j, x in enumerate(prices):
+                r[cls[j]] += x * mult[j]
         for k in range(first[i], first[i] + len(mem)):
             r[k] = scale
         cons.append(lp.Constraint(tuple(r), lp.EQ, rhs, scale))
@@ -188,45 +257,57 @@ def _pattern_lp(view: _IntegerView, pattern) -> lp.LinearProgram:
     # Clearing: the flows into chore j against its supply value (within
     # the epsilon band when epsilon > 0).
     for j in range(m):
-        for rel, scale, coeff in view.clearing[j]:
+        for rel, flow, coeff, scale in view.clearing[j]:
             r = zero[:]
             for k in takers[j]:
-                r[k] = scale
-            r[j] = coeff
+                r[k] = flow
+            r[cls[j]] = coeff * mult[j]
             cons.append(lp.Constraint(tuple(r), rel, 0, scale))
 
-    # Positive prices: p_j >= s for every chore.
-    for j in range(m):
+    # Positive prices: s - mult q_c <= 0 for each class's smallest
+    # multiplier, and q_c <= 0 for a tangled class.
+    low = {}
+    for c, x in zip(cls, mult):
+        low[c] = min(x, low.get(c, x))
+    for c, x in low.items():
         r = zero[:]
-        r[j] = 1
-        r[slack] = -1
-        cons.append(lp.Constraint(tuple(r), lp.GE, 0))
+        r[c] = -x
+        r[slack] = 1
+        cons.append(lp.Constraint(tuple(r), lp.LE, 0))
+    for c in tangled:
+        r = zero[:]
+        r[c] = 1
+        cons.append(lp.Constraint(tuple(r), lp.LE, 0))
 
     if view.inst.variant == EXCHANGE:
         # Fix the scale of the price ray; fixed-earnings budgets pin it already.
-        cons.append(lp.Constraint((1,) * m + (0,) * (num - m), lp.EQ, 1))
+        r = zero[:]
+        for c, x in zip(cls, mult):
+            r[c] += x
+        cons.append(lp.Constraint(tuple(r), lp.EQ, 1))
 
     obj = zero[:]
     obj[slack] = 1
-    return lp.LinearProgram(num, tuple(cons), tuple(obj))
+    return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult)
 
 
 def _solve_pattern(view: _IntegerView, pattern) -> Optional[EnumeratedEquilibrium]:
     inst = view.inst
-    result = lp.lp_solve(_pattern_lp(view, pattern))
+    program, (cls, mult) = _pattern_lp(view, pattern)
+    result = lp.lp_solve(program)
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
     point = result.point
-    prices = list(point[: inst.m])
     m = inst.m
-    flow = [[Fraction(0)] * m for _ in range(inst.n)]
-    k = m
+    prices = [x * point[c] for c, x in zip(cls, mult)]
+    flow = [[_ZERO] * m for _ in range(inst.n)]
+    k = max(cls) + 1
     for i in range(inst.n):
         for j in sorted(pattern[i]):
             flow[i][j] = point[k]
             k += 1
     allocation = [
-        [flow[i][j] / prices[j] for j in range(m)] for i in range(inst.n)
+        [f / p if f else _ZERO for f, p in zip(row, prices)] for row in flow
     ]
     cand = EquilibriumCandidate(prices, allocation, flow=tuple(map(tuple, flow)))
     if not verify_equilibrium(inst, cand, view.epsilon).ok:
@@ -350,7 +431,8 @@ def enumerate_equilibria(
     epsilon: Fraction = Fraction(0),
     cap: int = PATTERN_CAP,
 ) -> EquilibriumSet:
-    """All equilibrium price rays (one witness allocation per ray).
+    """One verified equilibrium price ray per pattern that has an
+    equilibrium, with a witness allocation; duplicate rays are kept once.
 
     Raises :class:`PatternBudgetExceeded` when the pattern space is larger
     than ``cap``.

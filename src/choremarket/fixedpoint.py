@@ -107,7 +107,7 @@ def rescale_to_unit_supply(inst: Instance) -> Tuple[Instance, Tuple[Fraction, ..
     """
     if inst.variant != EXCHANGE:
         raise WrongVariant("supply rescaling applies to exchange instances")
-    supplies = tuple(chore_supply(inst, j) for j in range(inst.m))
+    supplies = inst.supplies
     d = [
         [None if x is None else x * supplies[j] for j, x in enumerate(row)]
         for row in inst.disutility
@@ -146,7 +146,7 @@ def initial_prices(inst: Instance, dec: ComponentDecomposition) -> Tuple[Fractio
     """
     if inst.variant != EXCHANGE:
         raise WrongVariant("the price map requires the exchange variant")
-    if any(chore_supply(inst, j) != 1 for j in range(inst.m)):
+    if any(supply != 1 for supply in inst.supplies):
         raise Malformed("operation requires unit chore supplies")
     if dec.d == 0:
         raise ConstructionFailed("no components to price")

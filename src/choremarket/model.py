@@ -171,6 +171,15 @@ class Instance:
     def m(self) -> int:
         return len(self.disutility[0])
 
+    @functools.cached_property
+    def supplies(self) -> tuple:
+        """Total amount of each chore that must be done: the ``supply`` of
+        a fixed-earnings market, an exchange market's endowment column
+        sums, computed once per instance."""
+        if self.variant == FIXED_EARNINGS:
+            return self.supply
+        return tuple(sum(col) for col in zip(*self.endowment))
+
     def finite_chores(self, agent: int) -> tuple:
         """Indices of chores agent can do (disutility below the threshold)."""
         return tuple(j for j, dij in enumerate(self.disutility[agent]) if dij is not None)
@@ -254,9 +263,7 @@ def chore_supply(inst: Instance, chore: int) -> Fraction:
     """Total amount of the chore that must be done."""
     if not 0 <= chore < inst.m:
         raise DimensionMismatch(f"chore index {chore} out of range")
-    if inst.variant == FIXED_EARNINGS:
-        return inst.supply[chore]
-    return sum(row[chore] for row in inst.endowment)
+    return inst.supplies[chore]
 
 
 EXACT = "exact"

@@ -19,7 +19,6 @@ from .model import (
     EquilibriumCandidate,
     Instance,
     agent_budget,
-    chore_supply,
 )
 from . import lp
 
@@ -155,8 +154,7 @@ def verify_equilibrium(
                 f"agent {i} earns {earned} but owes {budget}"
             )
 
-    for j in range(inst.m):
-        supply = chore_supply(inst, j)
+    for j, supply in enumerate(inst.supplies):
         done = total(row[j] for row in X)
         lo = (1 - epsilon) * supply
         hi = supply / (1 - epsilon)
@@ -308,8 +306,9 @@ def check_pareto(inst: Instance, allocation) -> ParetoResult:
                 raise Infeasible(f"assignment uses forbidden pair ({i}, {j})")
             if allocation[i][j] < 0:
                 raise Infeasible("assignment entries must be nonnegative")
+    supplies = inst.supplies
     for j in range(inst.m):
-        if sum(row[j] for row in allocation) != chore_supply(inst, j):
+        if sum(row[j] for row in allocation) != supplies[j]:
             raise Infeasible(f"chore {j} is not exactly fully assigned")
 
     profile = disutility_profile(inst, allocation)
@@ -325,7 +324,7 @@ def check_pareto(inst: Instance, allocation) -> ParetoResult:
                 k = index.get((i, j))
                 if k is not None:
                     row[k] = Fraction(1)
-            cons.append(lp.constraint(row, lp.EQ, chore_supply(inst, j)))
+            cons.append(lp.constraint(row, lp.EQ, supplies[j]))
         for i in range(inst.n):
             if i == t:
                 continue

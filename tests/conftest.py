@@ -84,3 +84,32 @@ def covering_patterns(inst):
         return []
     chores = frozenset(range(inst.m))
     return [p for p in product(*options) if frozenset().union(*p) == chores]
+
+
+def fixed_earnings_twin(inst):
+    """The fixed-earnings market with an exchange market's disutilities,
+    its endowment row sums as earnings and its column sums as supplies."""
+    return fixed_earnings_instance(
+        inst.tau,
+        inst.disutility,
+        [sum(row) for row in inst.endowment],
+        [sum(col) for col in zip(*inst.endowment)],
+    )
+
+
+#: Markets whose every covering pattern the pattern-program tests solve: the
+#: four fixtures, the 50 seeds (by number) and each seed's fixed-earnings twin.
+PATTERN_MARKETS = (
+    ["warmup", "intro", "example1", "example2"]
+    + list(range(50))
+    + [f"twin{k}" for k in range(50)]
+)
+
+
+def pattern_market(name, request):
+    """The market named in :data:`PATTERN_MARKETS`."""
+    if isinstance(name, int):
+        return random_conditioned_instance(random.Random(name))
+    if name.startswith("twin"):
+        return fixed_earnings_twin(random_conditioned_instance(random.Random(int(name[4:]))))
+    return request.getfixturevalue(name)

@@ -5,19 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+from choremarket import lp
 from choremarket.enumeration import (
     PATTERN_CAP,
     _IntegerView,
+    _pattern_lp,
     _patterns,
     _solve_pattern,
     enumerate_equilibria,
     exists_equilibrium,
 )
 from choremarket.errors import Malformed, PatternBudgetExceeded
-from choremarket.model import fixed_earnings_instance
+from choremarket.model import EXCHANGE, fixed_earnings_instance, normalize_prices
 from choremarket.verification import verify_equilibrium
 
-from conftest import covering_patterns, random_conditioned_instance
+from conftest import (
+    PATTERN_MARKETS,
+    covering_patterns,
+    pattern_market,
+    random_conditioned_instance,
+)
 
 F = Fraction
 
@@ -137,3 +144,98 @@ class TestPatternSearch:
         pattern = (frozenset({0, 1}), frozenset({1, 2}), frozenset(last))
         assert pattern in covering_patterns(inst)
         assert (pattern in set(_patterns(inst, PATTERN_CAP))) == kept
+
+
+def _price_program(inst, epsilon, pattern):
+    """The pattern LP over one price per chore, in rationals: prices ``p_j``,
+    then each agent's flows in chore order, then the slack ``s``.  Each MPB
+    set ties its members to its smallest chore ``r`` (``d_ir p_j = d_ij
+    p_r``), keeps the agent's other finite chores strictly worse (``d_ir p_j
+    + s <= d_ij p_r``), and every price is at least ``s``.  The reference
+    for :func:`_pattern_lp`'s reduced program."""
+    m = inst.m
+    flows = [(i, j) for i, members in enumerate(pattern) for j in sorted(members)]
+    num = m + len(flows) + 1
+    slack = num - 1
+    cons = []
+
+    def row(entries, rel, rhs=0):
+        coeffs = [F(0)] * num
+        for k, x in entries:
+            coeffs[k] += x
+        cons.append(lp.constraint(coeffs, rel, rhs))
+
+    for i, members in enumerate(pattern):
+        d = inst.disutility[i]
+        if members:
+            rep = min(members)
+            for j in inst.finite_chores(i):
+                if j in members:
+                    row([(j, d[rep]), (rep, -d[j])], lp.EQ)
+                else:
+                    row([(j, d[rep]), (rep, -d[j]), (slack, 1)], lp.LE)
+        own = [(m + k, 1) for k, (a, _) in enumerate(flows) if a == i]
+        if inst.variant == EXCHANGE:
+            row(own + [(j, -w) for j, w in enumerate(inst.endowment[i])], lp.EQ)
+        else:
+            row(own, lp.EQ, inst.earning[i])
+    for j, supply in enumerate(inst.supplies):
+        into = [(m + k, 1) for k, (_, b) in enumerate(flows) if b == j]
+        if epsilon == 0:
+            row(into + [(j, -supply)], lp.EQ)
+        else:
+            row(into + [(j, -(1 - epsilon) * supply)], lp.GE)
+            row(into + [(j, -supply / (1 - epsilon))], lp.LE)
+    for j in range(m):
+        row([(j, 1), (slack, -1)], lp.GE)
+    if inst.variant == EXCHANGE:
+        row([(j, 1) for j in range(m)], lp.EQ, 1)
+    objective = [F(0)] * num
+    objective[slack] = F(1)
+    return lp.LinearProgram(num, tuple(cons), tuple(objective))
+
+
+class TestReducedProgram:
+    """The pattern LP with one price per tie class and no artificial column
+    for zero-right-side ``>=`` rows has the price program's status and
+    optimal slack on every covering pattern, cut or kept."""
+
+    @pytest.mark.parametrize("name", PATTERN_MARKETS)
+    def test_same_optimum_as_price_program(self, name, request):
+        inst = pattern_market(name, request)
+        for epsilon in (F(0), F(1, 10)):
+            view = _IntegerView(inst, epsilon)
+            for pattern in covering_patterns(inst):
+                reduced = lp.lp_solve(_pattern_lp(view, pattern)[0])
+                reference = lp.lp_solve(_price_program(inst, epsilon, pattern))
+                assert (reduced.status, reduced.value) == (
+                    reference.status,
+                    reference.value,
+                ), pattern
+
+    # Three chores tied pairwise by three agents: p1 = 2 p0, p2 = 3 p1 and
+    # p2 = c p0, so the ties meet at one ratio exactly when c = 6.
+    PATTERN = (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+
+    @staticmethod
+    def _triangle(c):
+        return fixed_earnings_instance(
+            10, [[1, 2, None], [None, 1, 3], [1, None, c]], [1, 1, 1]
+        )
+
+    @pytest.mark.parametrize("c", [5, 7, F(13, 2)])
+    def test_tangled_ties_have_no_equilibrium(self, c):
+        inst = self._triangle(c)
+        view = _IntegerView(inst, F(0))
+        assert _solve_pattern(view, self.PATTERN) is None
+        reduced = lp.lp_solve(_pattern_lp(view, self.PATTERN)[0])
+        reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
+        assert (reduced.status, reduced.value) == (reference.status, reference.value)
+
+    def test_ties_at_one_ratio_keep_the_price_programs_ray(self):
+        inst = self._triangle(6)
+        hit = _solve_pattern(_IntegerView(inst, F(0)), self.PATTERN)
+        reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
+        assert hit is not None and reference.value > 0
+        assert hit.ray == normalize_prices(reference.point[: inst.m])
+        assert hit.ray == (F(1, 9), F(2, 9), F(2, 3))
