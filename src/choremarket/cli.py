@@ -309,8 +309,8 @@ def _cmd_recover_strategy(args):
 def _cmd_verify_polymatrix(args):
     game = polymatrix.game_from_json(load_json(args.game))
     doc = load_json(args.strategy)
-    if not isinstance(doc, dict) or "x" not in doc:
-        raise Malformed('strategy document must be an object with field "x"')
+    if not isinstance(doc, dict) or not isinstance(doc.get("x"), list):
+        raise Malformed('strategy document must be an object whose field "x" is an array')
     verdict = polymatrix.verify_polymatrix_equilibrium(game, doc["x"], slack=args.slack)
     _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)
     return 0 if verdict.ok else 1

@@ -307,7 +307,7 @@ class EquilibriumCandidate:
 
     ``mode`` tags the numeric representation: ``"exact"`` candidates carry
     Fractions and are compared exactly, ``"float"`` candidates carry finite
-    binary floats and are verified within tolerances.
+    real numbers, never bools, and are verified within tolerances.
     """
 
     prices: tuple
@@ -334,12 +334,12 @@ class EquilibriumCandidate:
         elif self.mode == EXACT and not _rational(chain(self.prices, *self.allocation)):
             raise Malformed("exact candidate entries must be rational numbers")
         if self.mode == FLOAT:
-            entries = chain(self.prices, *self.allocation, *(self.flow or ()))
+            entries = tuple(chain(self.prices, *self.allocation, *(self.flow or ())))
             try:
                 finite = all(map(math.isfinite, entries))
             except TypeError:  # None, strings and other non-numbers
                 finite = False
-            if not finite:
+            if not finite or bool in map(type, entries):
                 raise Malformed("float candidate entries must be finite real numbers")
 
     @property
@@ -375,7 +375,8 @@ def _decode_value(value, mode: str):
     if value is None:
         return None
     if mode == FLOAT:
-        return float(value)
+        # A bool stays a bool, for EquilibriumCandidate to reject.
+        return value if value is True or value is False else float(value)
     return to_fraction(value)
 
 

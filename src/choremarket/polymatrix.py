@@ -80,11 +80,12 @@ def verify_polymatrix_equilibrium(
     one; whenever one strategy of a pair beats the other by more than
     ``1/n``, the losing strategy must carry no weight.  Weights are numbers
     or rational strings (see :func:`model.to_fraction`), read as floats; any
-    other weight, or a NaN, infinite or out-of-float-range one, is
-    :class:`Malformed`.
+    other weight, a bool included, or a NaN, infinite or out-of-float-range
+    one, is :class:`Malformed`.
     """
     try:
-        x = [float(to_fraction(v)) if isinstance(v, str) else float(v) for v in x]
+        # to_fraction parses strings and rejects bools, which float() reads as 1 and 0.
+        x = [float(to_fraction(v)) if isinstance(v, (str, bool)) else float(v) for v in x]
     except (TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"bad strategy weight: {exc}") from exc
     size = 2 * game.n

@@ -171,19 +171,15 @@ class SATGadget:
 
 
 def balancer_earning(clause: Tuple[int, int, int], params: SATGadgetParams) -> Fraction:
-    """Earning of the clause's balancing agent."""
+    """Earning of the clause's balancing agent.
+
+    With its three literal agents, who earn ``eps`` each, a clause's four
+    agents earn ``pos * 3 eps / 2 + neg * 2 eps - eps_prime``, where
+    ``pos``/``neg`` count its positive/negated literals.
+    """
     pos = sum(1 for lit in clause if lit > 0)
     neg = 3 - pos
     return pos * params.eps / 2 + neg * params.eps - params.eps_prime
-
-
-def clause_money(clause: Tuple[int, int, int], params: SATGadgetParams) -> Fraction:
-    """Total earning of a clause's four agents.
-
-    Equals ``pos * 3 eps / 2 + neg * 2 eps - eps_prime`` where ``pos``/``neg``
-    count positive/negated literals.
-    """
-    return 3 * params.eps + balancer_earning(clause, params)
 
 
 def build_sat_gadget(

@@ -219,23 +219,25 @@ def _exact_candidate(cand: EquilibriumCandidate) -> EquilibriumCandidate:
     )
 
 
+def _bundle_disutility(inst: Instance, agent: int, row) -> Optional[Fraction]:
+    """Disutility ``agent`` suffers for the bundle ``row``; ``None`` when the
+    bundle holds a chore the agent cannot do."""
+    total = Fraction(0)
+    for j in range(inst.m):
+        x = row[j]
+        if x == 0:
+            continue
+        d = inst.disutility[agent][j]
+        if d is None:
+            return None
+        total += d * x
+    return total
+
+
 def disutility_profile(inst: Instance, allocation) -> Tuple[Optional[Fraction], ...]:
     """Total disutility each agent suffers; ``None`` when a forbidden chore
     is touched."""
-    profile = []
-    for i in range(inst.n):
-        total = Fraction(0)
-        for j in range(inst.m):
-            x = allocation[i][j]
-            if x == 0:
-                continue
-            d = inst.disutility[i][j]
-            if d is None:
-                total = None
-                break
-            total += d * x
-        profile.append(total)
-    return tuple(profile)
+    return tuple(_bundle_disutility(inst, i, allocation[i]) for i in range(inst.n))
 
 
 def fairness_report(inst: Instance, cand: EquilibriumCandidate) -> FairnessReport:
@@ -258,16 +260,7 @@ def fairness_report(inst: Instance, cand: EquilibriumCandidate) -> FairnessRepor
             if other == i or budgets[other] == 0:
                 continue
             lhs = None if profile[i] is None else profile[i] / budgets[i]
-            cross = Fraction(0)
-            for j in range(inst.m):
-                x = cand.allocation[other][j]
-                if x == 0:
-                    continue
-                d = inst.disutility[i][j]
-                if d is None:
-                    cross = None
-                    break
-                cross += d * x
+            cross = _bundle_disutility(inst, i, cand.allocation[other])
             rhs = None if cross is None else cross / budgets[other]
             if rhs is None:
                 ok = True

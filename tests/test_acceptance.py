@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from choremarket.enumeration import enumerate_equilibria, exists_equilibrium
-from choremarket.fixedpoint import SolverConfig, solve, stochastic_null_vector
+from choremarket.fixedpoint import SolverConfig, solve
 from choremarket.graphs import check_conditions
 from choremarket.lp import OPTIMAL
 from choremarket.model import EXACT, chore_supply, fixed_earnings_instance, normalize_prices
@@ -27,6 +27,7 @@ from choremarket.sat_reduction import (
 from choremarket.verification import disutility_profile, verify_equilibrium
 
 from conftest import random_conditioned_instance
+from proofmap import stochastic_null_vector
 from test_lp import _oracle, _random_program
 from test_lp import solve as lp_solve
 from test_polymatrix import GAME2, synthetic_endpoint_prices

@@ -350,9 +350,11 @@ class TestPolymatrixCommands:
 
     def test_bad_strategy_and_game_are_usage_errors(self, paths, tmp_path):
         strategy = tmp_path / "x.json"
-        strategy.write_text(json.dumps({"y": [1.0, 0.0]}))
         argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
-        assert run(*argv) == 2
+        # No "x", and an "x" that is a string rather than an array of weights.
+        for doc in ({"y": [1.0, 0.0]}, {"x": "1010"}):
+            strategy.write_text(json.dumps(doc))
+            assert run(*argv) == 2
         doc = json.loads(Path(paths["game"]).read_text())
         game = tmp_path / "game.json"
         game.write_text(json.dumps({"n": "two", "payoff": []}))
@@ -364,11 +366,11 @@ class TestPolymatrixCommands:
 
 
 class TestNonFiniteFloats:
-    """NaN, infinite and out-of-float-range numbers are bad input, never a
-    passing check or a traceback."""
+    """NaN, infinite and out-of-float-range numbers, and bools, are bad
+    input, never a passing check or a traceback."""
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), "nan", "-inf", pytest.param(HUGE, id="huge-int")]
+        "bad", [float("nan"), float("inf"), "nan", "-inf", pytest.param(HUGE, id="huge-int"), True]
     )
     def test_verify(self, paths, tmp_path, capsys, bad):
         eq = tmp_path / "eq.json"
@@ -400,6 +402,8 @@ class TestNonFiniteFloats:
             float("inf"),
             pytest.param("1e400", id="huge-literal"),
             pytest.param(HUGE, id="huge-int"),
+            True,
+            False,
         ],
     )
     def test_verify_polymatrix(self, paths, tmp_path, capsys, bad):

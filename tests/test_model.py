@@ -155,7 +155,7 @@ class TestJson:
         with pytest.raises(Malformed):
             candidate_from_json({"mode": "float", "prices": ["x"], "allocation": [["1"]]})
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1", True, False])
     def test_float_candidate_entries_must_be_finite_reals(self, bad):
         with pytest.raises(Malformed):
             EquilibriumCandidate((0.5, bad), ((1.0, 0.0),), mode="float")

@@ -1,5 +1,5 @@
 """Package hygiene: importing it loads nothing outside the standard library,
-and no module keeps an import it never uses."""
+and no module keeps an import or a public definition it never uses."""
 
 import ast
 import os
@@ -46,4 +46,35 @@ def test_no_unused_imports():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
+def test_no_unreferenced_public_definitions():
+    # A public top-level function or class must be exported in ``__all__`` or
+    # used somewhere in the package, by name or as an attribute.
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in (SRC / "choremarket").glob("*.py")
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = {
+        name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+        for name in ast.literal_eval(node.value)
+    }
+    unused = [
+        f"{filename}:{node.lineno} {node.name}"
+        for filename, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | used
+    ]
     assert not unused, unused

@@ -82,7 +82,7 @@ class TestVerifyPolymatrix:
 
     @pytest.mark.parametrize(
         "bad",
-        [float("nan"), float("inf"), "1e400", pytest.param(F(10**400), id="huge"), "x", None],
+        [float("nan"), float("inf"), "1e400", pytest.param(F(10**400), id="huge"), "x", None, True, False],
     )
     def test_bad_weight_is_malformed(self, bad):
         game = PolymatrixGame(1, [[1, 0], [0, 1]])
