@@ -28,6 +28,7 @@ from .errors import (
     WrongVariant,
 )
 from .model import (
+    _json_array,
     candidate_from_json,
     candidate_to_json,
     format_rational,
@@ -309,9 +310,10 @@ def _cmd_recover_strategy(args):
 def _cmd_verify_polymatrix(args):
     game = polymatrix.game_from_json(load_json(args.game))
     doc = load_json(args.strategy)
-    if not isinstance(doc, dict) or not isinstance(doc.get("x"), list):
-        raise Malformed('strategy document must be an object whose field "x" is an array')
-    verdict = polymatrix.verify_polymatrix_equilibrium(game, doc["x"], slack=args.slack)
+    if not isinstance(doc, dict):
+        raise Malformed("strategy document must be a JSON object")
+    x = _json_array(doc.get("x"), "x")
+    verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
     _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)
     return 0 if verdict.ok else 1
 

@@ -23,7 +23,10 @@ remaining agents can no longer cover every chore.  The cut is safe: a
 pattern's LP has a positive optimum only at positive prices that meet its
 ratio bounds strictly, and no such prices exist past a bad cycle; an
 uncovered chore cannot clear at a positive price.  So the search loses no
-equilibrium, for any ``epsilon``.
+equilibrium, for any ``epsilon``.  At each leaf the closure holds the
+pattern's tie ratios, and the LP reads its tie classes and their price
+multipliers off it.  No class whose ties meet at two different ratios reaches
+an LP: such ties form a bad cycle, which the search cuts.
 
 :func:`enumerate_equilibria` (one ray per pattern with a hit),
 :func:`exists_equilibrium` (the first hit) and
@@ -146,68 +149,28 @@ class _IntegerView:
             self.clearing.append(rows)
 
 
-def _tie_classes(view: _IntegerView, pattern):
-    """One price variable per tie class of the pattern's MPB sets.
-
-    Returns ``(cls, mult, tangled)``: chore ``j``'s price is ``mult[j] *
-    q[cls[j]]`` with positive integer ``mult``, classes are numbered by
-    their smallest chore, and ``tangled`` lists the classes whose ties meet
-    at two different ratios, which only zero prices satisfy.
-    """
-    m = view.inst.m
-    parent = list(range(m))
-    weight = [1] * m  # p_x = weight[x] * p_parent[x]
-
-    def find(x):
-        w = 1
-        while parent[x] != x:
-            w *= weight[x]
-            x = parent[x]
-        return x, w
-
-    clashes = []
-    for i, members in enumerate(pattern):
-        d = view.disutility[i][0]
-        rep = min(members, default=None)
-        for j in members:
-            if j == rep:
-                continue
-            r, wr = find(rep)
-            x, wx = find(j)
-            tie = Fraction(d[j], d[rep]) * wr  # p_j = tie * p_r
-            if x == r:
-                if wx != tie:
-                    clashes.append(r)
-            elif r < x:
-                parent[x], weight[x] = r, tie / wx
-            else:
-                parent[r], weight[r] = x, wx / tie
-    found = [find(j) for j in range(m)]
-    den = {}
-    for root, w in found:
-        den[root] = lcm(den.get(root, 1), w.denominator)
-    # The root has weight 1, so these multipliers have no common factor.
-    mult = [w.numerator * (den[root] // w.denominator) for root, w in found]
-    number = {root: c for c, root in enumerate(sorted(den))}
-    cls = [number[root] for root, _ in found]
-    tangled = sorted({number[find(r)[0]] for r in clashes})
-    return cls, mult, tangled
-
-
-def _pattern_lp(view: _IntegerView, pattern):
+def _pattern_lp(view: _IntegerView, pattern, closure):
     """Build the strict-feasibility LP for one pattern, and its price map.
 
-    Variables: one price ``q_c`` per tie class (see :func:`_tie_classes`),
-    flows ``f_ij`` for ``j`` in the agent's pattern set, and one slack
-    ``s`` (maximized).  Feasible with positive optimum iff the pattern
-    supports an equilibrium.
+    Variables: one price ``q_c`` per tie class, flows ``f_ij`` for ``j`` in
+    the agent's pattern set, and one slack ``s`` (maximized).  Feasible with
+    positive optimum iff the pattern supports an equilibrium.
+
+    The tie classes come from ``closure``, the search's ratio closure at the
+    pattern's leaf (see :func:`_patterns`).  Only tie bounds are weak, and a
+    strict bound at least as tight as a tie would close a bad cycle with the
+    reverse tie, so ``closure[j][x]`` is weak exactly when ``j`` and ``x``
+    are tied, and its ratio is then ``p_j / p_x``.  Chore ``j``'s class
+    root is the first such ``x``, the class's smallest chore; classes are
+    numbered by their roots, and ``p_j = mult_j q_cls(j)`` with the ratios
+    to the root scaled to positive integers.  No class has ties that meet at
+    two different ratios: such ties are a bad cycle, which the search cuts.
 
     This is the program over prices ``p_j`` with a tie row
     ``d_ir p_j = d_ij p_r`` per MPB set member and ``p_j >= s`` per chore,
     rewritten through ``p_j = mult_j q_cls(j)``: the map is a bijection
     between the nonnegative ``q`` and the nonnegative ``p`` that meet the
-    ties (a tangled class gets the row ``q_c <= 0``, as its ties force its
-    prices to 0), so the tie rows go, and with ``q_c >= 0`` the smallest
+    ties, so the tie rows go, and with ``q_c >= 0`` the smallest
     multiplier's row ``mult q_c >= s`` implies the rest of its class.
     Feasible set and optimal slack are therefore those of the price program.
     Every ``>=`` row with right side 0 is written negated as a ``<=`` row,
@@ -216,7 +179,15 @@ def _pattern_lp(view: _IntegerView, pattern):
     Returns the program and ``(cls, mult)``.
     """
     m = view.inst.m
-    cls, mult, tangled = _tie_classes(view, pattern)
+    # (root, p_j / p_root) per chore j: the first chore j is tied to.
+    ties = [next((x, b[0]) for x, b in enumerate(row) if b and b[1]) for row in closure]
+    den = {}
+    for root, w in ties:
+        den[root] = lcm(den.get(root, 1), w.denominator)
+    # The root has ratio 1, so these multipliers have no common factor.
+    mult = [w.numerator * (den[root] // w.denominator) for root, w in ties]
+    number = {root: c for c, root in enumerate(sorted(den))}
+    cls = [number[root] for root, _ in ties]
     members = [sorted(s) for s in pattern]
     takers = [[] for _ in range(m)]  # flow variables of each chore
     first = []  # each agent's first flow variable
@@ -264,8 +235,7 @@ def _pattern_lp(view: _IntegerView, pattern):
             r[cls[j]] = coeff * mult[j]
             cons.append(lp.Constraint(tuple(r), rel, 0, scale))
 
-    # Positive prices: s - mult q_c <= 0 for each class's smallest
-    # multiplier, and q_c <= 0 for a tangled class.
+    # Positive prices: s - mult q_c <= 0 for each class's smallest multiplier.
     low = {}
     for c, x in zip(cls, mult):
         low[c] = min(x, low.get(c, x))
@@ -273,10 +243,6 @@ def _pattern_lp(view: _IntegerView, pattern):
         r = zero[:]
         r[c] = -x
         r[slack] = 1
-        cons.append(lp.Constraint(tuple(r), lp.LE, 0))
-    for c in tangled:
-        r = zero[:]
-        r[c] = 1
         cons.append(lp.Constraint(tuple(r), lp.LE, 0))
 
     if view.inst.variant == EXCHANGE:
@@ -291,9 +257,9 @@ def _pattern_lp(view: _IntegerView, pattern):
     return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult)
 
 
-def _solve_pattern(view: _IntegerView, pattern) -> Optional[EnumeratedEquilibrium]:
+def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedEquilibrium]:
     inst = view.inst
-    program, (cls, mult) = _pattern_lp(view, pattern)
+    program, (cls, mult) = _pattern_lp(view, pattern, closure)
     result = lp.lp_solve(program)
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
@@ -368,13 +334,16 @@ def _tighten(closure, edges) -> bool:
     return True
 
 
-def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
-    """Every covering, price-consistent pattern, in agent-product order.
+def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[Tuple[frozenset, ...], list]]:
+    """Every covering, price-consistent pattern with its ratio closure, in
+    agent-product order.
 
     A depth-first search assigns MPB sets agent by agent, carrying the exact
     closure of the price-ratio bounds chosen so far.  A branch is cut when
     its bounds have a bad cycle, or when its sets and those the remaining
-    agents could still take leave a chore uncovered.  Raises
+    agents could still take leave a chore uncovered.  Each leaf yields
+    ``(pattern, closure)``; the closure holds the pattern's tie ratios,
+    which :func:`_pattern_lp` reads its tie classes from.  Raises
     :class:`PatternBudgetExceeded` at the call, before any search, when the
     raw pattern space is larger than ``cap``.
     """
@@ -396,7 +365,7 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
 
     def search(i, covered, closure):
         if i == inst.n:
-            yield tuple(chosen)
+            yield tuple(chosen), closure
             return
         for members, bounds in zip(options[i], edges[i]):
             if covered | members | reach[i + 1] != all_chores:
@@ -414,8 +383,9 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[frozenset, ...]]:
 
 def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
     """Check the arguments and start the pattern search (which may raise
-    :class:`PatternBudgetExceeded`); return its lazy patterns and a function
-    that solves one pattern's LP, for the caller to call per pattern."""
+    :class:`PatternBudgetExceeded`); return its lazy ``(pattern, closure)``
+    leaves and a function that solves one leaf's LP, for the caller to call
+    per leaf."""
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise Malformed("epsilon must lie in [0, 1)")
@@ -423,7 +393,7 @@ def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
         raise Malformed("cap must be nonnegative")
     patterns = _patterns(inst, cap)
     view = _IntegerView(inst, epsilon)
-    return patterns, lambda pattern: _solve_pattern(view, pattern)
+    return patterns, lambda pattern, closure: _solve_pattern(view, pattern, closure)
 
 
 def enumerate_equilibria(
@@ -440,8 +410,8 @@ def enumerate_equilibria(
     patterns, solve_pattern = _search(inst, epsilon, cap)
     found = {}
     tried = 0
-    for tried, pattern in enumerate(patterns, 1):
-        hit = solve_pattern(pattern)
+    for tried, leaf in enumerate(patterns, 1):
+        hit = solve_pattern(*leaf)
         if hit is not None:
             found.setdefault(hit.ray, hit)
     return EquilibriumSet(tuple(found.values()), tried)
@@ -454,5 +424,5 @@ def exists_equilibrium(
 ) -> Optional[EnumeratedEquilibrium]:
     """First equilibrium found, or ``None``; stops at the first hit."""
     patterns, solve_pattern = _search(inst, epsilon, cap)
-    hits = (solve_pattern(pattern) for pattern in patterns)
+    hits = (solve_pattern(*leaf) for leaf in patterns)
     return next((hit for hit in hits if hit is not None), None)

@@ -67,11 +67,11 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     except PatternBudgetExceeded:
         return SolveOutcome(False, None, 0, "cap")
     solved = 0
-    for pattern in patterns:
+    for leaf in patterns:
         if solved == config.max_iters:
             return SolveOutcome(False, None, solved, "budget")
         solved += 1
-        hit = solve_pattern(pattern)
+        hit = solve_pattern(*leaf)
         if hit is not None:
             return SolveOutcome(True, hit.candidate, solved, "found")
     raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

@@ -64,6 +64,15 @@ def to_int(value) -> int:
     raise Malformed(f"not an integer: {value!r}")
 
 
+def _json_array(value, name: str, nested: bool = False) -> list:
+    """Return ``value`` if it is a JSON array, of arrays when ``nested``;
+    anything else raises :class:`Malformed`.  A string in particular would
+    otherwise be read character by character."""
+    if not isinstance(value, list) or nested and not all(isinstance(row, list) for row in value):
+        raise Malformed(f"{name} must be a JSON array" + (" of arrays" if nested else ""))
+    return value
+
+
 @functools.lru_cache(maxsize=4096)
 def _parse_rational(text: str) -> Fraction:
     try:
@@ -405,11 +414,16 @@ def instance_from_json(doc: dict) -> Instance:
     try:
         variant = doc["variant"]
         tau = doc["tau"]
-        disutility = doc["disutility"]
+        disutility = _json_array(doc["disutility"], "disutility", nested=True)
         if variant == EXCHANGE:
-            return exchange_instance(tau, disutility, doc["endowment"])
+            endowment = _json_array(doc["endowment"], "endowment", nested=True)
+            return exchange_instance(tau, disutility, endowment)
         if variant == FIXED_EARNINGS:
-            return fixed_earnings_instance(tau, disutility, doc["earning"], doc.get("supply"))
+            earning = _json_array(doc["earning"], "earning")
+            supply = doc.get("supply")
+            if supply is not None:
+                supply = _json_array(supply, "supply")
+            return fixed_earnings_instance(tau, disutility, earning, supply)
     except KeyError as exc:
         raise Malformed(f"instance document missing field {exc}") from exc
     except TypeError as exc:
@@ -435,11 +449,13 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
         raise Malformed("equilibrium document must be a JSON object")
     try:
         mode = doc.get("mode", EXACT)
-        prices = [_decode_value(p, mode) for p in doc["prices"]]
-        allocation = [[_decode_value(x, mode) for x in row] for row in doc["allocation"]]
+        prices = [_decode_value(p, mode) for p in _json_array(doc["prices"], "prices")]
+        rows = _json_array(doc["allocation"], "allocation", nested=True)
+        allocation = [[_decode_value(x, mode) for x in row] for row in rows]
         flow = None
         if "flow" in doc and doc["flow"] is not None:
-            flow = [[_decode_value(x, mode) for x in row] for row in doc["flow"]]
+            rows = _json_array(doc["flow"], "flow", nested=True)
+            flow = [[_decode_value(x, mode) for x in row] for row in rows]
     except KeyError as exc:
         raise Malformed(f"equilibrium document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

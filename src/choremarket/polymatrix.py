@@ -28,6 +28,7 @@ from .errors import (
 from .model import (
     EquilibriumCandidate,
     Instance,
+    _json_array,
     exchange_instance,
     format_rational,
     instance_to_json,
@@ -454,7 +455,8 @@ def game_to_json(game: PolymatrixGame) -> dict:
 def game_from_json(doc: dict) -> PolymatrixGame:
     try:
         n = to_int(doc["n"])
-        payoff = tuple(tuple(to_fraction(x) for x in row) for row in doc["payoff"])
+        rows = _json_array(doc["payoff"], "payoff", nested=True)
+        payoff = tuple(tuple(to_fraction(x) for x in row) for row in rows)
     except KeyError as exc:
         raise Malformed(f"game document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -493,8 +495,8 @@ def gadget_from_json(doc: dict) -> PolymatrixGadget:
             n=to_int(pm["n"]),
             c=to_int(pm["c"]),
             K=to_int(pm["K"]),
-            alpha=tuple(to_fraction(a) for a in pm["alpha"]),
-            delta=tuple(to_fraction(d) for d in pm["delta"]),
+            alpha=tuple(to_fraction(a) for a in _json_array(pm["alpha"], "alpha")),
+            delta=tuple(to_fraction(d) for d in _json_array(pm["delta"], "delta")),
             tau=to_fraction(pm["tau"]),
         )
     except KeyError as exc:

@@ -26,6 +26,7 @@ from .model import (
     FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
+    _json_array,
     fixed_earnings_instance,
     format_rational,
     instance_to_json,
@@ -403,7 +404,7 @@ def gadget_from_json(doc: dict) -> SATGadget:
     try:
         formula = CNFFormula(
             meta["formula"]["num_vars"],
-            tuple(tuple(c) for c in meta["formula"]["clauses"]),
+            _json_array(meta["formula"]["clauses"], "clauses", nested=True),
         )
         params = SATGadgetParams(
             eps=to_fraction(meta["params"]["eps"]),

@@ -491,3 +491,73 @@ class TestToleranceFlags:
     def test_zero_and_finite_tolerances_are_accepted(self, paths, zero_allocation):
         argv = ["verify", "--instance", paths["warmup"], "--equilibrium", zero_allocation]
         assert run(*argv, "--tol-mpb", "0", "--tol-clearing", "1e-3") == 1
+
+
+class TestStringsAreNotArrays:
+    """A JSON string where an array belongs is bad input, never read one
+    character per entry.  Each case writes one field of a document the
+    command accepts as a string."""
+
+    @staticmethod
+    def _assert_rejected(argv, path, doc, capsys):
+        capsys.readouterr()
+        Path(path).write_text(json.dumps(doc))
+        assert run(*argv) == 2
+        assert "must be a JSON array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, text", [("prices", "11"), ("allocation", ["10", "01"]), ("flow", ["10", "01"])]
+    )
+    def test_verify_candidate(self, paths, tmp_path, capsys, field, text):
+        eq = tmp_path / "eq.json"
+        doc = {
+            "prices": ["1", "1"],
+            "allocation": [["1", "0"], ["0", "1"]],
+            "flow": [["1", "0"], ["0", "1"]],
+        }
+        argv = ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)]
+        eq.write_text(json.dumps(doc))
+        assert run(*argv) == 0
+        self._assert_rejected(argv, eq, dict(doc, **{field: text}), capsys)
+
+    @pytest.mark.parametrize(
+        "name, field, text",
+        [
+            ("warmup", "disutility", ["13", [None, "1"]]),
+            ("warmup", "earning", "11"),
+            ("warmup", "supply", "11"),
+            ("example1", "endowment", ["11", "11"]),
+        ],
+    )
+    def test_enumerate_instance(self, paths, tmp_path, capsys, name, field, text):
+        inst = tmp_path / "inst.json"
+        doc = json.loads(Path(paths[name]).read_text())
+        self._assert_rejected(
+            ["enumerate", "--instance", str(inst)], inst, dict(doc, **{field: text}), capsys
+        )
+
+    def test_gen_polymatrix_payoff(self, paths, tmp_path, capsys):
+        game = tmp_path / "bad_game.json"
+        doc = json.loads(Path(paths["game"]).read_text())
+        doc["payoff"][0] = "1010"
+        self._assert_rejected(["gen-polymatrix", "--game", str(game)], game, doc, capsys)
+
+    @pytest.mark.parametrize("field", ["alpha", "delta"])
+    def test_check_gadget_params(self, paths, tmp_path, capsys, field):
+        gadget = tmp_path / "pm.json"
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        doc = json.loads(gadget.read_text())
+        doc["metadata"]["params"][field] = "1"
+        self._assert_rejected(["check-gadget", "--instance", str(gadget)], gadget, doc, capsys)
+
+    def test_sat_readback_clauses(self, paths, tmp_path, capsys):
+        gadget = tmp_path / "gadget.json"
+        eq = tmp_path / "eq.json"
+        assert run("gen-sat", "--cnf", paths["cnf"], "-o", str(gadget)) == 0
+        assert run(
+            "sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "111", "-o", str(eq)
+        ) == 0
+        doc = json.loads(gadget.read_text())
+        doc["metadata"]["formula"]["clauses"][0] = "123"
+        argv = ["sat-readback", "--instance", str(gadget), "--equilibrium", str(eq)]
+        self._assert_rejected(argv, gadget, doc, capsys)

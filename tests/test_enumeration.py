@@ -17,6 +17,7 @@ from choremarket.enumeration import (
 )
 from choremarket.errors import Malformed, PatternBudgetExceeded
 from choremarket.model import EXCHANGE, fixed_earnings_instance, normalize_prices
+from choremarket.sat_reduction import CNFFormula, build_sat_gadget
 from choremarket.verification import verify_equilibrium
 
 from conftest import (
@@ -102,28 +103,32 @@ class TestControls:
             assert all(x == 0 for x in e.candidate.allocation[2])
 
 
+def _kept(inst):
+    """The search's leaves as a dict from pattern to closure, in order."""
+    return dict(_patterns(inst, PATTERN_CAP))
+
+
+def _no_positive_optimum(result):
+    return result.status != lp.OPTIMAL or result.value <= 0
+
+
 class TestPatternSearch:
-    """The search keeps covering patterns in product order, and every
-    covering pattern it cuts has no equilibrium, at any epsilon."""
+    """The search keeps covering patterns in product order; that the
+    patterns it cuts hold no equilibrium is checked in
+    :class:`TestReducedProgram`."""
 
     @staticmethod
-    def _assert_cuts_are_safe(inst):
-        full = covering_patterns(inst)
-        kept = set(_patterns(inst, PATTERN_CAP))
-        assert list(_patterns(inst, PATTERN_CAP)) == [p for p in full if p in kept]
-        for epsilon in (F(0), F(1, 10)):
-            view = _IntegerView(inst, epsilon)
-            for pattern in full:
-                if pattern not in kept:
-                    assert _solve_pattern(view, pattern) is None
+    def _assert_keeps_product_order(inst):
+        kept = _kept(inst)
+        assert list(kept) == [p for p in covering_patterns(inst) if p in kept]
 
     @pytest.mark.parametrize("name", ["warmup", "intro", "example1", "example2"])
     def test_fixtures(self, name, request):
-        self._assert_cuts_are_safe(request.getfixturevalue(name))
+        self._assert_keeps_product_order(request.getfixturevalue(name))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_conditioned_seeds(self, seed):
-        self._assert_cuts_are_safe(random_conditioned_instance(random.Random(seed)))
+        self._assert_keeps_product_order(random_conditioned_instance(random.Random(seed)))
 
     # Agents 0 and 1 tie p1 = 2 p0 and p2 = 3 p1, so p2 = 6 p0; agent 2's
     # disutility c on chore 2 and its set close a three-chore cycle.
@@ -143,7 +148,7 @@ class TestPatternSearch:
         )
         pattern = (frozenset({0, 1}), frozenset({1, 2}), frozenset(last))
         assert pattern in covering_patterns(inst)
-        assert (pattern in set(_patterns(inst, PATTERN_CAP))) == kept
+        assert (pattern in _kept(inst)) == kept
 
 
 def _price_program(inst, epsilon, pattern):
@@ -196,18 +201,24 @@ def _price_program(inst, epsilon, pattern):
 
 
 class TestReducedProgram:
-    """The pattern LP with one price per tie class and no artificial column
-    for zero-right-side ``>=`` rows has the price program's status and
-    optimal slack on every covering pattern, cut or kept."""
+    """On every pattern the search keeps, the pattern LP with one price per
+    tie class and no artificial column for zero-right-side ``>=`` rows has
+    the price program's status and optimal slack.  On every covering pattern
+    it cuts, the price program has no positive optimum: the cut loses no
+    equilibrium.  Both at epsilon 0 and 1/10."""
 
     @pytest.mark.parametrize("name", PATTERN_MARKETS)
     def test_same_optimum_as_price_program(self, name, request):
         inst = pattern_market(name, request)
+        kept = _kept(inst)
         for epsilon in (F(0), F(1, 10)):
             view = _IntegerView(inst, epsilon)
             for pattern in covering_patterns(inst):
-                reduced = lp.lp_solve(_pattern_lp(view, pattern)[0])
                 reference = lp.lp_solve(_price_program(inst, epsilon, pattern))
+                if pattern not in kept:
+                    assert _no_positive_optimum(reference), pattern
+                    continue
+                reduced = lp.lp_solve(_pattern_lp(view, pattern, kept[pattern])[0])
                 assert (reduced.status, reduced.value) == (
                     reference.status,
                     reference.value,
@@ -225,17 +236,58 @@ class TestReducedProgram:
 
     @pytest.mark.parametrize("c", [5, 7, F(13, 2)])
     def test_tangled_ties_have_no_equilibrium(self, c):
+        # Ties at two ratios close a bad cycle: the search cuts the pattern.
         inst = self._triangle(c)
-        view = _IntegerView(inst, F(0))
-        assert _solve_pattern(view, self.PATTERN) is None
-        reduced = lp.lp_solve(_pattern_lp(view, self.PATTERN)[0])
-        reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
-        assert (reduced.status, reduced.value) == (reference.status, reference.value)
+        assert self.PATTERN in covering_patterns(inst)
+        assert self.PATTERN not in _kept(inst)
+        for epsilon in (F(0), F(1, 10)):
+            assert _no_positive_optimum(lp.lp_solve(_price_program(inst, epsilon, self.PATTERN)))
 
     def test_ties_at_one_ratio_keep_the_price_programs_ray(self):
         inst = self._triangle(6)
-        hit = _solve_pattern(_IntegerView(inst, F(0)), self.PATTERN)
+        closure = _kept(inst)[self.PATTERN]
+        hit = _solve_pattern(_IntegerView(inst, F(0)), self.PATTERN, closure)
         reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
         assert hit is not None and reference.value > 0
         assert hit.ray == normalize_prices(reference.point[: inst.m])
         assert hit.ray == (F(1, 9), F(2, 9), F(2, 3))
+
+
+def _tie_components(pattern, m):
+    """Each chore's connected component in the graph that joins the members
+    of every MPB set, numbered by the components' smallest chores."""
+    component = [{j} for j in range(m)]
+    for members in pattern:
+        merged = set().union(*(component[j] for j in members))
+        for j in merged:
+            component[j] = merged
+    roots = [min(c) for c in component]
+    number = {r: k for k, r in enumerate(sorted(set(roots)))}
+    return [number[r] for r in roots]
+
+
+class TestTieClasses:
+    """On every kept pattern, the tie classes read off the search's closure
+    are the components of the graph joining each MPB set's members, and the
+    price multipliers meet every set's ties."""
+
+    @staticmethod
+    def _assert_classes_meet_ties(inst):
+        view = _IntegerView(inst, F(0))
+        for pattern, closure in _patterns(inst, PATTERN_CAP):
+            _, (cls, mult) = _pattern_lp(view, pattern, closure)
+            assert cls == _tie_components(pattern, inst.m), pattern
+            assert all(isinstance(x, int) and x > 0 for x in mult)
+            for i, members in enumerate(pattern):
+                d = inst.disutility[i]
+                rep = min(members, default=None)
+                for j in members:
+                    assert mult[j] * d[rep] == mult[rep] * d[j], (pattern, i, j)
+
+    @pytest.mark.parametrize("name", PATTERN_MARKETS)
+    def test_pattern_markets(self, name, request):
+        self._assert_classes_meet_ties(pattern_market(name, request))
+
+    @pytest.mark.parametrize("clause", [(1, -2, 3), (-1, -2, -3)])
+    def test_one_clause_sat_gadgets(self, clause):
+        self._assert_classes_meet_ties(build_sat_gadget(CNFFormula(3, [clause])).instance)

@@ -7,12 +7,17 @@ from itertools import combinations
 import pytest
 
 from choremarket import fixedpoint, lp
-from choremarket.enumeration import _IntegerView, _pattern_lp, enumerate_equilibria
+from choremarket.enumeration import (
+    PATTERN_CAP,
+    _IntegerView,
+    _pattern_lp,
+    _patterns,
+    enumerate_equilibria,
+)
 from choremarket.errors import Malformed
 
 from conftest import (
     PATTERN_MARKETS,
-    covering_patterns,
     pattern_market,
     random_conditioned_instance,
 )
@@ -377,8 +382,8 @@ class TestReferenceSimplex:
         inst = pattern_market(name, request)
         for epsilon in (F(0), F(1, 10)):
             view = _IntegerView(inst, epsilon)
-            for pattern in covering_patterns(inst):
-                program, _ = _pattern_lp(view, pattern)
+            for pattern, closure in _patterns(inst, PATTERN_CAP):
+                program, _ = _pattern_lp(view, pattern, closure)
                 _assert_matches_reference(program)
 
 

@@ -1,5 +1,5 @@
 """Package hygiene: importing it loads nothing outside the standard library,
-and no module keeps an import or a public definition it never uses."""
+and no module keeps an import or a definition it never uses."""
 
 import ast
 import os
@@ -50,8 +50,8 @@ def test_no_unused_imports():
 
 
 def test_no_unreferenced_public_definitions():
-    # A public top-level function or class must be exported in ``__all__`` or
-    # used somewhere in the package, by name or as an attribute.
+    # A top-level function or class must be used somewhere in the package, by
+    # name or as an attribute, or, when public, be exported in ``__all__``.
     trees = {
         path.name: ast.parse(path.read_text(), str(path))
         for path in (SRC / "choremarket").glob("*.py")
@@ -74,7 +74,6 @@ def test_no_unreferenced_public_definitions():
         for filename, tree in sorted(trees.items())
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in exported | used
+        and node.name not in (used if node.name.startswith("_") else exported | used)
     ]
     assert not unused, unused
