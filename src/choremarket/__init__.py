@@ -42,8 +42,7 @@ from .verification import (
     mpb_sets,
     verify_equilibrium,
 )
-from .enumeration import enumerate_equilibria, exists_equilibrium
-from .fixedpoint import SolverConfig, solve
+from .enumeration import SolverConfig, enumerate_equilibria, exists_equilibrium, solve
 from .sat_reduction import (
     CNFFormula,
     SATGadgetParams,

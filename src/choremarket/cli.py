@@ -13,20 +13,8 @@ import json
 import math
 import sys
 
-from . import enumeration, fixedpoint, graphs, polymatrix, sat_reduction, verification
-from .errors import (
-    BadGame,
-    BadParams,
-    ChoreMarketError,
-    ConditionViolated,
-    DegenerateSize,
-    DimensionMismatch,
-    Malformed,
-    NotGadget,
-    NotSatisfying,
-    OutOfBand,
-    WrongVariant,
-)
+from . import enumeration, graphs, polymatrix, sat_reduction, verification
+from .errors import ChoreMarketError, ConditionViolated, Malformed, NotSatisfying, OutOfBand
 from .model import (
     _json_array,
     candidate_from_json,
@@ -38,17 +26,6 @@ from .model import (
     save_json,
     to_fraction,
 )
-
-_USAGE_ERRORS = (
-    Malformed,
-    DimensionMismatch,
-    WrongVariant,
-    NotGadget,
-    BadParams,
-    BadGame,
-    DegenerateSize,
-)
-
 
 def _emit(doc, path=None):
     if path:
@@ -173,9 +150,9 @@ def _cmd_enumerate(args):
 
 def _cmd_solve_fixedpoint(args):
     inst = _load_instance(args.instance)
-    config = fixedpoint.SolverConfig(max_iters=args.max_iters)
+    config = enumeration.SolverConfig(max_iters=args.max_iters)
     try:
-        outcome = fixedpoint.solve(inst, config)
+        outcome = enumeration.solve(inst, config)
     except ConditionViolated as exc:
         _emit({"converged": False, "error": str(exc)}, args.output)
         return 1
@@ -369,7 +346,7 @@ def _build_parser():
     p.add_argument(
         "--max-iters",
         type=int,
-        default=fixedpoint.SolverConfig.max_iters,
+        default=enumeration.SolverConfig.max_iters,
         help="most pattern LPs to solve",
     )
 
@@ -419,7 +396,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*_USAGE_ERRORS, OSError, json.JSONDecodeError) as exc:
+    except (Malformed, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChoreMarketError as exc:

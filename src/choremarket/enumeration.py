@@ -29,9 +29,11 @@ multipliers off it.  No class whose ties meet at two different ratios reaches
 an LP: such ties form a bad cycle, which the search cuts.
 
 :func:`enumerate_equilibria` (one ray per pattern with a hit),
-:func:`exists_equilibrium` (the first hit) and
-:func:`choremarket.fixedpoint.solve` (the first hit within an LP budget) all
-walk this one search through the private :func:`_search`.
+:func:`exists_equilibrium` (the first hit) and :func:`solve` (the first hit
+within an LP budget, behind the paper's two existence conditions) all walk
+this one search through the private :func:`_search`.  The paper proves
+existence through a fixed point of a price map; the package does not run
+that map, and the test suite keeps it as an oracle for :func:`solve`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from math import lcm, prod
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import lp
-from .errors import Malformed, PatternBudgetExceeded
+from .errors import ConditionViolated, ConstructionFailed, Malformed, PatternBudgetExceeded
+from .graphs import check_conditions
 from .model import (
     EXCHANGE,
     EquilibriumCandidate,
@@ -84,19 +87,16 @@ class EquilibriumSet:
 
 def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
     """Candidate MPB sets per agent, or ``None`` when no pattern can exist."""
-    options = []
-    for i in range(inst.n):
-        finite = inst.finite_chores(i)
-        if not inst.has_positive_wealth(i):
-            options.append([frozenset()])
-            continue
-        if not finite:
-            return None  # must earn, but cannot touch any chore
-        subsets = []
-        for size in range(1, len(finite) + 1):
-            subsets.extend(frozenset(c) for c in combinations(finite, size))
-        options.append(subsets)
-    return options
+    finite = [inst.finite_chores(i) for i in range(inst.n)]
+    wealthy = [inst.has_positive_wealth(i) for i in range(inst.n)]
+    if any(w and not f for w, f in zip(wealthy, finite)):
+        return None  # an agent must earn, but cannot touch any chore
+    return [
+        [frozenset(c) for size in range(1, len(f) + 1) for c in combinations(f, size)]
+        if w
+        else [frozenset()]
+        for w, f in zip(wealthy, finite)
+    ]
 
 
 def _scaled_row(values):
@@ -344,15 +344,20 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[Tuple[frozenset, ...],
     agents could still take leave a chore uncovered.  Each leaf yields
     ``(pattern, closure)``; the closure holds the pattern's tie ratios,
     which :func:`_pattern_lp` reads its tie classes from.  Raises
-    :class:`PatternBudgetExceeded` at the call, before any search, when the
-    raw pattern space is larger than ``cap``.
+    :class:`PatternBudgetExceeded` at the call, before any set is built,
+    when the raw pattern space is larger than ``cap``.
     """
+    # An agent with wealth has the 2**k - 1 nonempty sets of its k finite
+    # chores (none when k = 0: the count is 0), one without wealth one set.
+    count = prod(
+        2 ** len(inst.finite_chores(i)) - 1 if inst.has_positive_wealth(i) else 1
+        for i in range(inst.n)
+    )
+    if count > cap:
+        raise PatternBudgetExceeded(f"{count} patterns exceed the cap of {cap}")
     options = _agent_options(inst)
     if options is None:
         return iter(())
-    count = prod(map(len, options))
-    if count > cap:
-        raise PatternBudgetExceeded(f"{count} patterns exceed the cap of {cap}")
     all_chores = frozenset(range(inst.m))
     reach = [frozenset()] * (inst.n + 1)  # chores agents i.. can still take
     for i in reversed(range(inst.n)):
@@ -426,3 +431,57 @@ def exists_equilibrium(
     patterns, solve_pattern = _search(inst, epsilon, cap)
     hits = (solve_pattern(*leaf) for leaf in patterns)
     return next((hit for hit in hits if hit is not None), None)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    #: Most pattern LPs one solve may run.
+    max_iters: int = 20000
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    """What :func:`solve` found and why it stopped.
+
+    ``iterations`` counts the pattern LPs solved.  ``reason`` is ``"found"``
+    (``candidate`` is an exact equilibrium), ``"budget"`` (``max_iters`` LPs
+    solved without one) or ``"cap"`` (the pattern space exceeds
+    :data:`PATTERN_CAP`, so no LP ran).
+    """
+
+    converged: bool
+    candidate: Optional[EquilibriumCandidate]
+    iterations: int
+    reason: str
+
+
+def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
+    """Find one exact equilibrium of an instance that passes both conditions.
+
+    Raises :class:`ConditionViolated` when a condition fails.  Otherwise
+    solves the LPs of the exact pattern search in order, at most
+    ``config.max_iters`` of them, and returns the first verified equilibrium
+    in the caller's units and variant.  The conditions guarantee an
+    equilibrium, so a search that runs out of patterns is a bug and raises
+    :class:`ConstructionFailed`.
+    """
+    if config.max_iters < 0:
+        raise Malformed("max_iters must be nonnegative")
+    report = check_conditions(inst)
+    if not report.condition1.ok:
+        raise ConditionViolated(f"condition 1 fails: {report.condition1.witness}")
+    if not report.condition2.ok:
+        raise ConditionViolated(f"condition 2 fails: order {report.condition2.scc_order}")
+    try:
+        patterns, solve_pattern = _search(inst, 0, PATTERN_CAP)
+    except PatternBudgetExceeded:
+        return SolveOutcome(False, None, 0, "cap")
+    solved = 0
+    for leaf in patterns:
+        if solved == config.max_iters:
+            return SolveOutcome(False, None, solved, "budget")
+        solved += 1
+        hit = solve_pattern(*leaf)
+        if hit is not None:
+            return SolveOutcome(True, hit.candidate, solved, "found")
+    raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

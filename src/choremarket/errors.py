@@ -9,16 +9,20 @@ class ZeroPriceSum(ChoreMarketError):
     """All price entries are zero; normalization is undefined."""
 
 
-class DimensionMismatch(ChoreMarketError):
+class Malformed(ChoreMarketError):
+    """Inconsistent LP dimensions or invalid input data.
+
+    The CLI exits 2 on this and every subclass: the input, not the search or
+    the check, is at fault.
+    """
+
+
+class DimensionMismatch(Malformed):
     """Vector/matrix shapes do not match the instance."""
 
 
-class WrongVariant(ChoreMarketError):
+class WrongVariant(Malformed):
     """Operation requires the other instance variant."""
-
-
-class Malformed(ChoreMarketError):
-    """Inconsistent LP dimensions or invalid input data."""
 
 
 class Infeasible(ChoreMarketError):
@@ -37,7 +41,7 @@ class ConstructionFailed(ChoreMarketError):
     """A construction or search that must succeed produced no valid result."""
 
 
-class BadParams(ChoreMarketError):
+class BadParams(Malformed):
     """Gadget parameters violate their constraints."""
 
 
@@ -45,7 +49,7 @@ class NotSatisfying(ChoreMarketError):
     """Truth assignment does not satisfy the formula."""
 
 
-class NotGadget(ChoreMarketError):
+class NotGadget(Malformed):
     """Instance is missing the gadget metadata required by this operation."""
 
 
@@ -53,11 +57,11 @@ class NonIntegralEarnings(ChoreMarketError):
     """Earnings are not integer multiples of the requested unit."""
 
 
-class BadGame(ChoreMarketError):
+class BadGame(Malformed):
     """Payoff matrix violates the normalized-game constraints."""
 
 
-class DegenerateSize(ChoreMarketError):
+class DegenerateSize(Malformed):
     """Game size too small for the reduction."""
 
 

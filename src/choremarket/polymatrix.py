@@ -82,8 +82,10 @@ def verify_polymatrix_equilibrium(
     ``1/n``, the losing strategy must carry no weight.  Weights are numbers
     or rational strings (see :func:`model.to_fraction`), read as floats; any
     other weight, a bool included, or a NaN, infinite or out-of-float-range
-    one, is :class:`Malformed`.
+    one, is :class:`Malformed`, and so is a string ``x``.
     """
+    if isinstance(x, str):
+        raise Malformed("strategy must be a sequence of weights, not a string")
     try:
         # to_fraction parses strings and rejects bools, which float() reads as 1 and 0.
         x = [float(to_fraction(v)) if isinstance(v, (str, bool)) else float(v) for v in x]

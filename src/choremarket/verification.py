@@ -284,11 +284,14 @@ class ParetoResult:
 
 
 def check_pareto(inst: Instance, allocation) -> ParetoResult:
-    """Decide Pareto optimality of a full assignment by one LP per agent.
+    """Decide Pareto optimality of a full assignment by one LP.
 
-    For each agent ``t``, minimize ``t``'s disutility over complete
-    assignments that keep every other agent at most as badly off.  The input
-    must fully assign every chore using only finite-disutility pairs.
+    Minimize the sum of disutilities over complete assignments that leave
+    every agent at most as badly off.  The given assignment is feasible, so
+    it is Pareto optimal exactly when the optimum equals its own sum;
+    otherwise the optimal point is the witness, and ``dominated_agent`` is
+    the lowest agent strictly better off under it.  The input must fully
+    assign every chore using only finite-disutility pairs.
     """
     allocation = tuple(tuple(Fraction(x) for x in row) for row in allocation)
     if len(allocation) != inst.n or any(len(row) != inst.m for row in allocation):
@@ -309,37 +312,29 @@ def check_pareto(inst: Instance, allocation) -> ParetoResult:
     index = {pair: k for k, pair in enumerate(pairs)}
     num = len(pairs)
 
-    for t in range(inst.n):
-        cons = []
-        for j in range(inst.m):
-            row = [Fraction(0)] * num
-            for i in range(inst.n):
-                k = index.get((i, j))
-                if k is not None:
-                    row[k] = Fraction(1)
-            cons.append(lp.constraint(row, lp.EQ, supplies[j]))
+    cons = []
+    for j in range(inst.m):
+        row = [Fraction(0)] * num
         for i in range(inst.n):
-            if i == t:
-                continue
-            row = [Fraction(0)] * num
-            for j in inst.finite_chores(i):
-                row[index[(i, j)]] = inst.disutility[i][j]
-            cons.append(lp.constraint(row, lp.LE, profile[i]))
-        obj = [Fraction(0)] * num
-        for j in inst.finite_chores(t):
-            obj[index[(t, j)]] = inst.disutility[t][j]
-        result = lp.lp_solve(
-            lp.LinearProgram(num, tuple(cons), tuple(obj), maximize=False)
-        )
-        if result.status != lp.OPTIMAL:
-            continue  # no alternative assignment exists for this agent
-        if result.value < profile[t]:
-            witness = [[Fraction(0)] * inst.m for _ in range(inst.n)]
-            for (i, j), k in index.items():
-                witness[i][j] = result.point[k]
-            return ParetoResult(
-                optimal=False,
-                dominated_agent=t,
-                witness=tuple(tuple(row) for row in witness),
-            )
-    return ParetoResult(optimal=True)
+            k = index.get((i, j))
+            if k is not None:
+                row[k] = Fraction(1)
+        cons.append(lp.constraint(row, lp.EQ, supplies[j]))
+    for i in range(inst.n):
+        row = [Fraction(0)] * num
+        for j in inst.finite_chores(i):
+            row[index[(i, j)]] = inst.disutility[i][j]
+        cons.append(lp.constraint(row, lp.LE, profile[i]))
+    obj = [inst.disutility[i][j] for i, j in pairs]
+    result = lp.lp_solve(lp.LinearProgram(num, tuple(cons), tuple(obj), maximize=False))
+    if result.value == sum(profile):
+        return ParetoResult(optimal=True)
+    witness = [[Fraction(0)] * inst.m for _ in range(inst.n)]
+    for (i, j), k in index.items():
+        witness[i][j] = result.point[k]
+    better = disutility_profile(inst, witness)
+    return ParetoResult(
+        optimal=False,
+        dominated_agent=next(i for i in range(inst.n) if better[i] < profile[i]),
+        witness=tuple(tuple(row) for row in witness),
+    )

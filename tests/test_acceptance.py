@@ -7,8 +7,7 @@ from itertools import product
 
 import pytest
 
-from choremarket.enumeration import enumerate_equilibria, exists_equilibrium
-from choremarket.fixedpoint import SolverConfig, solve
+from choremarket.enumeration import SolverConfig, enumerate_equilibria, exists_equilibrium, solve
 from choremarket.graphs import check_conditions
 from choremarket.lp import OPTIMAL
 from choremarket.model import EXACT, chore_supply, fixed_earnings_instance, normalize_prices

@@ -8,12 +8,14 @@ import pytest
 from choremarket import lp
 from choremarket.enumeration import (
     PATTERN_CAP,
+    SolveOutcome,
     _IntegerView,
     _pattern_lp,
     _patterns,
     _solve_pattern,
     enumerate_equilibria,
     exists_equilibrium,
+    solve,
 )
 from choremarket.errors import Malformed, PatternBudgetExceeded
 from choremarket.model import EXCHANGE, fixed_earnings_instance, normalize_prices
@@ -81,6 +83,20 @@ class TestControls:
     def test_pattern_cap(self, warmup):
         with pytest.raises(PatternBudgetExceeded):
             enumerate_equilibria(warmup, cap=1)
+
+    def test_cap_refuses_before_building_the_sets(self):
+        # One agent with 40 finite chores has 2**40 - 1 candidate sets, more
+        # than memory holds: the cap must refuse them from their count.
+        inst = fixed_earnings_instance(10, [[1] * 40], [1])
+        with pytest.raises(PatternBudgetExceeded, match=f"^{2**40 - 1} patterns exceed"):
+            enumerate_equilibria(inst)
+        with pytest.raises(PatternBudgetExceeded):
+            exists_equilibrium(inst)
+        assert solve(inst) == SolveOutcome(False, None, 0, "cap")
+        # An agent that must earn but has no finite chore leaves no pattern,
+        # however many the others have.
+        idle = fixed_earnings_instance(10, [[1] * 40, [None] * 40], [1, 1])
+        assert enumerate_equilibria(idle).equilibria == ()
 
     def test_bad_epsilon(self, warmup):
         with pytest.raises(Malformed):

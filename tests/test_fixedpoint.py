@@ -7,7 +7,7 @@ import pytest
 
 from choremarket import enumeration
 from choremarket.errors import ConditionViolated, ConstructionFailed, Infeasible
-from choremarket.fixedpoint import SolverConfig, solve
+from choremarket.enumeration import SolverConfig, solve
 from choremarket.graphs import build_disutility_graph, check_condition1
 from choremarket.model import (
     EXACT,

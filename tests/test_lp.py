@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from choremarket import fixedpoint, lp
+from choremarket import enumeration, lp
 from choremarket.enumeration import (
     PATTERN_CAP,
     _IntegerView,
@@ -414,9 +414,9 @@ def test_solve_lp_counts_on_conditioned_seeds():
     """Pins where ``solve`` stops in the same pattern search on the 50
     conftest seeds: 80 LPs in all, at most 8 (seed 16), more than one on 15
     seeds."""
-    config = fixedpoint.SolverConfig(max_iters=300)
+    config = enumeration.SolverConfig(max_iters=300)
     iterations = tuple(
-        fixedpoint.solve(random_conditioned_instance(random.Random(k)), config).iterations
+        enumeration.solve(random_conditioned_instance(random.Random(k)), config).iterations
         for k in range(50)
     )
     assert iterations == (

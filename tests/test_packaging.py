@@ -22,6 +22,63 @@ assert not foreign, foreign
 """
 
 
+#: The public API: ``choremarket.__all__``, in order.
+PUBLIC_API = [
+    "ChoreMarketError",
+    "EXACT",
+    "EXCHANGE",
+    "FIXED_EARNINGS",
+    "FLOAT",
+    "INFINITE",
+    "EquilibriumCandidate",
+    "Instance",
+    "agent_budget",
+    "chore_supply",
+    "candidate_from_json",
+    "candidate_to_json",
+    "exchange_instance",
+    "fixed_earnings_instance",
+    "instance_from_json",
+    "instance_to_json",
+    "load_json",
+    "normalize_prices",
+    "save_json",
+    "build_disutility_graph",
+    "build_exchange_graph",
+    "check_condition1",
+    "check_condition2",
+    "check_conditions",
+    "check_pareto",
+    "fairness_report",
+    "mpb_sets",
+    "verify_equilibrium",
+    "enumerate_equilibria",
+    "exists_equilibrium",
+    "SolverConfig",
+    "solve",
+    "CNFFormula",
+    "SATGadgetParams",
+    "assignment_to_equilibrium",
+    "build_sat_gadget",
+    "equilibrium_to_assignment",
+    "expand_to_equal_earnings",
+    "PolymatrixGame",
+    "PPADGadgetParams",
+    "build_polymatrix_gadget",
+    "recover_strategy",
+    "verify_gadget_properties",
+    "verify_polymatrix_equilibrium",
+]
+
+
+def test_public_api_is_pinned_and_resolves():
+    import choremarket
+
+    assert choremarket.__all__ == PUBLIC_API
+    missing = [name for name in PUBLIC_API if not hasattr(choremarket, name)]
+    assert not missing, missing
+
+
 def test_import_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

@@ -90,6 +90,13 @@ class TestVerifyPolymatrix:
             verify_polymatrix_equilibrium(game, [bad, 0.5])
 
 
+    def test_string_strategy_is_malformed(self):
+        # Read one character per weight, "1010" would pass as [1, 0, 1, 0].
+        game = PolymatrixGame(2, [[1, 0, 1, 0]] * 4)
+        with pytest.raises(Malformed, match="not a string"):
+            verify_polymatrix_equilibrium(game, "1010")
+
+
 class TestParams:
     def test_rejects_single_player(self):
         with pytest.raises(DegenerateSize):

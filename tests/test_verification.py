@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from choremarket import lp
 from choremarket.errors import Infeasible, Malformed
 from choremarket.model import EquilibriumCandidate, fixed_earnings_instance
 from choremarket.verification import (
     check_pareto,
+    disutility_profile,
     fairness_report,
     mpb_sets,
     verify_equilibrium,
@@ -220,9 +222,64 @@ class TestPareto:
     def test_witness_dominates(self, intro):
         equal = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
         res = check_pareto(intro, equal)
-        from choremarket.verification import disutility_profile
-
         old = disutility_profile(intro, equal)
         new = disutility_profile(intro, res.witness)
         assert all(b <= a for a, b in zip(old, new))
         assert any(b < a for a, b in zip(old, new))
+
+    @staticmethod
+    def _some_agent_can_gain(inst, allocation):
+        """The per-agent oracle: can some agent ``t`` lower its disutility
+        over complete assignments that keep every other agent at most as
+        badly off?  One LP per agent."""
+        profile = disutility_profile(inst, allocation)
+        pairs = [(i, j) for i in range(inst.n) for j in inst.finite_chores(i)]
+        for t in range(inst.n):
+            cons = [
+                lp.constraint([F(j == c) for _, c in pairs], lp.EQ, inst.supplies[j])
+                for j in range(inst.m)
+            ]
+            cons += [
+                lp.constraint(
+                    [inst.disutility[a][c] if a == i else F(0) for a, c in pairs],
+                    lp.LE,
+                    profile[i],
+                )
+                for i in range(inst.n)
+                if i != t
+            ]
+            obj = [inst.disutility[a][c] if a == t else F(0) for a, c in pairs]
+            result = lp.lp_solve(
+                lp.LinearProgram(len(pairs), tuple(cons), tuple(obj), maximize=False)
+            )
+            if result.status == lp.OPTIMAL and result.value < profile[t]:
+                return True
+        return False
+
+    def test_one_lp_matches_per_agent_oracle(self):
+        # Random full assignments of the conftest markets: each chore split
+        # at random among the agents that can do it, or given whole to one.
+        rng = random.Random(11)
+        verdicts = []
+        for k in range(150):
+            inst = random_conditioned_instance(random.Random(k))
+            allocation = [[F(0)] * inst.m for _ in range(inst.n)]
+            for j, supply in enumerate(inst.supplies):
+                able = [i for i in range(inst.n) if inst.disutility[i][j] is not None]
+                if rng.random() < 0.5:
+                    allocation[rng.choice(able)][j] = supply
+                    continue
+                weights = [F(rng.randint(0, 3)) for _ in able]
+                weights[0] += 1
+                for i, w in zip(able, weights):
+                    allocation[i][j] = supply * w / sum(weights)
+            res = check_pareto(inst, allocation)
+            assert res.optimal == (not self._some_agent_can_gain(inst, allocation))
+            verdicts.append(res.optimal)
+            if res.optimal:
+                continue
+            old = disutility_profile(inst, allocation)
+            new = disutility_profile(inst, res.witness)
+            assert all(b <= a for a, b in zip(old, new))
+            assert res.dominated_agent == next(i for i in range(inst.n) if new[i] < old[i])
+        assert 20 <= verdicts.count(False) <= 130
