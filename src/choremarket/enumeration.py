@@ -48,6 +48,7 @@ from . import lp
 from .errors import ConditionViolated, ConstructionFailed, Malformed, PatternBudgetExceeded
 from .graphs import check_conditions
 from .model import (
+    _ZERO,
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
@@ -57,8 +58,6 @@ from .verification import verify_equilibrium
 
 #: Default cap on the number of candidate patterns.
 PATTERN_CAP = 10**6
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

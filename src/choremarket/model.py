@@ -31,6 +31,8 @@ FIXED_EARNINGS = "fixed_earnings"
 #: Marker for a disutility at or above the threshold.
 INFINITE = None
 
+_ZERO = Fraction(0)
+
 Number = Union[Fraction, int, float]
 
 
@@ -131,7 +133,7 @@ class Instance:
                     continue
                 if not isinstance(entry, Fraction):
                     raise Malformed("disutility entries must be Fraction or None")
-                if entry <= 0:
+                if entry.numerator <= 0:
                     raise Malformed("finite disutility must be strictly positive")
                 if entry >= self.tau:
                     raise Malformed(
@@ -146,9 +148,11 @@ class Instance:
             object.__setattr__(self, "endowment", w)
             if len(w) != n or any(len(row) != m for row in w):
                 raise DimensionMismatch("endowment shape must match disutility")
+            # Signs are read off numerators, several times cheaper than a
+            # Fraction comparison; a gadget has thousands of zero entries.
             for row in w:
                 for entry in row:
-                    if not isinstance(entry, Fraction) or entry < 0:
+                    if not isinstance(entry, Fraction) or entry.numerator < 0:
                         raise Malformed("endowments must be nonnegative rationals")
             for j in range(m):
                 # Entries are nonnegative, so the total is positive when any is.
@@ -162,14 +166,14 @@ class Instance:
             if len(e) != n:
                 raise DimensionMismatch("earning length must match agent count")
             for entry in e:
-                if not isinstance(entry, Fraction) or entry < 0:
+                if not isinstance(entry, Fraction) or entry.numerator < 0:
                     raise Malformed("earnings must be nonnegative rationals")
             s = tuple(self.supply) if self.supply is not None else tuple([Fraction(1)] * m)
             object.__setattr__(self, "supply", s)
             if len(s) != m:
                 raise DimensionMismatch("supply length must match chore count")
             for entry in s:
-                if not isinstance(entry, Fraction) or entry <= 0:
+                if not isinstance(entry, Fraction) or entry.numerator <= 0:
                     raise Malformed("supplies must be positive rationals")
 
     @property
@@ -187,7 +191,7 @@ class Instance:
         sums, computed once per instance."""
         if self.variant == FIXED_EARNINGS:
             return self.supply
-        return tuple(sum(col) for col in zip(*self.endowment))
+        return tuple(sum(w for w in col if w) for col in zip(*self.endowment))
 
     def finite_chores(self, agent: int) -> tuple:
         """Indices of chores agent can do (disutility below the threshold)."""
@@ -284,12 +288,19 @@ def _flow_matches(flow, allocation, prices) -> bool:
 
     Each entry is one integer cross-multiplication: with ``f = a/b``,
     ``x = c/d`` and ``p = e/g`` it tests ``a*d*g == c*e*b``.  An entry that
-    is not a finite rational number (``None``, NaN) never matches.
+    is not a finite rational number (``None``, NaN, a string) never matches.
+    A cell whose two entries are both the shared zero ``_ZERO``, which JSON
+    decoding and the package's constructors write for an exact zero, matches
+    without the multiplication.  The skip tests identity, so it never lets a
+    non-rational entry through; any other zero is cross-multiplied as usual.
+    Every price is checked.
     """
     try:
         ratios = [p.as_integer_ratio() for p in prices]
         for frow, xrow in zip(flow, allocation):
             for fij, xij, (pn, pd) in zip(frow, xrow, ratios):
+                if fij is _ZERO and xij is _ZERO:
+                    continue
                 fn, fd = fij.as_integer_ratio()
                 xn, xd = xij.as_integer_ratio()
                 if fn * xd * pd != xn * pn * fd:
@@ -360,11 +371,12 @@ class EquilibriumCandidate:
         return len(self.prices)
 
     def money_flow(self) -> tuple:
-        """The money-flow matrix ``f_ij = X_ij * p_j``."""
+        """The money-flow matrix ``f_ij = X_ij * p_j``; a zero allocation
+        entry is its own flow."""
         if self.flow is not None:
             return self.flow
         return _freeze_matrix(
-            [[x * p for x, p in zip(row, self.prices)] for row in self.allocation]
+            [[x * p if x else x for x, p in zip(row, self.prices)] for row in self.allocation]
         )
 
 
@@ -372,21 +384,19 @@ class EquilibriumCandidate:
 # JSON encoding
 
 
-def _encode_value(value, mode: str):
-    if value is None:
-        return None
+def _encode_values(values, mode: str) -> list:
     if mode == FLOAT:
-        return float(value)
-    return format_rational(value)
+        return [float(x) for x in values]
+    # Most entries of a large market's candidate are zero: "0/1" each.
+    return [format_rational(x) if x else "0/1" for x in values]
 
 
-def _decode_value(value, mode: str):
-    if value is None:
-        return None
+def _decode_values(values, mode: str) -> list:
     if mode == FLOAT:
-        # A bool stays a bool, for EquilibriumCandidate to reject.
-        return value if value is True or value is False else float(value)
-    return to_fraction(value)
+        # A bool stays a bool and None stays None, for EquilibriumCandidate
+        # to reject; a string such as "0/1" fails ``float``.
+        return [x if x is None or x is True or x is False else float(x) for x in values]
+    return [_ZERO if x == "0/1" else None if x is None else to_fraction(x) for x in values]
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -399,7 +409,9 @@ def instance_to_json(inst: Instance) -> dict:
         ],
     }
     if inst.variant == EXCHANGE:
-        doc["endowment"] = [[format_rational(x) for x in row] for row in inst.endowment]
+        doc["endowment"] = [
+            [format_rational(x) if x else "0/1" for x in row] for row in inst.endowment
+        ]
     else:
         doc["earning"] = [format_rational(x) for x in inst.earning]
         doc["supply"] = [format_rational(x) for x in inst.supply]
@@ -434,13 +446,11 @@ def instance_from_json(doc: dict) -> Instance:
 def candidate_to_json(cand: EquilibriumCandidate) -> dict:
     doc = {
         "mode": cand.mode,
-        "prices": [_encode_value(p, cand.mode) for p in cand.prices],
-        "allocation": [
-            [_encode_value(x, cand.mode) for x in row] for row in cand.allocation
-        ],
+        "prices": _encode_values(cand.prices, cand.mode),
+        "allocation": [_encode_values(row, cand.mode) for row in cand.allocation],
     }
     if cand.flow is not None:
-        doc["flow"] = [[_encode_value(x, cand.mode) for x in row] for row in cand.flow]
+        doc["flow"] = [_encode_values(row, cand.mode) for row in cand.flow]
     return doc
 
 
@@ -449,13 +459,13 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
         raise Malformed("equilibrium document must be a JSON object")
     try:
         mode = doc.get("mode", EXACT)
-        prices = [_decode_value(p, mode) for p in _json_array(doc["prices"], "prices")]
+        prices = _decode_values(_json_array(doc["prices"], "prices"), mode)
         rows = _json_array(doc["allocation"], "allocation", nested=True)
-        allocation = [[_decode_value(x, mode) for x in row] for row in rows]
+        allocation = [_decode_values(row, mode) for row in rows]
         flow = None
         if "flow" in doc and doc["flow"] is not None:
             rows = _json_array(doc["flow"], "flow", nested=True)
-            flow = [[_decode_value(x, mode) for x in row] for row in rows]
+            flow = [_decode_values(row, mode) for row in rows]
     except KeyError as exc:
         raise Malformed(f"equilibrium document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

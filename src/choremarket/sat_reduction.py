@@ -23,6 +23,7 @@ from .errors import (
     NotSatisfying,
 )
 from .model import (
+    _ZERO,
     FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
@@ -247,8 +248,8 @@ def assignment_to_equilibrium(
         raise NotSatisfying("assignment does not satisfy the formula")
     eps = params.eps
     inst = gadget.instance
-    prices = [Fraction(0)] * inst.m
-    flow = [[Fraction(0)] * inst.m for _ in range(inst.n)]
+    prices = [_ZERO] * inst.m
+    flow = [[_ZERO] * inst.m for _ in range(inst.n)]
 
     for v in range(formula.num_vars):
         a1, a2 = gadget.a(v, 1), gadget.a(v, 2)
@@ -302,7 +303,7 @@ def assignment_to_equilibrium(
                 flow[heavy][chore] = extra / len(carriers)
 
     allocation = [
-        [flow[i][j] / prices[j] for j in range(inst.m)] for i in range(inst.n)
+        [f / p if f else _ZERO for f, p in zip(row, prices)] for row in flow
     ]
     return EquilibriumCandidate(
         prices, allocation, flow=tuple(map(tuple, flow))

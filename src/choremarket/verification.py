@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, Infeasible, Malformed
@@ -104,7 +105,10 @@ def verify_equilibrium(
     ``epsilon`` relaxes only the clearing condition to the band
     ``(1 - eps) * supply <= done <= supply / (1 - eps)``.  A zero (or
     negative) price on any chore fails the price-positivity part of the MPB
-    condition outright.
+    condition outright.  Every allocation entry, and every entry of a flow
+    the candidate carries, must be nonnegative (in float mode: at least
+    ``-POS_TOL``); a negative one fails the clearing condition, named by
+    agent and chore.
     """
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
@@ -116,8 +120,9 @@ def verify_equilibrium(
     mpb_ok = threshold_ok = budget_ok = clearing_ok = True
 
     pos = (lambda x: x > 0) if exact else (lambda x: x > POS_TOL)
+    low = 0 if exact else -POS_TOL
     # Exact sums skip zero entries, which leave a rational sum unchanged.
-    total = (lambda xs: sum(x for x in xs if x)) if exact else sum
+    total = (lambda xs: sum(filter(None, xs))) if exact else sum
     prices = cand.prices
     X = cand.allocation
     flow = cand.money_flow()
@@ -129,9 +134,15 @@ def verify_equilibrium(
 
     sets = mpb_sets(inst, prices, 0 if exact else tol_mpb) if mpb_ok else None
 
-    for i in range(inst.n):
-        for j in range(inst.m):
-            if not pos(X[i][j]):
+    # Only nonzero entries are visited: in a large market most are zero.
+    chores = range(inst.m)
+    for i, row in enumerate(X):
+        for j in compress(chores, row):
+            x = row[j]
+            if not pos(x):
+                if x < low:
+                    clearing_ok = False
+                    violations.append(f"agent {i} does negative amount {x} of chore {j}")
                 continue
             if inst.disutility[i][j] is None:
                 threshold_ok = False
@@ -140,6 +151,13 @@ def verify_equilibrium(
             if sets is not None and j not in sets[i].members:
                 mpb_ok = False
                 violations.append(f"agent {i} does non-MPB chore {j}")
+
+    if cand.flow is not None:
+        for i, row in enumerate(cand.flow):
+            for j in compress(chores, row):
+                if row[j] < low:
+                    clearing_ok = False
+                    violations.append(f"agent {i} has negative flow {row[j]} on chore {j}")
 
     for i in range(inst.n):
         budget = agent_budget(inst, i, prices)
@@ -154,8 +172,8 @@ def verify_equilibrium(
                 f"agent {i} earns {earned} but owes {budget}"
             )
 
-    for j, supply in enumerate(inst.supplies):
-        done = total(row[j] for row in X)
+    for j, (supply, column) in enumerate(zip(inst.supplies, zip(*X))):
+        done = total(column)
         lo = (1 - epsilon) * supply
         hi = supply / (1 - epsilon)
         if exact:

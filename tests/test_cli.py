@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON round trips, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -8,10 +9,13 @@ import pytest
 
 from choremarket.cli import main
 from choremarket.model import (
+    candidate_to_json,
+    fixed_earnings_instance,
     instance_to_json,
     save_json,
 )
-from choremarket.polymatrix import PolymatrixGame, game_to_json
+from choremarket.polymatrix import PolymatrixGame, build_polymatrix_gadget, game_to_json
+from test_polymatrix import GAME2, synthetic_endpoint_prices
 
 F = Fraction
 
@@ -150,6 +154,25 @@ class TestEnumerateAndVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exact candidate entries must be rational numbers" in captured.err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_negative_allocation_fails_clearing(self, tmp_path, capsys, mode):
+        # Budgets and chore totals balance, but agent 0 "does" -1/2 of its
+        # forbidden chore 1.
+        inst = tmp_path / "inst.json"
+        market = fixed_earnings_instance(100, [[1, None], [1, 1]], [1, 1])
+        save_json(instance_to_json(market), str(inst))
+        eq = tmp_path / "eq.json"
+        if mode == "exact":
+            doc = {"prices": ["1/1", "1/1"], "allocation": [["3/2", "-1/2"], ["-1/2", "3/2"]]}
+        else:
+            doc = {"mode": "float", "prices": [1.0, 1.0], "allocation": [[1.5, -0.5], [-0.5, 1.5]]}
+        eq.write_text(json.dumps(doc))
+        assert run("verify", "--instance", str(inst), "--equilibrium", str(eq)) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False and report["clearing_ok"] is False
+        assert report["mpb_ok"] and report["threshold_ok"] and report["budget_ok"]
+        assert "agent 0 does negative amount" in report["violations"][0]
 
     def test_determinism(self, paths, capsys):
         run("enumerate", "--instance", paths["warmup"])
@@ -561,3 +584,55 @@ class TestStringsAreNotArrays:
         doc["metadata"]["formula"]["clauses"][0] = "123"
         argv = ["sat-readback", "--instance", str(gadget), "--equilibrium", str(eq)]
         self._assert_rejected(argv, gadget, doc, capsys)
+
+
+# Planted 6-variable, 8-clause formula, satisfied by 101100: clauses with
+# one, two and three true literals, and an all-negated one.
+PLANTED = (
+    "p cnf 6 8\n1 2 3 0\n-2 4 5 0\n-1 -3 4 0\n1 -5 -6 0\n"
+    "2 -5 6 0\n-1 -4 -6 0\n3 4 -2 0\n-5 -6 -2 0\n"
+)
+
+#: sha256 of every ``-o`` file of the gadget pipelines below.  These bytes
+#: are part of the CLI contract; a change to them must be deliberate.
+GADGET_OUTPUT_SHA256 = {
+    "sat.gadget.json": "6b84ecde7a4b29e2df169abac7e143ee9b846b816c1cb25e4f3394237bd9ee68",
+    "sat.eq.json": "3cbbd8d63d564ff0487af8c54ad4bdc378ca30e8d94f24422ef498e22bb72055",
+    "sat.verify.json": "384da9dfe0c34454230253aceb01d6b42eb312e0238c6d6de641ce05de833532",
+    "sat.readback.json": "65ceaa3b8f569473f789652f6b7cf7ce96bac5f16743c56fa54d87ced75b5f02",
+    "game2.gadget.json": "16a7d71d06c9a2302f50cf7dad8bbc293ff7fb1d81b177d7833e10f2506f2b9d",
+    "game2.check.json": "d40e6cc85fdd7d9a8c06ce799b17ac0c15d304ea6b34e3acb8ff3afd5ba4e7d0",
+}
+
+
+class TestGadgetOutputBytes:
+    def test_outputs_are_pinned(self, tmp_path):
+        cnf = tmp_path / "planted.cnf"
+        cnf.write_text(PLANTED)
+        game = tmp_path / "game2.json"
+        save_json(game_to_json(GAME2), str(game))
+        endpoints = tmp_path / "endpoints.json"
+        cand = synthetic_endpoint_prices(build_polymatrix_gadget(GAME2), (1, -1))
+        save_json(candidate_to_json(cand), str(endpoints))
+
+        def out(name):
+            return str(tmp_path / name)
+
+        gadget, eq = out("sat.gadget.json"), out("sat.eq.json")
+        pm = out("game2.gadget.json")
+        for argv in (
+            ["gen-sat", "--cnf", str(cnf), "-o", gadget],
+            ["sat-equilibrium", "--cnf", str(cnf), "--assignment", "101100", "-o", eq],
+            ["verify", "--instance", gadget, "--equilibrium", eq, "-o", out("sat.verify.json")],
+            ["sat-readback", "--instance", gadget, "--equilibrium", eq,
+             "-o", out("sat.readback.json")],
+            ["gen-polymatrix", "--game", str(game), "-o", pm],
+            ["check-gadget", "--instance", pm, "--equilibrium", str(endpoints),
+             "-o", out("game2.check.json")],
+        ):
+            assert run(*argv) == 0, argv
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GADGET_OUTPUT_SHA256
+        }
+        assert digests == GADGET_OUTPUT_SHA256

@@ -43,6 +43,31 @@ class TestValidation:
         with pytest.raises(Malformed):
             fixed_earnings_instance(10, [[1]], [-1])
 
+    @pytest.mark.parametrize("bad", [Fraction(-1, 3), 0, 0.0, -1])
+    def test_rejects_negative_or_non_fraction_endowment(self, bad):
+        endowment = ((Fraction(1), bad), (Fraction(0), Fraction(1)))
+        with pytest.raises(Malformed, match="endowments must be nonnegative rationals"):
+            Instance("exchange", Fraction(10), ((Fraction(1),) * 2,) * 2, endowment=endowment)
+
+    @pytest.mark.parametrize("bad", [Fraction(-1, 3), 0, 0.0])
+    def test_rejects_negative_or_non_fraction_earning_and_supply(self, bad):
+        with pytest.raises(Malformed, match="earnings"):
+            Instance("fixed_earnings", Fraction(10), ((Fraction(1),),), earning=(bad,))
+        with pytest.raises(Malformed, match="supplies"):
+            Instance(
+                "fixed_earnings",
+                Fraction(10),
+                ((Fraction(1),),),
+                earning=(Fraction(1),),
+                supply=(bad,),
+            )
+        with pytest.raises(Malformed, match="supplies"):
+            fixed_earnings_instance(10, [[1]], [1], supply=[0])
+
+    def test_rejects_negative_disutility(self):
+        with pytest.raises(Malformed, match="strictly positive"):
+            Instance("fixed_earnings", Fraction(10), ((Fraction(-1, 3),),), earning=(Fraction(1),))
+
     def test_default_supply_is_one(self):
         inst = fixed_earnings_instance(10, [[1, 2]], [1])
         assert inst.supply == (Fraction(1), Fraction(1))
@@ -155,6 +180,13 @@ class TestJson:
         with pytest.raises(Malformed):
             candidate_from_json({"mode": "float", "prices": ["x"], "allocation": [["1"]]})
 
+    @pytest.mark.parametrize("field", ["prices", "allocation", "flow"])
+    def test_float_candidate_rejects_rational_zero_literal(self, field):
+        doc = {"mode": "float", "prices": [1.0], "allocation": [[0.0]], "flow": [[0.0]]}
+        doc[field] = ["0/1"] if field == "prices" else [["0/1"]]
+        with pytest.raises(Malformed):
+            candidate_from_json(doc)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1", True, False])
     def test_float_candidate_entries_must_be_finite_reals(self, bad):
         with pytest.raises(Malformed):
@@ -194,3 +226,18 @@ class TestJson:
         with pytest.raises(Malformed):
             EquilibriumCandidate((Fraction(1),), ((Fraction(1),),), flow=((bad,),))
 
+    @pytest.mark.parametrize("bad", [None, float("nan"), "0"])
+    @pytest.mark.parametrize("zero", ["shared", 0, Fraction(0), 0.0])
+    def test_zero_skip_keeps_rejecting_non_rational_flow(self, bad, zero):
+        # An exact zero allocation cell with a flow that is not a rational.
+        if zero == "shared":
+            zero = candidate_from_json({"prices": ["1"], "allocation": [["0/1"]]}).allocation[0][0]
+        prices = (Fraction(1), Fraction(2))
+        with pytest.raises(Malformed, match="flow must equal allocation times prices"):
+            EquilibriumCandidate(
+                prices, ((zero, Fraction(1)),), flow=((bad, Fraction(2)),)
+            )
+        with pytest.raises(Malformed, match="flow must equal allocation times prices"):
+            EquilibriumCandidate(
+                prices, ((Fraction(1), bad),), flow=((Fraction(1), zero),)
+            )

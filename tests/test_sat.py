@@ -1,5 +1,6 @@
 """Satisfiability reduction: gadget structure, equilibria, readback."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -161,6 +162,30 @@ class TestEquilibria:
         cand = assignment_to_equilibrium(g, (False, False, False))
         assert verify_equilibrium(g.instance, cand).ok
         assert equilibrium_to_assignment(g, cand) == (False, False, False)
+
+    def test_large_gadget_matches_dense_division(self):
+        # A planted 12-variable, 20-clause formula: a 104 x 84 gadget whose
+        # allocation has 120 nonzero cells of 8,736.  Every cell must equal
+        # the dense ``flow / price`` division, zero cells included; prices
+        # and flow are pinned by the digest of their repr.
+        rng = random.Random(1220)
+        planted = [rng.random() < 0.5 for _ in range(12)]
+        clauses = []
+        while len(clauses) < 20:
+            clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 3)]
+            if any(planted[abs(lit) - 1] == (lit > 0) for lit in clause):
+                clauses.append(clause)
+        g = build_sat_gadget(CNFFormula(12, clauses))
+        cand = assignment_to_equilibrium(g, planted)
+        assert (cand.n, cand.m) == (104, 84)
+        dense = tuple(
+            tuple(f / p for f, p in zip(row, cand.prices)) for row in cand.flow
+        )
+        assert cand.allocation == dense
+        assert sum(1 for row in dense for x in row if x) == 120
+        digest = hashlib.sha256(repr((cand.prices, cand.flow)).encode()).hexdigest()
+        assert digest == "9ee96d91ac525041cc7e9c580958805a72e03762c3e2c2c935ff6ddd9352ebc1"
+        assert verify_equilibrium(g.instance, cand).ok
 
 
 class TestExpansion:

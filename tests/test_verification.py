@@ -10,6 +10,7 @@ from choremarket import lp
 from choremarket.errors import Infeasible, Malformed
 from choremarket.model import EquilibriumCandidate, fixed_earnings_instance
 from choremarket.verification import (
+    POS_TOL,
     check_pareto,
     disutility_profile,
     fairness_report,
@@ -170,6 +171,55 @@ class TestVerify:
         )
         report = verify_equilibrium(warmup, cand)
         assert not report.budget_ok and not report.clearing_ok
+
+
+class TestNegativeEntries:
+    """A negative allocation or flow entry fails clearing, named by agent and
+    chore, even where every budget and every chore total balances: here agent
+    0 "does" -1/2 of its forbidden chore 1."""
+
+    INST = fixed_earnings_instance(100, [[1, None], [1, 1]], [1, 1])
+    NEGATIVE = (
+        "agent 0 does negative amount {} of chore 1",
+        "agent 1 does negative amount {} of chore 0",
+    )
+
+    def test_exact(self):
+        cand = EquilibriumCandidate((F(1), F(1)), ((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))))
+        report = verify_equilibrium(self.INST, cand)
+        assert report.mpb_ok and report.threshold_ok and report.budget_ok
+        assert not report.clearing_ok and not report.ok
+        assert report.violations == tuple(v.format("-1/2") for v in self.NEGATIVE)
+
+    def test_exact_with_flow(self):
+        allocation = ((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2)))
+        cand = EquilibriumCandidate((F(1), F(1)), allocation, flow=allocation)
+        report = verify_equilibrium(self.INST, cand)
+        assert not report.clearing_ok
+        assert report.violations == tuple(v.format("-1/2") for v in self.NEGATIVE) + (
+            "agent 0 has negative flow -1/2 on chore 1",
+            "agent 1 has negative flow -1/2 on chore 0",
+        )
+
+    def test_float(self):
+        cand = EquilibriumCandidate((1.0, 1.0), ((1.5, -0.5), (-0.5, 1.5)), mode="float")
+        report = verify_equilibrium(self.INST, cand)
+        assert not report.clearing_ok
+        assert report.violations == tuple(v.format("-0.5") for v in self.NEGATIVE)
+
+    def test_float_flow(self):
+        cand = EquilibriumCandidate(
+            (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), flow=((1.0, 0.0), (-0.5, 1.5)), mode="float"
+        )
+        report = verify_equilibrium(self.INST, cand)
+        assert not report.clearing_ok
+        assert "agent 1 has negative flow -0.5 on chore 0" in report.violations
+
+    def test_float_noise_within_pos_tol_passes(self):
+        tiny = POS_TOL / 2
+        noisy = ((1.0, -tiny), (-tiny, 1.0))
+        cand = EquilibriumCandidate((1.0, 1.0), noisy, flow=noisy, mode="float")
+        assert verify_equilibrium(self.INST, cand).ok
 
 
 class TestFairness:
