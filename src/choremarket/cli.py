@@ -17,6 +17,7 @@ from . import enumeration, graphs, polymatrix, sat_reduction, verification
 from .errors import ChoreMarketError, ConditionViolated, Malformed, NotSatisfying, OutOfBand
 from .model import (
     _json_array,
+    _json_text,
     candidate_from_json,
     candidate_to_json,
     format_rational,
@@ -31,7 +32,7 @@ def _emit(doc, path=None):
     if path:
         save_json(doc, path)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
 
 
 def _load_instance(path):

@@ -98,14 +98,6 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
     ]
 
 
-def _scaled_row(values):
-    """``values`` (``None`` kept) times the lcm of their denominators, and
-    that lcm."""
-    scale = lcm(*(v.denominator for v in values if v is not None))
-    ints = [None if v is None else v.numerator * (scale // v.denominator) for v in values]
-    return ints, scale
-
-
 class _IntegerView:
     """The instance's pattern-LP data as integers, built once per search.
 
@@ -124,11 +116,11 @@ class _IntegerView:
         self.inst = inst
         self.epsilon = epsilon
         self.finite = [inst.finite_chores(i) for i in range(inst.n)]
-        self.disutility = [_scaled_row(row) for row in inst.disutility]
+        self.disutility = [lp._integer_row(row) for row in inst.disutility]
         if inst.variant == EXCHANGE:
             self.budget = [
                 (scale, [-x for x in ints], 0)
-                for ints, scale in map(_scaled_row, inst.endowment)
+                for ints, scale in map(lp._integer_row, inst.endowment)
             ]
         else:
             self.budget = [(e.denominator, None, e.numerator) for e in inst.earning]
@@ -263,18 +255,15 @@ def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedE
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
     point = result.point
-    m = inst.m
     prices = [x * point[c] for c, x in zip(cls, mult)]
-    flow = [[_ZERO] * m for _ in range(inst.n)]
-    k = max(cls) + 1
+    allocation = [[_ZERO] * inst.m for _ in range(inst.n)]
+    k = max(cls) + 1  # the first flow variable
     for i in range(inst.n):
         for j in sorted(pattern[i]):
-            flow[i][j] = point[k]
+            if point[k]:
+                allocation[i][j] = point[k] / prices[j]
             k += 1
-    allocation = [
-        [f / p if f else _ZERO for f, p in zip(row, prices)] for row in flow
-    ]
-    cand = EquilibriumCandidate(prices, allocation, flow=tuple(map(tuple, flow)))
+    cand = EquilibriumCandidate(prices, allocation)
     if not verify_equilibrium(inst, cand, view.epsilon).ok:
         return None
     return EnumeratedEquilibrium(normalize_prices(prices), tuple(pattern), cand)

@@ -91,9 +91,11 @@ def constraint(coeffs, rel, rhs) -> Constraint:
 
 
 def _integer_row(values):
-    """``values`` times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    """``values`` times the lcm of their denominators, and that lcm; a
+    ``None`` entry stays ``None``."""
+    scale = lcm(*(v.denominator for v in values if v is not None))
+    ints = [None if v is None else v.numerator * (scale // v.denominator) for v in values]
+    return ints, scale
 
 
 class _Tableau:

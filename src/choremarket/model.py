@@ -5,7 +5,9 @@ or above the threshold are stored as ``None`` and are forbidden in any
 allocation), plus either an endowment matrix (exchange variant) or a fixed
 earning vector with chore supplies (fixed-earnings variant).  All exact
 quantities are :class:`fractions.Fraction`; float vectors appear only in
-candidates tagged with ``mode="float"``.
+candidates tagged with ``mode="float"``.  A candidate is prices plus an
+allocation; the money agent ``i`` earns on chore ``j`` is their product
+``allocation[i][j] * prices[j]``.
 """
 
 from __future__ import annotations
@@ -283,36 +285,9 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def _flow_matches(flow, allocation, prices) -> bool:
-    """Whether ``flow[i][j] == allocation[i][j] * prices[j]`` exactly.
-
-    Each entry is one integer cross-multiplication: with ``f = a/b``,
-    ``x = c/d`` and ``p = e/g`` it tests ``a*d*g == c*e*b``.  An entry that
-    is not a finite rational number (``None``, NaN, a string) never matches.
-    A cell whose two entries are both the shared zero ``_ZERO``, which JSON
-    decoding and the package's constructors write for an exact zero, matches
-    without the multiplication.  The skip tests identity, so it never lets a
-    non-rational entry through; any other zero is cross-multiplied as usual.
-    Every price is checked.
-    """
-    try:
-        ratios = [p.as_integer_ratio() for p in prices]
-        for frow, xrow in zip(flow, allocation):
-            for fij, xij, (pn, pd) in zip(frow, xrow, ratios):
-                if fij is _ZERO and xij is _ZERO:
-                    continue
-                fn, fd = fij.as_integer_ratio()
-                xn, xd = xij.as_integer_ratio()
-                if fn * xd * pd != xn * pn * fd:
-                    return False
-    except (AttributeError, ValueError, OverflowError):
-        return False
-    return True
-
-
 def _rational(entries) -> bool:
-    """Whether every entry is a finite rational number: the entries
-    :func:`_flow_matches` can compare (not ``None``, NaN or a string)."""
+    """Whether every entry is a finite rational number (not ``None``, NaN
+    or a string)."""
     try:
         for x in entries:
             x.as_integer_ratio()
@@ -323,7 +298,8 @@ def _rational(entries) -> bool:
 
 @dataclass(frozen=True)
 class EquilibriumCandidate:
-    """Prices plus an allocation, with an optional explicit money flow.
+    """Prices plus an allocation: agent ``i`` does ``allocation[i][j]``
+    units of chore ``j`` and earns ``allocation[i][j] * prices[j]`` for it.
 
     ``mode`` tags the numeric representation: ``"exact"`` candidates carry
     Fractions and are compared exactly, ``"float"`` candidates carry finite
@@ -332,7 +308,6 @@ class EquilibriumCandidate:
 
     prices: tuple
     allocation: tuple
-    flow: Optional[tuple] = None
     mode: str = EXACT
 
     def __post_init__(self):
@@ -344,17 +319,10 @@ class EquilibriumCandidate:
         for row in self.allocation:
             if len(row) != m:
                 raise DimensionMismatch("allocation width must match price length")
-        if self.flow is not None:
-            f = _freeze_matrix(self.flow)
-            object.__setattr__(self, "flow", f)
-            if len(f) != len(self.allocation) or any(len(row) != m for row in f):
-                raise DimensionMismatch("flow shape must match allocation")
-            if self.mode == EXACT and not _flow_matches(f, self.allocation, self.prices):
-                raise Malformed("flow must equal allocation times prices")
-        elif self.mode == EXACT and not _rational(chain(self.prices, *self.allocation)):
+        if self.mode == EXACT and not _rational(chain(self.prices, *self.allocation)):
             raise Malformed("exact candidate entries must be rational numbers")
         if self.mode == FLOAT:
-            entries = tuple(chain(self.prices, *self.allocation, *(self.flow or ())))
+            entries = tuple(chain(self.prices, *self.allocation))
             try:
                 finite = all(map(math.isfinite, entries))
             except TypeError:  # None, strings and other non-numbers
@@ -369,15 +337,6 @@ class EquilibriumCandidate:
     @property
     def m(self) -> int:
         return len(self.prices)
-
-    def money_flow(self) -> tuple:
-        """The money-flow matrix ``f_ij = X_ij * p_j``; a zero allocation
-        entry is its own flow."""
-        if self.flow is not None:
-            return self.flow
-        return _freeze_matrix(
-            [[x * p if x else x for x, p in zip(row, self.prices)] for row in self.allocation]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +403,11 @@ def instance_from_json(doc: dict) -> Instance:
 
 
 def candidate_to_json(cand: EquilibriumCandidate) -> dict:
-    doc = {
+    return {
         "mode": cand.mode,
         "prices": _encode_values(cand.prices, cand.mode),
         "allocation": [_encode_values(row, cand.mode) for row in cand.allocation],
     }
-    if cand.flow is not None:
-        doc["flow"] = [_encode_values(row, cand.mode) for row in cand.flow]
-    return doc
 
 
 def candidate_from_json(doc: dict) -> EquilibriumCandidate:
@@ -462,21 +418,22 @@ def candidate_from_json(doc: dict) -> EquilibriumCandidate:
         prices = _decode_values(_json_array(doc["prices"], "prices"), mode)
         rows = _json_array(doc["allocation"], "allocation", nested=True)
         allocation = [_decode_values(row, mode) for row in rows]
-        flow = None
-        if "flow" in doc and doc["flow"] is not None:
-            rows = _json_array(doc["flow"], "flow", nested=True)
-            flow = [_decode_values(row, mode) for row in rows]
     except KeyError as exc:
         raise Malformed(f"equilibrium document missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"equilibrium document has a bad value: {exc}") from exc
-    return EquilibriumCandidate(prices, allocation, flow=flow, mode=mode)
+    return EquilibriumCandidate(prices, allocation, mode=mode)
+
+
+def _json_text(doc: dict) -> str:
+    """The package's JSON text of ``doc``: two-space indent, sorted keys,
+    no trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def save_json(doc: dict, path: str) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(_json_text(doc) + "\n")
 
 
 def load_json(path: str) -> dict:

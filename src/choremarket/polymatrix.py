@@ -11,6 +11,7 @@ the market recovers a threshold equilibrium of the game.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,11 @@ class PolymatrixGame:
             for i in range(self.n):
                 if row[2 * i] + row[2 * i + 1] != 1:
                     raise BadGame("each strategy pair's payoffs must sum to one")
+
+    @functools.cached_property
+    def column_sums(self) -> Tuple[Fraction, ...]:
+        """Total payoff each strategy ``j`` receives: ``sum_i payoff[i][j]``."""
+        return tuple(map(sum, zip(*self.payoff)))
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,12 @@ class PolymatrixGadget:
 
     def chore(self, layer: int, i: int) -> int:
         """Chore ``b^layer_i`` (layer 1-based, ``i`` 0-based in [0, 2n))."""
-        return 2 * self.params.n * (layer - 1) + i
+        return _chore(self.params.n, layer, i)
+
+
+def _chore(n: int, layer: int, i: int) -> int:
+    """Index of chore ``b^layer_i`` in a gadget over ``n`` players."""
+    return 2 * n * (layer - 1) + i
 
 
 def build_polymatrix_gadget(
@@ -201,8 +212,7 @@ def build_polymatrix_gadget(
     d_rows: List[List[Optional[Fraction]]] = []
     w_rows: List[List[Fraction]] = []
 
-    def chore(layer, i):
-        return size * (layer - 1) + i
+    chore = functools.partial(_chore, n)
 
     def new_agent(label):
         agent_labels.append(label)
@@ -234,10 +244,9 @@ def build_polymatrix_gadget(
         agent = new_agent(f"a[1,{i}]")
         w_rows[agent][chore(1, i)] = Fraction(n)
         set_pair(agent, 2, i // 2, i % 2 == 0)
-    col_sums = [sum(M[r][c] for r in range(size)) for c in range(size)]
     for c in range(size):
         agent = new_agent(f"a'[{c}]")
-        share = Fraction(1, 2) * (1 - alpha_K) * (2 * n - col_sums[c])
+        share = Fraction(1, 2) * (1 - alpha_K) * (2 * n - game.column_sums[c])
         pair = c // 2
         w_rows[agent][chore(1, 2 * pair)] = share
         w_rows[agent][chore(1, 2 * pair + 1)] = share
@@ -362,15 +371,12 @@ def verify_gadget_properties(
     checks.append(PropertyCheck("price-equality", not details, tuple(details)))
 
     details = []
-    col_sums = [
-        sum(gadget.game.payoff[r][c] for r in range(size)) for c in range(size)
-    ]
     for c in range(size):
         agent = size + c  # column agents follow the 2n layer-1 owners
         budget = sum(
             float(w) * p[j] for j, w in enumerate(inst.endowment[agent]) if w
         )
-        target = float((1 - params.alpha[-1]) * (2 * n - col_sums[c]))
+        target = float((1 - params.alpha[-1]) * (2 * n - gadget.game.column_sums[c]))
         if abs(budget - target) > tol * max(1.0, abs(target)):
             details.append(f"column agent {c}: budget {budget}, target {target}")
     checks.append(PropertyCheck("fixed-column-earnings", not details, tuple(details)))

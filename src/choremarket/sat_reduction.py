@@ -249,24 +249,25 @@ def assignment_to_equilibrium(
     eps = params.eps
     inst = gadget.instance
     prices = [_ZERO] * inst.m
-    flow = [[_ZERO] * inst.m for _ in range(inst.n)]
+    allocation = [[_ZERO] * inst.m for _ in range(inst.n)]
 
     for v in range(formula.num_vars):
         a1, a2 = gadget.a(v, 1), gadget.a(v, 2)
         b1, b2 = gadget.b(v, 1), gadget.b(v, 2)
+        allocation[a1][b1] = Fraction(1)
         if assignment[v]:
             prices[b1], prices[b2] = Fraction(1), Fraction(1)
-            flow[a1][b1] = Fraction(1)
-            flow[a2][b2] = Fraction(1)
+            allocation[a2][b2] = Fraction(1)
         else:
+            # a1 earns 1/2 on each chore, a2 earns 1 on b2.
             prices[b1], prices[b2] = Fraction(1, 2), Fraction(3, 2)
-            flow[a1][b1] = Fraction(1, 2)
-            flow[a1][b2] = Fraction(1, 2)
-            flow[a2][b2] = Fraction(1)
+            allocation[a1][b2] = Fraction(1, 3)
+            allocation[a2][b2] = Fraction(2, 3)
 
     for r, clause in enumerate(formula.clauses):
         heavy = gadget.balancer(r)
         extra = balancer_earning(clause, params)
+        chores = [gadget.clause_chore(r, slot) for slot in range(3)]
         sat = [
             slot for slot, lit in enumerate(clause)
             if assignment[abs(lit) - 1] == (lit > 0)
@@ -279,14 +280,8 @@ def assignment_to_equilibrium(
             )
             alpha = (len(unsat) * eps + extra) / demand
             for slot in range(3):
-                chore = gadget.clause_chore(r, slot)
-                if slot in unsat:
-                    unit = Fraction(3, 2) if clause[slot] > 0 else Fraction(2)
-                    prices[chore] = alpha * unit * eps
-                    flow[heavy][chore] = prices[chore] - eps
-                else:
-                    prices[chore] = eps
-                flow[gadget.clause_agent(r, slot)][chore] = eps
+                unit = Fraction(3, 2) if clause[slot] > 0 else Fraction(2)
+                prices[chores[slot]] = alpha * unit * eps if slot in unsat else eps
         else:
             positive = [slot for slot in range(3) if clause[slot] > 0]
             # All literals satisfied: the balancing money rides on the chores
@@ -294,20 +289,16 @@ def assignment_to_equilibrium(
             # or all three when the clause has none).
             carriers = positive if positive else list(range(3))
             for slot in range(3):
-                chore = gadget.clause_chore(r, slot)
-                prices[chore] = eps
-                flow[gadget.clause_agent(r, slot)][chore] = eps
-            for slot in carriers:
-                chore = gadget.clause_chore(r, slot)
-                prices[chore] += extra / len(carriers)
-                flow[heavy][chore] = extra / len(carriers)
+                share = extra / len(carriers) if slot in carriers else 0
+                prices[chores[slot]] = eps + share
+        # Each clause agent earns eps on its chore, the balancer the rest.
+        for slot, chore in enumerate(chores):
+            part = eps / prices[chore]
+            allocation[gadget.clause_agent(r, slot)][chore] = part
+            if part != 1:
+                allocation[heavy][chore] = 1 - part
 
-    allocation = [
-        [f / p if f else _ZERO for f, p in zip(row, prices)] for row in flow
-    ]
-    return EquilibriumCandidate(
-        prices, allocation, flow=tuple(map(tuple, flow))
-    )
+    return EquilibriumCandidate(prices, allocation)
 
 
 def equilibrium_to_assignment(
@@ -315,20 +306,19 @@ def equilibrium_to_assignment(
 ) -> Tuple[bool, ...]:
     """Read the truth assignment off an equilibrium of the gadget.
 
-    Variable ``v`` is false exactly when its first agent sends money to the
-    variable's second chore.
+    Variable ``v`` is false exactly when its first agent earns money,
+    ``allocation * price``, on the variable's second chore.
     """
     if not isinstance(gadget, SATGadget):
         raise NotGadget("gadget metadata required to read an assignment")
     inst = gadget.instance
     if cand.n != inst.n or cand.m != inst.m:
         raise NotGadget("candidate shape does not match the gadget")
-    flow = cand.money_flow()
     threshold = 0 if cand.mode == "exact" else 1e-9
     out = []
     for v in range(gadget.formula.num_vars):
-        f = flow[gadget.a(v, 1)][gadget.b(v, 2)]
-        out.append(not f > threshold)
+        b2 = gadget.b(v, 2)
+        out.append(not cand.allocation[gadget.a(v, 1)][b2] * cand.prices[b2] > threshold)
     return tuple(out)
 
 

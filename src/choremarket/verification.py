@@ -105,10 +105,10 @@ def verify_equilibrium(
     ``epsilon`` relaxes only the clearing condition to the band
     ``(1 - eps) * supply <= done <= supply / (1 - eps)``.  A zero (or
     negative) price on any chore fails the price-positivity part of the MPB
-    condition outright.  Every allocation entry, and every entry of a flow
-    the candidate carries, must be nonnegative (in float mode: at least
-    ``-POS_TOL``); a negative one fails the clearing condition, named by
-    agent and chore.
+    condition outright.  Every allocation entry must be nonnegative (in
+    float mode: at least ``-POS_TOL``); a negative one fails the clearing
+    condition, named by agent and chore.  Agent ``i`` earns
+    ``sum_j allocation[i][j] * prices[j]``.
     """
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
@@ -125,7 +125,6 @@ def verify_equilibrium(
     total = (lambda xs: sum(filter(None, xs))) if exact else sum
     prices = cand.prices
     X = cand.allocation
-    flow = cand.money_flow()
 
     for j, pj in enumerate(prices):
         if pj <= 0:
@@ -152,16 +151,10 @@ def verify_equilibrium(
                 mpb_ok = False
                 violations.append(f"agent {i} does non-MPB chore {j}")
 
-    if cand.flow is not None:
-        for i, row in enumerate(cand.flow):
-            for j in compress(chores, row):
-                if row[j] < low:
-                    clearing_ok = False
-                    violations.append(f"agent {i} has negative flow {row[j]} on chore {j}")
-
-    for i in range(inst.n):
+    for i, row in enumerate(X):
         budget = agent_budget(inst, i, prices)
-        earned = total(flow[i])
+        # A zero entry is its own product, so an all-zero float row earns 0.0.
+        earned = total(x * p if x else x for x, p in zip(row, prices))
         if exact:
             bad = earned != budget
         else:

@@ -9,6 +9,7 @@ import pytest
 
 from choremarket.cli import main
 from choremarket.model import (
+    candidate_from_json,
     candidate_to_json,
     fixed_earnings_instance,
     instance_to_json,
@@ -125,6 +126,14 @@ class TestEnumerateAndVerify:
     def test_negative_cap_is_usage_error(self, paths, capsys):
         assert run("enumerate", "--instance", paths["warmup"], "--cap", "-1") == 2
         assert "cap must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stale", [[["1", "0"], ["0", "1"]], [["7", "0"], ["0", "7"]], "10"])
+    def test_stale_flow_key_is_ignored(self, paths, tmp_path, stale):
+        doc = {"mode": "exact", "prices": ["1", "1"], "allocation": [["1", "0"], ["0", "1"]]}
+        assert candidate_from_json(dict(doc, flow=stale)) == candidate_from_json(doc)
+        eq = tmp_path / "eq.json"
+        eq.write_text(json.dumps(dict(doc, flow=stale)))
+        assert run("verify", "--instance", paths["warmup"], "--equilibrium", str(eq)) == 0
 
     def test_overlong_literal_is_usage_error(self, paths, tmp_path, capsys):
         # int() refuses strings past its digit limit (4,300 by default).
@@ -529,15 +538,11 @@ class TestStringsAreNotArrays:
         assert "must be a JSON array" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, text", [("prices", "11"), ("allocation", ["10", "01"]), ("flow", ["10", "01"])]
+        "field, text", [("prices", "11"), ("allocation", ["10", "01"])]
     )
     def test_verify_candidate(self, paths, tmp_path, capsys, field, text):
         eq = tmp_path / "eq.json"
-        doc = {
-            "prices": ["1", "1"],
-            "allocation": [["1", "0"], ["0", "1"]],
-            "flow": [["1", "0"], ["0", "1"]],
-        }
+        doc = {"prices": ["1", "1"], "allocation": [["1", "0"], ["0", "1"]]}
         argv = ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)]
         eq.write_text(json.dumps(doc))
         assert run(*argv) == 0
@@ -597,7 +602,7 @@ PLANTED = (
 #: are part of the CLI contract; a change to them must be deliberate.
 GADGET_OUTPUT_SHA256 = {
     "sat.gadget.json": "6b84ecde7a4b29e2df169abac7e143ee9b846b816c1cb25e4f3394237bd9ee68",
-    "sat.eq.json": "3cbbd8d63d564ff0487af8c54ad4bdc378ca30e8d94f24422ef498e22bb72055",
+    "sat.eq.json": "c77f87e64dc59799fb7d680ee71d1caa863ab31749af4a1e1682c7c0bf6fd5cc",
     "sat.verify.json": "384da9dfe0c34454230253aceb01d6b42eb312e0238c6d6de641ce05de833532",
     "sat.readback.json": "65ceaa3b8f569473f789652f6b7cf7ce96bac5f16743c56fa54d87ced75b5f02",
     "game2.gadget.json": "16a7d71d06c9a2302f50cf7dad8bbc293ff7fb1d81b177d7833e10f2506f2b9d",

@@ -176,8 +176,7 @@ class TestGadgetStructure:
                 prices[g.chore(k, 2 * pair + 1)] = 1 - (-1) ** k * a
         allocation = [[F(0)] * inst.m for _ in range(inst.n)]
         allocation[0][0] = F(1, 3)
-        flow = [[x * p for x, p in zip(row, prices)] for row in allocation]
-        exact = EquilibriumCandidate(prices, allocation, flow=flow)
+        exact = EquilibriumCandidate(prices, allocation)
         assert candidate_from_json(candidate_to_json(exact)) == exact
         floats = synthetic_endpoint_prices(g, (1, -1))
         assert candidate_from_json(candidate_to_json(floats)) == floats

@@ -15,6 +15,7 @@ from choremarket.errors import (
 )
 from choremarket.graphs import build_disutility_graph, check_condition1
 from choremarket.model import (
+    EquilibriumCandidate,
     agent_budget,
     candidate_from_json,
     candidate_to_json,
@@ -121,7 +122,6 @@ class TestGadgetStructure:
         assert (g.instance.n, g.instance.m) == (104, 84)
         assert instance_from_json(instance_to_json(g.instance)) == g.instance
         cand = assignment_to_equilibrium(g, [True] * 12)
-        assert cand.flow is not None
         assert candidate_from_json(candidate_to_json(cand)) == cand
 
     def test_plain_instance_is_not_a_gadget(self):
@@ -145,6 +145,13 @@ class TestEquilibria:
         cand = assignment_to_equilibrium(g, assignment)
         assert verify_equilibrium(g.instance, cand).ok
         assert equilibrium_to_assignment(g, cand) == assignment
+        floats = EquilibriumCandidate(
+            [float(p) for p in cand.prices],
+            [[float(x) for x in row] for row in cand.allocation],
+            mode="float",
+        )
+        assert verify_equilibrium(g.instance, floats).ok
+        assert equilibrium_to_assignment(g, floats) == assignment
 
     def test_unsatisfying_assignment_rejected(self):
         g = build_sat_gadget(PHI)
@@ -165,9 +172,9 @@ class TestEquilibria:
 
     def test_large_gadget_matches_dense_division(self):
         # A planted 12-variable, 20-clause formula: a 104 x 84 gadget whose
-        # allocation has 120 nonzero cells of 8,736.  Every cell must equal
-        # the dense ``flow / price`` division, zero cells included; prices
-        # and flow are pinned by the digest of their repr.
+        # allocation has 120 nonzero cells of 8,736.  Prices and allocation,
+        # zero cells included, are pinned by the digest of their repr, which
+        # equals that of the dense division of each agent's money by price.
         rng = random.Random(1220)
         planted = [rng.random() < 0.5 for _ in range(12)]
         clauses = []
@@ -178,13 +185,9 @@ class TestEquilibria:
         g = build_sat_gadget(CNFFormula(12, clauses))
         cand = assignment_to_equilibrium(g, planted)
         assert (cand.n, cand.m) == (104, 84)
-        dense = tuple(
-            tuple(f / p for f, p in zip(row, cand.prices)) for row in cand.flow
-        )
-        assert cand.allocation == dense
-        assert sum(1 for row in dense for x in row if x) == 120
-        digest = hashlib.sha256(repr((cand.prices, cand.flow)).encode()).hexdigest()
-        assert digest == "9ee96d91ac525041cc7e9c580958805a72e03762c3e2c2c935ff6ddd9352ebc1"
+        assert sum(1 for row in cand.allocation for x in row if x) == 120
+        digest = hashlib.sha256(repr((cand.prices, cand.allocation)).encode()).hexdigest()
+        assert digest == "4bacf9452b5fa34473eb5a106767cbeacd2ada92a67c8beb1aa98f01966a3c4a"
         assert verify_equilibrium(g.instance, cand).ok
 
 

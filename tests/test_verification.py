@@ -165,6 +165,17 @@ class TestVerify:
         )
         assert verify_equilibrium(warmup, cand).ok
 
+    def test_budget_violation_names_the_earnings(self, warmup):
+        # An all-zero row earns the sum of its zeros: 0 exact, 0.0 in float mode.
+        exact = EquilibriumCandidate((F(1), F(2)), ((0, 0), (0, F(1, 4))))
+        floats = EquilibriumCandidate((1.0, 2.0), ((0.0, 0.0), (0.0, 0.25)), mode="float")
+        for cand, earned in ((exact, ("0", "1/2")), (floats, ("0.0", "0.5"))):
+            violations = verify_equilibrium(warmup, cand).violations
+            assert violations[:2] == (
+                f"agent 0 earns {earned[0]} but owes 1",
+                f"agent 1 earns {earned[1]} but owes 1",
+            )
+
     def test_float_mode_catches_real_violations(self, warmup):
         cand = EquilibriumCandidate(
             (1.0, 1.0), ((0.5, 0.0), (0.0, 1.0)), mode="float"
@@ -174,9 +185,9 @@ class TestVerify:
 
 
 class TestNegativeEntries:
-    """A negative allocation or flow entry fails clearing, named by agent and
-    chore, even where every budget and every chore total balances: here agent
-    0 "does" -1/2 of its forbidden chore 1."""
+    """A negative allocation entry fails clearing, named by agent and chore,
+    even where every budget and every chore total balances: here agent 0
+    "does" -1/2 of its forbidden chore 1."""
 
     INST = fixed_earnings_instance(100, [[1, None], [1, 1]], [1, 1])
     NEGATIVE = (
@@ -191,34 +202,16 @@ class TestNegativeEntries:
         assert not report.clearing_ok and not report.ok
         assert report.violations == tuple(v.format("-1/2") for v in self.NEGATIVE)
 
-    def test_exact_with_flow(self):
-        allocation = ((F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2)))
-        cand = EquilibriumCandidate((F(1), F(1)), allocation, flow=allocation)
-        report = verify_equilibrium(self.INST, cand)
-        assert not report.clearing_ok
-        assert report.violations == tuple(v.format("-1/2") for v in self.NEGATIVE) + (
-            "agent 0 has negative flow -1/2 on chore 1",
-            "agent 1 has negative flow -1/2 on chore 0",
-        )
-
     def test_float(self):
         cand = EquilibriumCandidate((1.0, 1.0), ((1.5, -0.5), (-0.5, 1.5)), mode="float")
         report = verify_equilibrium(self.INST, cand)
         assert not report.clearing_ok
         assert report.violations == tuple(v.format("-0.5") for v in self.NEGATIVE)
 
-    def test_float_flow(self):
-        cand = EquilibriumCandidate(
-            (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), flow=((1.0, 0.0), (-0.5, 1.5)), mode="float"
-        )
-        report = verify_equilibrium(self.INST, cand)
-        assert not report.clearing_ok
-        assert "agent 1 has negative flow -0.5 on chore 0" in report.violations
-
     def test_float_noise_within_pos_tol_passes(self):
         tiny = POS_TOL / 2
         noisy = ((1.0, -tiny), (-tiny, 1.0))
-        cand = EquilibriumCandidate((1.0, 1.0), noisy, flow=noisy, mode="float")
+        cand = EquilibriumCandidate((1.0, 1.0), noisy, mode="float")
         assert verify_equilibrium(self.INST, cand).ok
 
 
