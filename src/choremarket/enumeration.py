@@ -7,12 +7,16 @@ ratios strictly worse -- and read an equilibrium off its optimal vertex when
 the slack is positive.  The ties of a pattern's sets fix the price ratios
 inside each tie class, so the LP has one price variable per class and no tie
 rows; this change of variables keeps the feasible set and the optimal slack
-of the LP over one price per chore (see :func:`_pattern_lp`).  Every pattern
-that could hold an equilibrium is tried and every returned candidate is
-re-verified, so the output is one verified equilibrium price ray per pattern
-that has an equilibrium.  That is every equilibrium ray only when each such
-pattern's price ray is unique: a pattern can hold a whole segment of rays, of
-which the LP's vertex is one.
+of the LP over one price per chore.  Flows fixed by a single equality row --
+a one-member set's flow is its agent's budget, and at ``epsilon = 0`` a
+one-taker chore's flow is its supply value -- are substituted out; both are
+nonnegative at nonnegative prices, so no row replaces ``f >= 0`` and the
+optimal slack is kept (see :func:`_pattern_lp`).  Every pattern that could
+hold an equilibrium is tried and every returned candidate is re-verified, so
+the output is one verified equilibrium price ray per pattern that has an
+equilibrium.  That is every equilibrium ray only when each such pattern's
+price ray is unique: a pattern can hold a whole segment of rays, of which the
+LP's vertex is one.
 
 Patterns come from a backtracking search over agents.  Each agent's set fixes
 price ratios: members tie with the set's first chore, and the agent's other
@@ -26,7 +30,9 @@ uncovered chore cannot clear at a positive price.  So the search loses no
 equilibrium, for any ``epsilon``.  At each leaf the closure holds the
 pattern's tie ratios, and the LP reads its tie classes and their price
 multipliers off it.  No class whose ties meet at two different ratios reaches
-an LP: such ties form a bad cycle, which the search cuts.
+an LP: such ties form a bad cycle, which the search cuts.  Each agent tries
+its sets largest first, so the searches that stop at the first hit reach one
+sooner; the order decides which hit comes first, not which patterns exist.
 
 :func:`enumerate_equilibria` (one ray per pattern with a hit),
 :func:`exists_equilibrium` (the first hit) and :func:`solve` (the first hit
@@ -52,6 +58,7 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
+    agent_budget,
     normalize_prices,
 )
 from .verification import verify_equilibrium
@@ -85,13 +92,19 @@ class EquilibriumSet:
 
 
 def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
-    """Candidate MPB sets per agent, or ``None`` when no pattern can exist."""
+    """Candidate MPB sets per agent, largest first, or ``None`` when no
+    pattern can exist.
+
+    A generic equilibrium's consumption graph spans each component, so its
+    pattern has large sets; patterns of many one-member sets are the ones
+    whose LPs come back infeasible.
+    """
     finite = [inst.finite_chores(i) for i in range(inst.n)]
     wealthy = [inst.has_positive_wealth(i) for i in range(inst.n)]
     if any(w and not f for w, f in zip(wealthy, finite)):
         return None  # an agent must earn, but cannot touch any chore
     return [
-        [frozenset(c) for size in range(1, len(f) + 1) for c in combinations(f, size)]
+        [frozenset(c) for size in range(len(f), 0, -1) for c in combinations(f, size)]
         if w
         else [frozenset()]
         for w, f in zip(wealthy, finite)
@@ -102,14 +115,16 @@ class _IntegerView:
     """The instance's pattern-LP data as integers, built once per search.
 
     ``disutility[i]`` is agent ``i``'s disutility row times the lcm of its
-    denominators, with that lcm.  ``budget[i]`` is ``(scale, price
-    coefficients or None, rhs)`` of the budget row, whose flows have
-    coefficient ``scale``: exchange rows are the negated endowment row times
-    the lcm of its denominators, fixed-earnings rows have the earning on the
-    right.  ``clearing[j]`` lists chore ``j``'s rows as ``(relation, flow
-    coefficient, price coefficient, scale)`` with right side 0; the lower
-    bound at ``epsilon > 0`` is stored negated as a ``<=`` row.  Divided by
-    its scale, each row is the rational row of the pattern LP.
+    denominators, with that lcm.  ``budget[i]`` is ``(den, wealth, const)``
+    with agent ``i``'s budget ``(sum of x p_j over (j, x) in wealth +
+    const) / den``: exchange budgets list the nonzero entries of the
+    endowment row times the lcm of its denominators, fixed earnings have
+    the earning in ``const``.  ``supply[j]`` is chore ``j``'s supply as
+    ``(num, den)``.  ``clearing[j]`` lists chore ``j``'s rows as
+    ``(relation, flow coefficient, price coefficient, scale)`` with right
+    side 0; the lower bound at ``epsilon > 0`` is stored negated as a
+    ``<=`` row.  Divided by its scale, each row is the rational row of the
+    pattern LP.
     """
 
     def __init__(self, inst: Instance, epsilon: Fraction):
@@ -119,11 +134,12 @@ class _IntegerView:
         self.disutility = [lp._integer_row(row) for row in inst.disutility]
         if inst.variant == EXCHANGE:
             self.budget = [
-                (scale, [-x for x in ints], 0)
+                (scale, [(j, x) for j, x in enumerate(ints) if x], 0)
                 for ints, scale in map(lp._integer_row, inst.endowment)
             ]
         else:
-            self.budget = [(e.denominator, None, e.numerator) for e in inst.earning]
+            self.budget = [(e.denominator, [], e.numerator) for e in inst.earning]
+        self.supply = [(x.numerator, x.denominator) for x in inst.supplies]
         if epsilon == 0:
             factors = [(lp.EQ, 1, Fraction(1))]
         else:
@@ -141,11 +157,12 @@ class _IntegerView:
 
 
 def _pattern_lp(view: _IntegerView, pattern, closure):
-    """Build the strict-feasibility LP for one pattern, and its price map.
+    """Build the strict-feasibility LP for one pattern, and its variables.
 
-    Variables: one price ``q_c`` per tie class, flows ``f_ij`` for ``j`` in
-    the agent's pattern set, and one slack ``s`` (maximized).  Feasible with
-    positive optimum iff the pattern supports an equilibrium.
+    Variables: one price ``q_c`` per tie class, the flows ``f_ij`` (money
+    agent ``i`` earns on chore ``j`` of its pattern set) that no row forces,
+    and one slack ``s`` (maximized).  Feasible with positive optimum iff the
+    pattern supports an equilibrium.
 
     The tie classes come from ``closure``, the search's ratio closure at the
     pattern's leaf (see :func:`_patterns`).  Only tie bounds are weak, and a
@@ -163,11 +180,27 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
     between the nonnegative ``q`` and the nonnegative ``p`` that meet the
     ties, so the tie rows go, and with ``q_c >= 0`` the smallest
     multiplier's row ``mult q_c >= s`` implies the rest of its class.
-    Feasible set and optimal slack are therefore those of the price program.
-    Every ``>=`` row with right side 0 is written negated as a ``<=`` row,
-    so its slack starts basic and it needs no artificial column.
 
-    Returns the program and ``(cls, mult)``.
+    Flows that a single equality row fixes are substituted out, in one pass
+    (the singleton-row presolve):
+
+    - an agent whose set is ``{j}`` earns its whole budget on ``j``, so
+      ``f_ij`` is the budget (the endowment's value at the class prices,
+      or the fixed earning) in chore ``j``'s clearing rows, and the agent
+      has no budget row;
+    - at ``epsilon = 0``, a chore taken by one agent whose set has more
+      members is paid ``supply_j p_j``, which replaces ``f_ij`` in that
+      agent's budget row, and the chore has no clearing row.
+
+    Both substitutes are nonnegative at nonnegative prices, so dropping
+    ``f_ij >= 0`` adds no row: the feasible set, projected on the prices
+    and slack, and the optimal slack are those of the price program.  An
+    agent without wealth has an empty set and no budget row (it would read
+    ``0 = 0``).  Every ``>=`` row with right side 0 is written negated as a
+    ``<=`` row, so its slack starts basic and it needs no artificial column.
+
+    Returns the program and ``(cls, mult, flows)``, with ``flows`` mapping
+    each ``(i, j)`` whose flow is a variable to its column.
     """
     m = view.inst.m
     # (root, p_j / p_root) per chore j: the first chore j is tied to.
@@ -180,18 +213,29 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
     number = {root: c for c, root in enumerate(sorted(den))}
     cls = [number[root] for root, _ in ties]
     members = [sorted(s) for s in pattern]
-    takers = [[] for _ in range(m)]  # flow variables of each chore
-    first = []  # each agent's first flow variable
-    k = max(cls) + 1
-    for mem in members:
-        first.append(k)
+    takers = [[] for _ in range(m)]
+    for i, mem in enumerate(members):
         for j in mem:
-            takers[j].append(k)
-            k += 1
+            takers[j].append(i)
+    single = [len(mem) == 1 for mem in members]
+    sole = [view.epsilon == 0 and len(t) == 1 and not single[t[0]] for t in takers]
+    flows = {}
+    k = max(cls) + 1
+    for i, mem in enumerate(members):
+        if not single[i]:
+            for j in mem:
+                if not sole[j]:
+                    flows[i, j] = k
+                    k += 1
     slack = k
     num = slack + 1
     zero = [0] * num
     cons = []
+
+    def add_wealth(r, i, factor):
+        # factor times the price part of agent i's budget times its den.
+        for j, x in view.budget[i][1]:
+            r[cls[j]] += factor * x * mult[j]
 
     for i, mem in enumerate(members):
         if mem:
@@ -206,25 +250,41 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
                 r[cls[rep]] -= d[j] * mult[rep]
                 r[slack] = scale
                 cons.append(lp.Constraint(tuple(r), lp.LE, 0, scale))
-        # Budget: sum of flows equals the agent's budget.
-        scale, prices, rhs = view.budget[i]
+        if single[i] or not mem:
+            continue
+        # Budget: the flows, free and forced, sum to the agent's budget.
+        bden, _, const = view.budget[i]
+        scale = lcm(bden, *(view.supply[j][1] for j in mem if sole[j]))
         r = zero[:]
-        if prices is not None:
-            for j, x in enumerate(prices):
-                r[cls[j]] += x * mult[j]
-        for k in range(first[i], first[i] + len(mem)):
-            r[k] = scale
-        cons.append(lp.Constraint(tuple(r), lp.EQ, rhs, scale))
+        add_wealth(r, i, -(scale // bden))
+        for j in mem:
+            if sole[j]:
+                snum, sden = view.supply[j]
+                r[cls[j]] += (scale // sden) * snum * mult[j]
+            else:
+                r[flows[i, j]] = scale
+        cons.append(lp.Constraint(tuple(r), lp.EQ, (scale // bden) * const, scale))
 
     # Clearing: the flows into chore j against its supply value (within
-    # the epsilon band when epsilon > 0).
+    # the epsilon band when epsilon > 0); a one-member set's flow is its
+    # agent's budget.
     for j in range(m):
+        if sole[j]:
+            continue
+        bscale = lcm(*(view.budget[i][0] for i in takers[j] if single[i]))
         for rel, flow, coeff, scale in view.clearing[j]:
             r = zero[:]
-            for k in takers[j]:
-                r[k] = flow
-            r[cls[j]] = coeff * mult[j]
-            cons.append(lp.Constraint(tuple(r), rel, 0, scale))
+            rhs = 0
+            for i in takers[j]:
+                if single[i]:
+                    bden, _, const = view.budget[i]
+                    factor = flow * (bscale // bden)
+                    add_wealth(r, i, factor)
+                    rhs -= factor * const
+                else:
+                    r[flows[i, j]] = flow * bscale
+            r[cls[j]] += coeff * mult[j] * bscale
+            cons.append(lp.Constraint(tuple(r), rel, rhs, scale * bscale))
 
     # Positive prices: s - mult q_c <= 0 for each class's smallest multiplier.
     low = {}
@@ -245,24 +305,28 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
 
     obj = zero[:]
     obj[slack] = 1
-    return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult)
+    return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult, flows)
 
 
 def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedEquilibrium]:
     inst = view.inst
-    program, (cls, mult) = _pattern_lp(view, pattern, closure)
+    program, (cls, mult, flows) = _pattern_lp(view, pattern, closure)
     result = lp.lp_solve(program)
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
     point = result.point
     prices = [x * point[c] for c, x in zip(cls, mult)]
     allocation = [[_ZERO] * inst.m for _ in range(inst.n)]
-    k = max(cls) + 1  # the first flow variable
-    for i in range(inst.n):
-        for j in sorted(pattern[i]):
-            if point[k]:
-                allocation[i][j] = point[k] / prices[j]
-            k += 1
+    for i, members in enumerate(pattern):
+        for j in members:
+            k = flows.get((i, j))
+            if k is not None:
+                if point[k]:
+                    allocation[i][j] = point[k] / prices[j]
+            elif len(members) == 1:  # the agent's budget, all on j
+                allocation[i][j] = agent_budget(inst, i, prices) / prices[j]
+            else:  # j's one taker does its whole supply
+                allocation[i][j] = inst.supplies[j]
     cand = EquilibriumCandidate(prices, allocation)
     if not verify_equilibrium(inst, cand, view.epsilon).ok:
         return None
@@ -415,7 +479,11 @@ def exists_equilibrium(
     epsilon: Fraction = Fraction(0),
     cap: int = PATTERN_CAP,
 ) -> Optional[EnumeratedEquilibrium]:
-    """First equilibrium found, or ``None``; stops at the first hit."""
+    """First equilibrium found, or ``None``; stops at the first hit.
+
+    Agents try their sets largest first (see :func:`_agent_options`), so
+    which equilibrium comes first depends on that order.
+    """
     patterns, solve_pattern = _search(inst, epsilon, cap)
     hits = (solve_pattern(*leaf) for leaf in patterns)
     return next((hit for hit in hits if hit is not None), None)
@@ -447,11 +515,12 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     """Find one exact equilibrium of an instance that passes both conditions.
 
     Raises :class:`ConditionViolated` when a condition fails.  Otherwise
-    solves the LPs of the exact pattern search in order, at most
-    ``config.max_iters`` of them, and returns the first verified equilibrium
-    in the caller's units and variant.  The conditions guarantee an
-    equilibrium, so a search that runs out of patterns is a bug and raises
-    :class:`ConstructionFailed`.
+    solves the LPs of the exact pattern search in order, each agent's sets
+    largest first, at most ``config.max_iters`` of them, and returns the
+    first verified equilibrium in the caller's units and variant.  Each LP
+    has its forced flows substituted out (see :func:`_pattern_lp`).  The
+    conditions guarantee an equilibrium, so a search that runs out of
+    patterns is a bug and raises :class:`ConstructionFailed`.
     """
     if config.max_iters < 0:
         raise Malformed("max_iters must be nonnegative")

@@ -271,7 +271,9 @@ def agent_budget(inst: Instance, agent: int, p: Sequence[Number]):
         return inst.earning[agent]
     if len(p) != inst.m:
         raise DimensionMismatch("price vector length must match chore count")
-    return sum(w * pj for w, pj in zip(inst.endowment[agent], p))
+    # Zero endowments add nothing; the start keeps the prices' type, so a
+    # budget is a Fraction at exact prices and a float at float prices.
+    return sum((w * pj for w, pj in zip(inst.endowment[agent], p) if w), _ZERO * p[0])
 
 
 def chore_supply(inst: Instance, chore: int) -> Fraction:

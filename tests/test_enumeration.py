@@ -18,7 +18,12 @@ from choremarket.enumeration import (
     solve,
 )
 from choremarket.errors import Malformed, PatternBudgetExceeded
-from choremarket.model import EXCHANGE, fixed_earnings_instance, normalize_prices
+from choremarket.model import (
+    EXCHANGE,
+    exchange_instance,
+    fixed_earnings_instance,
+    normalize_prices,
+)
 from choremarket.sat_reduction import CNFFormula, build_sat_gadget
 from choremarket.verification import verify_equilibrium
 
@@ -112,11 +117,22 @@ class TestControls:
         assert strict <= relaxed
 
     def test_zero_earning_agent_sits_out(self):
-        inst = fixed_earnings_instance(10, [[1, 3], [None, 1], [1, 1]], [1, 1, 0])
+        inst = _zero_earning()
         res = enumerate_equilibria(inst)
         assert res.equilibria
         for e in res.equilibria:
             assert all(x == 0 for x in e.candidate.allocation[2])
+
+
+def _zero_earning():
+    """A fixed-earnings market whose agent 2 earns nothing."""
+    return fixed_earnings_instance(10, [[1, 3], [None, 1], [1, 1]], [1, 1, 0])
+
+
+def _segment():
+    """A 2x2 exchange market whose pattern ``({0}, {1})`` holds the whole
+    segment of equilibrium rays with ``p0 / p1`` in ``[1, 2]``."""
+    return exchange_instance(100, [[2, 2], [2, 1]], [[1, 0], [0, 1]])
 
 
 def _kept(inst):
@@ -218,18 +234,17 @@ def _price_program(inst, epsilon, pattern):
 
 class TestReducedProgram:
     """On every pattern the search keeps, the pattern LP with one price per
-    tie class and no artificial column for zero-right-side ``>=`` rows has
-    the price program's status and optimal slack.  On every covering pattern
-    it cuts, the price program has no positive optimum: the cut loses no
-    equilibrium.  Both at epsilon 0 and 1/10."""
+    tie class, its forced flows substituted out and no artificial column for
+    zero-right-side ``>=`` rows has the price program's status and optimal
+    slack.  On every covering pattern it cuts, the price program has no
+    positive optimum: the cut loses no equilibrium.  Both at epsilon 0 and
+    1/10, except on the SAT gadget."""
 
-    @pytest.mark.parametrize("name", PATTERN_MARKETS)
-    def test_same_optimum_as_price_program(self, name, request):
-        inst = pattern_market(name, request)
-        kept = _kept(inst)
-        for epsilon in (F(0), F(1, 10)):
+    @staticmethod
+    def _assert_same_optimum(inst, epsilons, kept, patterns):
+        for epsilon in epsilons:
             view = _IntegerView(inst, epsilon)
-            for pattern in covering_patterns(inst):
+            for pattern in patterns:
                 reference = lp.lp_solve(_price_program(inst, epsilon, pattern))
                 if pattern not in kept:
                     assert _no_positive_optimum(reference), pattern
@@ -239,6 +254,44 @@ class TestReducedProgram:
                     reference.status,
                     reference.value,
                 ), pattern
+
+    @pytest.mark.parametrize("name", PATTERN_MARKETS + ["segment", "zero_earning"])
+    def test_same_optimum_as_price_program(self, name, request):
+        if name == "segment":
+            inst = _segment()
+        elif name == "zero_earning":
+            inst = _zero_earning()
+        else:
+            inst = pattern_market(name, request)
+        self._assert_same_optimum(inst, (F(0), F(1, 10)), _kept(inst), covering_patterns(inst))
+
+    def test_same_optimum_on_a_one_clause_sat_gadget(self):
+        # The gadget has 11,120 covering patterns, whose price programs take
+        # minutes, and 560 kept ones; every third kept one at epsilon 0 keeps
+        # the test to a few seconds.
+        inst = build_sat_gadget(CNFFormula(3, [(1, -2, 3)])).instance
+        kept = _kept(inst)
+        self._assert_same_optimum(inst, (F(0),), kept, list(kept)[::3])
+
+    # Agent 0's set {0} and agent 2's chore 2, which no one else takes,
+    # force flows: at prices (1, 1, 1) agent 0 earns its 1 on chore 0 and
+    # agent 2 does all of chore 2.
+    FORCED = (frozenset({0}), frozenset({0, 1}), frozenset({1, 2}))
+
+    def test_forced_flows_are_substituted_out(self):
+        inst = fixed_earnings_instance(
+            10, [[1, None, None], [1, 1, None], [None, 1, 1]], [1, 1, 1]
+        )
+        closure = _kept(inst)[self.FORCED]
+        program, (cls, _, flows) = _pattern_lp(_IntegerView(inst, F(0)), self.FORCED, closure)
+        assert cls == [0, 0, 0]
+        assert set(flows) == {(1, 0), (1, 1), (2, 1)}
+        assert program.num_vars == 1 + len(flows) + 1
+        _, (_, _, flows) = _pattern_lp(_IntegerView(inst, F(1, 10)), self.FORCED, closure)
+        assert set(flows) == {(1, 0), (1, 1), (2, 1), (2, 2)}
+        hit = _solve_pattern(_IntegerView(inst, F(0)), self.FORCED, closure)
+        assert hit is not None and hit.ray == (F(1, 3),) * 3
+        assert hit.candidate.allocation == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     # Three chores tied pairwise by three agents: p1 = 2 p0, p2 = 3 p1 and
     # p2 = c p0, so the ties meet at one ratio exactly when c = 6.
@@ -291,7 +344,7 @@ class TestTieClasses:
     def _assert_classes_meet_ties(inst):
         view = _IntegerView(inst, F(0))
         for pattern, closure in _patterns(inst, PATTERN_CAP):
-            _, (cls, mult) = _pattern_lp(view, pattern, closure)
+            _, (cls, mult, _) = _pattern_lp(view, pattern, closure)
             assert cls == _tie_components(pattern, inst.m), pattern
             assert all(isinstance(x, int) and x > 0 for x in mult)
             for i, members in enumerate(pattern):

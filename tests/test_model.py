@@ -82,6 +82,15 @@ class TestBudgetsAndSupply:
         p = (Fraction(1, 4), Fraction(3, 4))
         assert agent_budget(intro, 0, p) == Fraction(1, 2)
 
+    def test_exchange_budget_keeps_the_price_type(self):
+        # Zero endowments are skipped, yet an empty sum keeps the price type.
+        inst = exchange_instance(100, [[1, 1], [1, 1]], [[1, 2], [0, 0]])
+        exact = agent_budget(inst, 1, (Fraction(1, 3), Fraction(2, 3)))
+        assert exact == 0 and isinstance(exact, Fraction)
+        assert repr(agent_budget(inst, 1, (0.25, 0.75))) == "0.0"
+        assert agent_budget(inst, 0, (Fraction(1, 3), Fraction(2, 3))) == Fraction(5, 3)
+        assert agent_budget(inst, 0, (0.25, 0.75)) == 1.75
+
     def test_fixed_budget_ignores_prices(self, warmup):
         assert agent_budget(warmup, 0, (Fraction(5), Fraction(7))) == 1
 

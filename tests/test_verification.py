@@ -8,7 +8,11 @@ import pytest
 
 from choremarket import lp
 from choremarket.errors import Infeasible, Malformed
-from choremarket.model import EquilibriumCandidate, fixed_earnings_instance
+from choremarket.model import (
+    EquilibriumCandidate,
+    exchange_instance,
+    fixed_earnings_instance,
+)
 from choremarket.verification import (
     POS_TOL,
     check_pareto,
@@ -174,6 +178,18 @@ class TestVerify:
             assert violations[:2] == (
                 f"agent 0 earns {earned[0]} but owes 1",
                 f"agent 1 earns {earned[1]} but owes 1",
+            )
+
+    def test_budget_violation_names_a_zero_budget(self):
+        # Agent 1 owns nothing: it owes 0 at exact prices and 0.0 at float ones.
+        inst = exchange_instance(100, [[1, 1], [1, 1]], [[1, 1], [0, 0]])
+        exact = EquilibriumCandidate((F(1), F(1)), ((F(1, 2), 0), (F(1, 2), 1)))
+        floats = EquilibriumCandidate((1.0, 1.0), ((0.5, 0.0), (0.5, 1.0)), mode="float")
+        for cand, owed in ((exact, ("2", "0")), (floats, ("2.0", "0.0"))):
+            violations = verify_equilibrium(inst, cand).violations
+            assert violations[:2] == (
+                f"agent 0 earns {cand.allocation[0][0] * cand.prices[0]} but owes {owed[0]}",
+                f"agent 1 earns {cand.allocation[1][0] + cand.allocation[1][1]} but owes {owed[1]}",
             )
 
     def test_float_mode_catches_real_violations(self, warmup):
