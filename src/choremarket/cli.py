@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Every command reads and writes JSON.  Exit codes: 0 on success (or a passing
-check), 1 when a check fails, a search comes up empty or a search exceeds its
-budget (``--cap``, ``--max-iters``), 2 on malformed input or usage errors.
+Every command reads JSON and returns one JSON document and whether it passed;
+:func:`main` alone writes the document, to stdout or the ``-o`` file.  Exit
+codes: 0 on success (or a passing check); 1 when a check fails, a search comes
+up empty or exceeds its budget (``--cap``, ``--max-iters``), or on any other
+package error that is not :class:`Malformed`, written as ``{"error": message}``
+and to stderr; 2 on malformed input, usage errors or an unwritable ``-o``.
+Exits 0 and 1 always write a document, exit 2 writes none.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import sys
 
 from . import enumeration, graphs, polymatrix, sat_reduction, verification
-from .errors import ChoreMarketError, ConditionViolated, Malformed, NotSatisfying, OutOfBand
+from .errors import ChoreMarketError, Malformed
 from .model import (
     _json_array,
     _json_text,
@@ -27,12 +31,6 @@ from .model import (
     save_json,
     to_fraction,
 )
-
-def _emit(doc, path=None):
-    if path:
-        save_json(doc, path)
-    else:
-        print(_json_text(doc))
 
 
 def _load_instance(path):
@@ -101,15 +99,11 @@ def _verification_doc(report):
 def _cmd_check_conditions(args):
     inst = _load_instance(args.instance)
     report = graphs.check_conditions(inst)
-    _emit(
-        {
-            "ok": report.ok,
-            "condition1": _condition1_doc(report.condition1),
-            "condition2": _condition2_doc(report.condition2),
-        },
-        args.output,
-    )
-    return 0 if report.ok else 1
+    return {
+        "ok": report.ok,
+        "condition1": _condition1_doc(report.condition1),
+        "condition2": _condition2_doc(report.condition2),
+    }, report.ok
 
 
 def _cmd_verify(args):
@@ -122,8 +116,7 @@ def _cmd_verify(args):
         tol_mpb=args.tol_mpb,
         tol_clearing=args.tol_clearing,
     )
-    _emit(_verification_doc(report), args.output)
-    return 0 if report.ok else 1
+    return _verification_doc(report), report.ok
 
 
 def _cmd_enumerate(args):
@@ -131,44 +124,32 @@ def _cmd_enumerate(args):
     result = enumeration.enumerate_equilibria(
         inst, epsilon=to_fraction(args.epsilon), cap=args.cap
     )
-    _emit(
-        {
-            "count": len(result.equilibria),
-            "patterns_tried": result.patterns_tried,
-            "equilibria": [
-                {
-                    "ray": [format_rational(p) for p in e.ray],
-                    "pattern": [sorted(s) for s in e.pattern],
-                    "equilibrium": candidate_to_json(e.candidate),
-                }
-                for e in result.equilibria
-            ],
-        },
-        args.output,
-    )
-    return 0 if result.equilibria else 1
+    return {
+        "count": len(result.equilibria),
+        "patterns_tried": result.patterns_tried,
+        "equilibria": [
+            {
+                "ray": [format_rational(p) for p in e.ray],
+                "pattern": [sorted(s) for s in e.pattern],
+                "equilibrium": candidate_to_json(e.candidate),
+            }
+            for e in result.equilibria
+        ],
+    }, bool(result.equilibria)
 
 
 def _cmd_solve_fixedpoint(args):
     inst = _load_instance(args.instance)
     config = enumeration.SolverConfig(max_iters=args.max_iters)
-    try:
-        outcome = enumeration.solve(inst, config)
-    except ConditionViolated as exc:
-        _emit({"converged": False, "error": str(exc)}, args.output)
-        return 1
-    doc = {
+    outcome = enumeration.solve(inst, config)
+    return {
         "converged": outcome.converged,
         "iterations": outcome.iterations,
         "reason": outcome.reason,
-        "residual": 0.0 if outcome.converged else None,
         "equilibrium": (
             candidate_to_json(outcome.candidate) if outcome.candidate else None
         ),
-        "trace": [],
-    }
-    _emit(doc, args.output)
-    return 0 if outcome.converged else 1
+    }, outcome.converged
 
 
 def _sat_params(args):
@@ -190,8 +171,7 @@ def _load_formula(path):
 def _cmd_gen_sat(args):
     formula = _load_formula(args.cnf)
     gadget = sat_reduction.build_sat_gadget(formula, _sat_params(args))
-    _emit(sat_reduction.gadget_to_json(gadget), args.output)
-    return 0
+    return sat_reduction.gadget_to_json(gadget), True
 
 
 def _parse_assignment(text, num_vars):
@@ -210,13 +190,8 @@ def _cmd_sat_equilibrium(args):
     formula = _load_formula(args.cnf)
     gadget = sat_reduction.build_sat_gadget(formula, _sat_params(args))
     assignment = _parse_assignment(args.assignment, formula.num_vars)
-    try:
-        cand = sat_reduction.assignment_to_equilibrium(gadget, assignment)
-    except NotSatisfying as exc:
-        _emit({"error": str(exc)}, args.output)
-        return 1
-    _emit(candidate_to_json(cand), args.output)
-    return 0
+    cand = sat_reduction.assignment_to_equilibrium(gadget, assignment)
+    return candidate_to_json(cand), True
 
 
 def _cmd_sat_readback(args):
@@ -224,14 +199,10 @@ def _cmd_sat_readback(args):
     cand = _load_candidate(args.equilibrium)
     assignment = sat_reduction.equilibrium_to_assignment(gadget, cand)
     satisfies = gadget.formula.satisfies(assignment)
-    _emit(
-        {
-            "assignment": "".join("1" if v else "0" for v in assignment),
-            "satisfies": satisfies,
-        },
-        args.output,
-    )
-    return 0 if satisfies else 1
+    return {
+        "assignment": "".join("1" if v else "0" for v in assignment),
+        "satisfies": satisfies,
+    }, satisfies
 
 
 def _cmd_expand_equal_earnings(args):
@@ -239,50 +210,36 @@ def _cmd_expand_equal_earnings(args):
     expanded, groups = sat_reduction.expand_to_equal_earnings(
         inst, to_fraction(args.unit)
     )
-    _emit(
-        {
-            "instance": instance_to_json(expanded),
-            "groups": [list(g) for g in groups],
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "instance": instance_to_json(expanded),
+        "groups": [list(g) for g in groups],
+    }, True
 
 
 def _cmd_gen_polymatrix(args):
     game = polymatrix.game_from_json(load_json(args.game))
     gadget = polymatrix.build_polymatrix_gadget(game)
-    _emit(polymatrix.gadget_to_json(gadget), args.output)
-    return 0
+    return polymatrix.gadget_to_json(gadget), True
 
 
 def _cmd_check_gadget(args):
     gadget = polymatrix.gadget_from_json(load_json(args.instance))
     cand = _load_candidate(args.equilibrium) if args.equilibrium else None
     report = polymatrix.verify_gadget_properties(gadget, cand, tol=args.tol)
-    _emit(
-        {
-            "ok": report.ok,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "details": list(c.details)}
-                for c in report.checks
-            ],
-        },
-        args.output,
-    )
-    return 0 if report.ok else 1
+    return {
+        "ok": report.ok,
+        "checks": [
+            {"name": c.name, "ok": c.ok, "details": list(c.details)}
+            for c in report.checks
+        ],
+    }, report.ok
 
 
 def _cmd_recover_strategy(args):
     gadget = polymatrix.gadget_from_json(load_json(args.instance))
     cand = _load_candidate(args.equilibrium)
-    try:
-        x = polymatrix.recover_strategy(gadget, cand, tol=args.tol)
-    except OutOfBand as exc:
-        _emit({"error": str(exc)}, args.output)
-        return 1
-    _emit({"x": list(x)}, args.output)
-    return 0
+    x = polymatrix.recover_strategy(gadget, cand, tol=args.tol)
+    return {"x": list(x)}, True
 
 
 def _cmd_verify_polymatrix(args):
@@ -292,8 +249,7 @@ def _cmd_verify_polymatrix(args):
         raise Malformed("strategy document must be a JSON object")
     x = _json_array(doc.get("x"), "x")
     verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
-    _emit({"ok": verdict.ok, "violations": list(verdict.violations)}, args.output)
-    return 0 if verdict.ok else 1
+    return {"ok": verdict.ok, "violations": list(verdict.violations)}, verdict.ok
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +352,21 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            doc, ok = args.func(args)
+        except Malformed:
+            raise
+        except ChoreMarketError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            doc, ok = {"error": str(exc)}, False
+        if args.output:
+            save_json(doc, args.output)
+        else:
+            print(_json_text(doc))
     except (Malformed, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChoreMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -505,10 +505,14 @@ class SolveOutcome:
     :data:`PATTERN_CAP`, so no LP ran).
     """
 
-    converged: bool
     candidate: Optional[EquilibriumCandidate]
     iterations: int
     reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the search found an equilibrium: ``reason == "found"``."""
+        return self.reason == "found"
 
 
 def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome:
@@ -532,13 +536,13 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     try:
         patterns, solve_pattern = _search(inst, 0, PATTERN_CAP)
     except PatternBudgetExceeded:
-        return SolveOutcome(False, None, 0, "cap")
+        return SolveOutcome(None, 0, "cap")
     solved = 0
     for leaf in patterns:
         if solved == config.max_iters:
-            return SolveOutcome(False, None, solved, "budget")
+            return SolveOutcome(None, solved, "budget")
         solved += 1
         hit = solve_pattern(*leaf)
         if hit is not None:
-            return SolveOutcome(True, hit.candidate, solved, "found")
+            return SolveOutcome(hit.candidate, solved, "found")
     raise ConstructionFailed(f"pattern search ran out after {solved} LPs")

@@ -493,6 +493,12 @@ def gadget_to_json(gadget: PolymatrixGadget) -> dict:
 
 
 def gadget_from_json(doc: dict) -> PolymatrixGadget:
+    """Rebuild the gadget from its metadata.
+
+    The document's ``instance`` must be the rebuilt market, exactly as
+    :func:`gadget_to_json` writes it; otherwise the checks would run on a
+    market other than the file's, so :class:`NotGadget` is raised.
+    """
     meta = doc.get("metadata") if isinstance(doc, dict) else None
     if not isinstance(meta, dict) or meta.get("kind") != "polymatrix-gadget":
         raise NotGadget("document lacks polymatrix-gadget metadata")
@@ -511,4 +517,7 @@ def gadget_from_json(doc: dict) -> PolymatrixGadget:
         raise Malformed(f"polymatrix-gadget metadata missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise Malformed(f"polymatrix-gadget metadata has a bad value: {exc}") from exc
-    return build_polymatrix_gadget(game, params)
+    gadget = build_polymatrix_gadget(game, params)
+    if doc.get("instance") != instance_to_json(gadget.instance):
+        raise NotGadget("instance differs from the market its metadata builds")
+    return gadget

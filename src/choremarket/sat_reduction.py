@@ -157,19 +157,36 @@ class SATGadget:
 
     # Index helpers (all 0-based; ``var`` and ``clause`` are 0-based too).
     def a(self, var: int, half: int) -> int:
-        return 2 * var + (half - 1)
+        return _variable_index(var, half)
 
     def b(self, var: int, half: int) -> int:
-        return 2 * var + (half - 1)
+        return _variable_index(var, half)
 
     def clause_agent(self, clause: int, slot: int) -> int:
-        return 2 * self.formula.num_vars + 4 * clause + slot
+        return _clause_agent(self.formula.num_vars, clause, slot)
 
     def balancer(self, clause: int) -> int:
-        return self.clause_agent(clause, 3)
+        return _clause_agent(self.formula.num_vars, clause, 3)
 
     def clause_chore(self, clause: int, slot: int) -> int:
-        return 2 * self.formula.num_vars + 3 * clause + slot
+        return _clause_chore(self.formula.num_vars, clause, slot)
+
+
+def _variable_index(var: int, half: int) -> int:
+    """Index of agent ``a_half`` and of chore ``b_half`` of variable ``var``
+    (``half`` is 1 or 2): variable gadgets come first, two of each."""
+    return 2 * var + (half - 1)
+
+
+def _clause_agent(num_vars: int, clause: int, slot: int) -> int:
+    """Agent ``slot`` of ``clause``: slots 0-2 are its literals' light
+    agents, slot 3 its balancer."""
+    return 2 * num_vars + 4 * clause + slot
+
+
+def _clause_chore(num_vars: int, clause: int, slot: int) -> int:
+    """Chore of literal ``slot`` (0-2) of ``clause``."""
+    return 2 * num_vars + 3 * clause + slot
 
 
 def balancer_earning(clause: Tuple[int, int, int], params: SATGadgetParams) -> Fraction:
@@ -189,8 +206,9 @@ def build_sat_gadget(
 ) -> SATGadget:
     """Build the market whose equilibria encode satisfying assignments."""
     n, mm = formula.num_vars, len(formula.clauses)
-    num_agents = 2 * n + 4 * mm
-    num_chores = 2 * n + 3 * mm
+    # The first index past the last clause is the count.
+    num_agents = _clause_agent(n, mm, 0)
+    num_chores = _clause_chore(n, mm, 0)
     d = [[None] * num_chores for _ in range(num_agents)]
     earning = [Fraction(0)] * num_agents
     agent_labels = []
@@ -199,8 +217,8 @@ def build_sat_gadget(
     for v in range(n):
         agent_labels += [f"a1[{v + 1}]", f"a2[{v + 1}]"]
         chore_labels += [f"b1[{v + 1}]", f"b2[{v + 1}]"]
-        a1, a2 = 2 * v, 2 * v + 1
-        b1, b2 = 2 * v, 2 * v + 1
+        a1, a2 = _variable_index(v, 1), _variable_index(v, 2)
+        b1, b2 = a1, a2
         earning[a1] = Fraction(1)
         earning[a2] = Fraction(1)
         d[a1][b1] = Fraction(1)
@@ -208,26 +226,22 @@ def build_sat_gadget(
         d[a2][b2] = Fraction(1)
 
     for r, clause in enumerate(formula.clauses):
-        base_a = 2 * n + 4 * r
-        base_b = 2 * n + 3 * r
+        heavy = _clause_agent(n, r, 3)
         for slot, lit in enumerate(clause):
             agent_labels.append(f"n[{r + 1},{abs(lit)}]")
             chore_labels.append(f"m[{r + 1},{abs(lit)}]")
-            earning[base_a + slot] = params.eps
+            earning[_clause_agent(n, r, slot)] = params.eps
         agent_labels.append(f"nn[{r + 1}]")
-        earning[base_a + 3] = balancer_earning(clause, params)
+        earning[heavy] = balancer_earning(clause, params)
         for slot, lit in enumerate(clause):
             v = abs(lit) - 1
-            light = base_a + slot
-            heavy = base_a + 3
-            chore = base_b + slot
-            if lit > 0:
-                for agent in (light, heavy):
-                    d[agent][2 * v + 1] = Fraction(1)  # b2 of the variable
+            chore = _clause_chore(n, r, slot)
+            for agent in (_clause_agent(n, r, slot), heavy):
+                if lit > 0:
+                    d[agent][_variable_index(v, 2)] = Fraction(1)
                     d[agent][chore] = params.eps
-            else:
-                for agent in (light, heavy):
-                    d[agent][2 * v] = Fraction(2, 3)  # b1 of the variable
+                else:
+                    d[agent][_variable_index(v, 1)] = Fraction(2, 3)
                     d[agent][chore] = 4 * params.eps / 3
 
     inst = fixed_earnings_instance(params.tau, d, earning)

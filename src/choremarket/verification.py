@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, Infeasible, Malformed
 from .model import (
+    _ZERO,
     EXACT,
     EquilibriumCandidate,
     Instance,
@@ -121,10 +122,7 @@ def verify_equilibrium(
 
     pos = (lambda x: x > 0) if exact else (lambda x: x > POS_TOL)
     low = 0 if exact else -POS_TOL
-    # Exact sums skip zero entries, which leave a rational sum unchanged.
-    total = (lambda xs: sum(filter(None, xs))) if exact else sum
     prices = cand.prices
-    X = cand.allocation
 
     for j, pj in enumerate(prices):
         if pj <= 0:
@@ -133,11 +131,19 @@ def verify_equilibrium(
 
     sets = mpb_sets(inst, prices, 0 if exact else tol_mpb) if mpb_ok else None
 
-    # Only nonzero entries are visited: in a large market most are zero.
+    # One visit per nonzero entry (in a large market most are zero) checks
+    # the cell and adds it to its agent's earnings and its chore's done
+    # amount.  The sums start at a zero of the price type, so an all-zero
+    # float row earns 0.0 (``abs``: a negative float price gives -0.0).
+    zero = _ZERO * abs(prices[0])
+    earned = [zero] * inst.n
+    done = [zero] * inst.m
     chores = range(inst.m)
-    for i, row in enumerate(X):
+    for i, row in enumerate(cand.allocation):
         for j in compress(chores, row):
             x = row[j]
+            earned[i] += x * prices[j]
+            done[j] += x
             if not pos(x):
                 if x < low:
                     clearing_ok = False
@@ -151,32 +157,29 @@ def verify_equilibrium(
                 mpb_ok = False
                 violations.append(f"agent {i} does non-MPB chore {j}")
 
-    for i, row in enumerate(X):
+    for i, earned_i in enumerate(earned):
         budget = agent_budget(inst, i, prices)
-        # A zero entry is its own product, so an all-zero float row earns 0.0.
-        earned = total(x * p if x else x for x, p in zip(row, prices))
         if exact:
-            bad = earned != budget
+            bad = earned_i != budget
         else:
-            bad = abs(float(earned) - float(budget)) > tol_mpb * max(1.0, abs(float(budget)))
+            bad = abs(float(earned_i) - float(budget)) > tol_mpb * max(1.0, abs(float(budget)))
         if bad:
             budget_ok = False
             violations.append(
-                f"agent {i} earns {earned} but owes {budget}"
+                f"agent {i} earns {earned_i} but owes {budget}"
             )
 
-    for j, (supply, column) in enumerate(zip(inst.supplies, zip(*X))):
-        done = total(column)
+    for j, (supply, done_j) in enumerate(zip(inst.supplies, done)):
         lo = (1 - epsilon) * supply
         hi = supply / (1 - epsilon)
         if exact:
-            bad = not (lo <= done <= hi)
+            bad = not (lo <= done_j <= hi)
         else:
             slack = tol_clearing * max(1.0, float(supply))
-            bad = float(done) < float(lo) - slack or float(done) > float(hi) + slack
+            bad = float(done_j) < float(lo) - slack or float(done_j) > float(hi) + slack
         if bad:
             clearing_ok = False
-            violations.append(f"chore {j}: {done} done of supply {supply}")
+            violations.append(f"chore {j}: {done_j} done of supply {supply}")
 
     return VerificationReport(
         mpb_ok,

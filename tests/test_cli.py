@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +85,24 @@ class TestConditions:
         )
         assert run("check-conditions", "--instance", str(path)) == 2
 
+    @pytest.mark.parametrize(
+        "disutility, earning, witness",
+        [
+            ([[1, None]], [1], {"kind": "uncovered-chore", "chore": 1}),
+            ([[1], [None]], [1, 1], {"kind": "isolated-agent", "agent": 1}),
+        ],
+    )
+    def test_witness_names_its_chore_or_agent(
+        self, tmp_path, capsys, disutility, earning, witness
+    ):
+        path = tmp_path / "inst.json"
+        inst = fixed_earnings_instance(10, disutility, earning)
+        save_json(instance_to_json(inst), str(path))
+        assert run("check-conditions", "--instance", str(path)) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["condition2"] is None
+        assert doc["condition1"] == {"ok": False, "witness": witness}
+
     def test_internal_value_error_is_not_usage_error(self, paths, monkeypatch):
         def broken(inst):
             raise ValueError("internal bug")
@@ -122,6 +141,26 @@ class TestEnumerateAndVerify:
     def test_cap_exhaustion_exits_one(self, paths, capsys):
         assert run("enumerate", "--instance", paths["warmup"], "--cap", "1") == 1
         assert "exceed the cap" in capsys.readouterr().err
+
+    def test_cap_exhaustion_overwrites_the_output_file(self, paths, tmp_path, capsys):
+        # An exit-1 answer is a document too: a stale -o file must not survive.
+        out = tmp_path / "out.json"
+        out.write_text('{"count": 2}\n')
+        argv = ["enumerate", "--instance", paths["warmup"], "--cap", "1", "-o", str(out)]
+        assert run(*argv) == 1
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["error"] and "exceed the cap" in doc["error"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {doc['error']}\n"
+
+    @pytest.mark.parametrize("cap, code", [("1000", 0), ("1", 1)])
+    def test_unwritable_output_is_usage_error(self, paths, tmp_path, capsys, cap, code):
+        argv = ["enumerate", "--instance", paths["warmup"], "--cap", cap]
+        assert run(*argv) == code
+        capsys.readouterr()
+        out = tmp_path / "missing" / "out.json"
+        assert run(*argv, "-o", str(out)) == 2
+        assert capsys.readouterr().out == "" and not out.exists()
 
     def test_negative_cap_is_usage_error(self, paths, capsys):
         assert run("enumerate", "--instance", paths["warmup"], "--cap", "-1") == 2
@@ -193,7 +232,10 @@ class TestEnumerateAndVerify:
 class TestSolve:
     def test_condition_failure_exits_one(self, paths, capsys):
         assert run("solve-fixedpoint", "--instance", paths["example1"]) == 1
-        assert "error" in json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert list(doc) == ["error"] and doc["error"].startswith("condition 1 fails")
+        assert captured.err == f"error: {doc['error']}\n"
 
     @pytest.fixture
     def intro_path(self, intro, tmp_path):
@@ -209,14 +251,12 @@ class TestSolve:
         assert eq["mode"] == "exact"
         values = eq["prices"] + [x for row in eq["allocation"] for x in row]
         assert all(isinstance(x, str) and Fraction(x) >= 0 for x in values)
-        assert doc["residual"] == 0.0
-        assert doc["trace"] == []
+        assert sorted(doc) == ["converged", "equilibrium", "iterations", "reason"]
 
     def test_budget_exhaustion_exits_one(self, intro_path, capsys):
         assert run("solve-fixedpoint", "--instance", intro_path, "--max-iters", "0") == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["converged"] is False and doc["reason"] == "budget"
-        assert doc["equilibrium"] is None and doc["residual"] is None
+        assert doc == {"converged": False, "equilibrium": None, "iterations": 0, "reason": "budget"}
 
     def test_negative_budget_is_usage_error(self, intro_path, capsys):
         assert run("solve-fixedpoint", "--instance", intro_path, "--max-iters", "-1") == 2
@@ -278,6 +318,35 @@ class TestSatCommands:
             run("sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "000")
             == 1
         )
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"error": "assignment does not satisfy the formula"}
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [("10x", "bad assignment character 'x'"), ("10", "assignment length must match")],
+    )
+    def test_bad_assignment_is_usage_error(self, paths, capsys, assignment, message):
+        argv = ["sat-equilibrium", "--cnf", paths["cnf"], "--assignment", assignment]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_gadget_parameters(self, paths, tmp_path, capsys):
+        gadget, eq = tmp_path / "gadget.json", tmp_path / "eq.json"
+        params = ["--eps", "1/5", "--eps-prime", "2/25", "--tau", "50"]
+        assert run("gen-sat", "--cnf", paths["cnf"], *params, "-o", str(gadget)) == 0
+        doc = json.loads(gadget.read_text())
+        assert doc["metadata"]["params"] == {
+            "eps": "1/5", "eps_prime": "2/25", "tau": "50/1", "gap": "1/30"
+        }
+        assert doc["instance"]["tau"] == "50/1"
+        argv = ["sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "101", *params]
+        assert run(*argv, "-o", str(eq)) == 0
+        assert run("verify", "--instance", str(gadget), "--equilibrium", str(eq)) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        # The defaults build another market, where this equilibrium fails.
+        assert run("gen-sat", "--cnf", paths["cnf"], "-o", str(gadget)) == 0
+        assert run("verify", "--instance", str(gadget), "--equilibrium", str(eq)) == 1
 
     def test_readback_requires_metadata(self, paths, tmp_path, capsys):
         eq = tmp_path / "eq.json"
@@ -358,6 +427,32 @@ class TestPolymatrixCommands:
         doc = json.loads(gadget.read_text())
         assert doc["metadata"]["params"]["K"] == 8
 
+    def test_recover_strategy(self, paths, tmp_path, capsys):
+        gadget, eq = tmp_path / "pm.json", str(tmp_path / "eq.json")
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        cand = synthetic_endpoint_prices(build_polymatrix_gadget(GAME2), (1, -1))
+        save_json(candidate_to_json(cand), eq)
+        argv = ["recover-strategy", "--instance", str(gadget), "--equilibrium", eq]
+        assert run(*argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"x": [1.0, 0.0, 0.0, 1.0]}
+        prices = list(cand.prices)
+        prices[0] *= 2  # the first layer-1 pair rescales every other price
+        save_json(candidate_to_json(replace(cand, prices=prices)), eq)
+        assert run(*argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["error"] and doc["error"].startswith("top-layer price")
+
+    def test_tampered_gadget_instance_is_usage_error(self, paths, tmp_path, capsys):
+        # The checks must run on the file's market, which the metadata rebuilds.
+        gadget = tmp_path / "pm.json"
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        doc = json.loads(gadget.read_text())
+        doc["instance"]["endowment"][0][0] = "1000/1"
+        gadget.write_text(json.dumps(doc))
+        assert run("check-gadget", "--instance", str(gadget)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "instance differs" in captured.err
+
     def test_verify_polymatrix(self, paths, tmp_path, capsys):
         strategy = tmp_path / "x.json"
         strategy.write_text(json.dumps({"x": [1.0, 0.0, 1.0, 0.0]}))
@@ -380,13 +475,16 @@ class TestPolymatrixCommands:
             assert run(command, "--instance", gadget, "--equilibrium", eq) == 2
             assert "candidate shape" in capsys.readouterr().err
 
-    def test_bad_strategy_and_game_are_usage_errors(self, paths, tmp_path):
+    def test_bad_strategy_and_game_are_usage_errors(self, paths, tmp_path, capsys):
         strategy = tmp_path / "x.json"
         argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
         # No "x", and an "x" that is a string rather than an array of weights.
         for doc in ({"y": [1.0, 0.0]}, {"x": "1010"}):
             strategy.write_text(json.dumps(doc))
             assert run(*argv) == 2
+        strategy.write_text(json.dumps([1.0, 0.0, 1.0, 0.0]))
+        assert run(*argv) == 2
+        assert "strategy document must be a JSON object" in capsys.readouterr().err
         doc = json.loads(Path(paths["game"]).read_text())
         game = tmp_path / "game.json"
         game.write_text(json.dumps({"n": "two", "payoff": []}))
@@ -607,6 +705,9 @@ GADGET_OUTPUT_SHA256 = {
     "sat.readback.json": "65ceaa3b8f569473f789652f6b7cf7ce96bac5f16743c56fa54d87ced75b5f02",
     "game2.gadget.json": "16a7d71d06c9a2302f50cf7dad8bbc293ff7fb1d81b177d7833e10f2506f2b9d",
     "game2.check.json": "d40e6cc85fdd7d9a8c06ce799b17ac0c15d304ea6b34e3acb8ff3afd5ba4e7d0",
+    "sat.params.gadget.json": "e83ed0a73426d22c6bd6f9d91a0f338ca8cd51c5b96a8c1a0394e322489fb4b1",
+    "sat.params.eq.json": "bd1a08c6ffb694320d18cf3dd9d5040245c519ce08b06234d77888f61b8354b9",
+    "game2.strategy.json": "78d4f753b5276511dfa1e5017fa6fae17661dbafc0faf63e531d2115d2015f5c",
 }
 
 
@@ -625,15 +726,21 @@ class TestGadgetOutputBytes:
 
         gadget, eq = out("sat.gadget.json"), out("sat.eq.json")
         pm = out("game2.gadget.json")
+        params = ["--eps", "1/5", "--eps-prime", "2/25", "--tau", "50"]
         for argv in (
             ["gen-sat", "--cnf", str(cnf), "-o", gadget],
             ["sat-equilibrium", "--cnf", str(cnf), "--assignment", "101100", "-o", eq],
+            ["gen-sat", "--cnf", str(cnf), *params, "-o", out("sat.params.gadget.json")],
+            ["sat-equilibrium", "--cnf", str(cnf), "--assignment", "101100", *params,
+             "-o", out("sat.params.eq.json")],
             ["verify", "--instance", gadget, "--equilibrium", eq, "-o", out("sat.verify.json")],
             ["sat-readback", "--instance", gadget, "--equilibrium", eq,
              "-o", out("sat.readback.json")],
             ["gen-polymatrix", "--game", str(game), "-o", pm],
             ["check-gadget", "--instance", pm, "--equilibrium", str(endpoints),
              "-o", out("game2.check.json")],
+            ["recover-strategy", "--instance", pm, "--equilibrium", str(endpoints),
+             "-o", out("game2.strategy.json")],
         ):
             assert run(*argv) == 0, argv
         digests = {

@@ -97,7 +97,7 @@ class TestControls:
             enumerate_equilibria(inst)
         with pytest.raises(PatternBudgetExceeded):
             exists_equilibrium(inst)
-        assert solve(inst) == SolveOutcome(False, None, 0, "cap")
+        assert solve(inst) == SolveOutcome(None, 0, "cap")
         # An agent that must earn but has no finite chore leaves no pattern,
         # however many the others have.
         idle = fixed_earnings_instance(10, [[1] * 40, [None] * 40], [1, 1])

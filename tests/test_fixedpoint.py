@@ -7,7 +7,7 @@ import pytest
 
 from choremarket import enumeration
 from choremarket.errors import ConditionViolated, ConstructionFailed, Infeasible
-from choremarket.enumeration import SolverConfig, solve
+from choremarket.enumeration import SolveOutcome, SolverConfig, solve
 from choremarket.graphs import build_disutility_graph, check_condition1
 from choremarket.model import (
     EXACT,
@@ -137,6 +137,10 @@ class TestPhiStep:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("reason", ["found", "budget", "cap"])
+    def test_converged_is_reason_found(self, reason):
+        assert SolveOutcome(None, 0, reason).converged is (reason == "found")
+
     def test_gates_on_condition1(self, example1):
         with pytest.raises(ConditionViolated, match="^condition 1 fails: "):
             solve(example1)

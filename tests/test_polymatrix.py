@@ -76,6 +76,18 @@ class TestVerifyPolymatrix:
         assert not verify_polymatrix_equilibrium(game, [0.0, 1.0, 1.0, 0.0]).ok
         assert verify_polymatrix_equilibrium(game, [1.0, 0.0, 1.0, 0.0]).ok
 
+    def test_negative_weight_reported(self):
+        game = PolymatrixGame(1, [[1, 0], [0, 1]])
+        verdict = verify_polymatrix_equilibrium(game, [-0.5, 1.5])
+        assert verdict.violations == ("strategy weight 0 is negative",)
+
+    def test_losing_even_strategy_reported(self):
+        # The odd strategies win by a full point (> 1/n = 1/2); player 0
+        # still puts weight on its even one.
+        game = PolymatrixGame(2, [[0, 1, 0, 1]] * 4)
+        verdict = verify_polymatrix_equilibrium(game, [1.0, 0.0, 0.0, 1.0])
+        assert verdict.violations == ("pair 0: losing strategy 0 still carries weight",)
+
     def test_pair_sum_checked(self):
         game = PolymatrixGame(1, [[1, 0], [0, 1]])
         assert not verify_polymatrix_equilibrium(game, [0.7, 0.7]).ok
@@ -206,6 +218,53 @@ class TestRecovery:
             x = recover_strategy(g, cand)
             for i in range(g.params.n):
                 assert sorted((x[2 * i], x[2 * i + 1])) == [0.0, 1.0]
+
+    @staticmethod
+    def _perturbed(g, edits):
+        """Endpoint prices of signs (1, 1) (layer ``k``'s pairs sit at the
+        high endpoint for even ``k``, the low one for odd ``k``), with
+        ``edits`` mapping ``(layer, index)`` to a new price."""
+        cand = synthetic_endpoint_prices(g, (1, 1))
+        p = list(cand.prices)
+        for (k, i), price in edits.items():
+            p[g.chore(k, i)] = price
+        return verify_gadget_properties(g, replace(cand, prices=p))
+
+    @staticmethod
+    def _details(rep, name):
+        check = rep.check(name)
+        assert check.ok is not bool(check.details)
+        return check.details
+
+    def test_price_shape_failures_are_detailed(self):
+        g = build_polymatrix_gadget(GAME2)
+        # Layer-1 pair 1 scaled up: its sum and both of its column agents' budgets.
+        rep = self._perturbed(g, {(1, 2): 1.1, (1, 3): 1.1})
+        (total,) = self._details(rep, "price-equality")
+        assert total.startswith("layer 1 pair 1 sums to ")
+        assert float(total.rsplit(" ", 1)[1]) == pytest.approx(2.2)
+        budgets = self._details(rep, "fixed-column-earnings")
+        assert [d.split(":")[0] for d in budgets] == ["column agent 2", "column agent 3"]
+        assert not self._details(rep, "price-regulation")
+        # A zero odd price leaves the pair without a ratio.
+        rep = self._perturbed(g, {(3, 3): 0.0})
+        assert self._details(rep, "price-regulation") == (
+            "layer 3 pair 1: odd chore price is zero",
+        )
+        assert not self._details(rep, "reverse-ratio-amplification")
+
+    @pytest.mark.parametrize("layer, endpoint", [(3, "high"), (4, "low")])
+    def test_off_band_ratio_breaks_amplification(self, layer, endpoint):
+        # Ratio 3 in pair 0 of ``layer``: off its band, and no flip from the
+        # endpoint one layer down.
+        g = build_polymatrix_gadget(GAME2)
+        rep = self._perturbed(g, {(layer, 0): 1.5, (layer, 1): 0.5})
+        assert not self._details(rep, "price-equality")
+        (off,) = self._details(rep, "price-regulation")
+        assert off.startswith(f"layer {layer} pair 0: ratio ") and off.endswith(" off band")
+        (flip,) = self._details(rep, "reverse-ratio-amplification")
+        assert flip.startswith(f"layer {layer - 1} pair 0 at {endpoint} endpoint, next ratio ")
+        assert float(flip.rsplit(" ", 1)[1]) == pytest.approx(3.0)
 
     def test_out_of_band_rejected(self):
         g = build_polymatrix_gadget(GAME2)

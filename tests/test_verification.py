@@ -15,6 +15,7 @@ from choremarket.model import (
 )
 from choremarket.verification import (
     POS_TOL,
+    PairComparison,
     check_pareto,
     disutility_profile,
     fairness_report,
@@ -192,6 +193,19 @@ class TestVerify:
                 f"agent 1 earns {cand.allocation[1][0] + cand.allocation[1][1]} but owes {owed[1]}",
             )
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_violation_order(self, warmup, mode):
+        # Cell lines in row order, then budget lines, then clearing lines.
+        half = F(1, 2) if mode == "exact" else 0.5
+        one = F(1) if mode == "exact" else 1.0
+        cand = EquilibriumCandidate((one, one), ((half, half), (half, 0 * one)), mode=mode)
+        assert verify_equilibrium(warmup, cand).violations == (
+            "agent 0 does non-MPB chore 1",
+            "agent 1 does forbidden chore 0",
+            f"agent 1 earns {half} but owes 1",
+            f"chore 1: {half} done of supply 1",
+        )
+
     def test_float_mode_catches_real_violations(self, warmup):
         cand = EquilibriumCandidate(
             (1.0, 1.0), ((0.5, 0.0), (0.0, 1.0)), mode="float"
@@ -257,6 +271,33 @@ class TestFairness:
         rep = fairness_report(inst, cand)
         assert rep.excluded_agents == (1,)
         assert rep.comparisons == ()
+
+    def test_float_candidate_is_read_exactly(self, intro):
+        flat = EquilibriumCandidate((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)), mode="float")
+        exact = EquilibriumCandidate((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))
+        rep = fairness_report(intro, flat)
+        assert rep == fairness_report(intro, exact)
+        assert rep.profile == (1, 1) and rep.weighted_envy_free
+
+    def test_forbidden_bundles_are_infinite_rates(self):
+        # Agent 0 cannot do chore 1.  Doing it itself, its own rate is
+        # infinite and it envies agent 1; when agent 1 holds it, agent 0's
+        # rate for that bundle is infinite and it envies no one.
+        inst = fixed_earnings_instance(10, [[1, None], [1, 1]], [1, 1])
+        own = EquilibriumCandidate((F(1), F(1)), ((0, 1), (1, 0)))
+        rep = fairness_report(inst, own)
+        assert rep.profile == (None, 1)
+        assert rep.comparisons == (
+            PairComparison(0, 1, None, F(1), False),
+            PairComparison(1, 0, F(1), F(1), True),
+        )
+        cross = EquilibriumCandidate((F(1), F(1)), ((1, 0), (0, 1)))
+        rep = fairness_report(inst, cross)
+        assert rep.comparisons == (
+            PairComparison(0, 1, F(1), None, True),
+            PairComparison(1, 0, F(1), F(1), True),
+        )
+        assert rep.weighted_envy_free
 
 
 class TestPareto:
