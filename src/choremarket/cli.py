@@ -5,8 +5,8 @@ Every command reads JSON and returns one JSON document and whether it passed;
 codes: 0 on success (or a passing check); 1 when a check fails, a search comes
 up empty or exceeds its budget (``--cap``, ``--max-iters``), or on any other
 package error that is not :class:`Malformed`, written as ``{"error": message}``
-and to stderr; 2 on malformed input, usage errors or an unwritable ``-o``.
-Exits 0 and 1 always write a document, exit 2 writes none.
+and to stderr; 2 on malformed or undecodable input, usage errors or an
+unwritable ``-o``.  Exits 0 and 1 always write a document, exit 2 writes none.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
             save_json(doc, args.output)
         else:
             print(_json_text(doc))
-    except (Malformed, OSError, json.JSONDecodeError) as exc:
+    except (Malformed, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

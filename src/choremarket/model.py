@@ -12,6 +12,7 @@ allocation; the money agent ``i`` earns on chore ``j`` is their product
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -24,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     Malformed,
+    NotGadget,
     ZeroPriceSum,
 )
 
@@ -75,6 +77,17 @@ def _json_array(value, name: str, nested: bool = False) -> list:
     if not isinstance(value, list) or nested and not all(isinstance(row, list) for row in value):
         raise Malformed(f"{name} must be a JSON array" + (" of arrays" if nested else ""))
     return value
+
+
+@contextlib.contextmanager
+def _reading(name: str):
+    """Raise :class:`Malformed` for a field missing from or bad in ``name``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise Malformed(f"{name} missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise Malformed(f"{name} has a bad value: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=4096)
@@ -384,7 +397,7 @@ def instance_from_json(doc: dict) -> Instance:
         raise Malformed("instance document must be a JSON object")
     if "instance" in doc:
         doc = doc["instance"]
-    try:
+    with _reading("instance document"):
         variant = doc["variant"]
         tau = doc["tau"]
         disutility = _json_array(doc["disutility"], "disutility", nested=True)
@@ -397,10 +410,6 @@ def instance_from_json(doc: dict) -> Instance:
             if supply is not None:
                 supply = _json_array(supply, "supply")
             return fixed_earnings_instance(tau, disutility, earning, supply)
-    except KeyError as exc:
-        raise Malformed(f"instance document missing field {exc}") from exc
-    except TypeError as exc:
-        raise Malformed(f"instance document has a badly shaped field: {exc}") from exc
     raise Malformed(f"unknown variant {variant!r}")
 
 
@@ -415,16 +424,40 @@ def candidate_to_json(cand: EquilibriumCandidate) -> dict:
 def candidate_from_json(doc: dict) -> EquilibriumCandidate:
     if not isinstance(doc, dict):
         raise Malformed("equilibrium document must be a JSON object")
-    try:
+    with _reading("equilibrium document"):
         mode = doc.get("mode", EXACT)
         prices = _decode_values(_json_array(doc["prices"], "prices"), mode)
         rows = _json_array(doc["allocation"], "allocation", nested=True)
         allocation = [_decode_values(row, mode) for row in rows]
-    except KeyError as exc:
-        raise Malformed(f"equilibrium document missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise Malformed(f"equilibrium document has a bad value: {exc}") from exc
     return EquilibriumCandidate(prices, allocation, mode=mode)
+
+
+def _gadget_to_json(gadget, kind: str, fields: dict) -> dict:
+    """A reduction's gadget file: its market, and metadata that rebuilds it."""
+    return {
+        "instance": instance_to_json(gadget.instance),
+        "metadata": {
+            "kind": kind,
+            **fields,
+            "agents": list(gadget.agent_labels),
+            "chores": list(gadget.chore_labels),
+        },
+    }
+
+
+def _gadget_from_json(doc, kind: str, read, build):
+    """``build(*read(metadata))`` of a gadget file of ``kind``.  Its
+    ``instance`` must be that market, else :class:`NotGadget`: no check may
+    run on a market other than the file's."""
+    meta = doc.get("metadata") if isinstance(doc, dict) else None
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise NotGadget(f"document lacks {kind} metadata")
+    with _reading(f"{kind} metadata"):
+        args = read(meta)
+    gadget = build(*args)
+    if doc.get("instance") != instance_to_json(gadget.instance):
+        raise NotGadget("instance differs from the market its metadata builds")
+    return gadget
 
 
 def _json_text(doc: dict) -> str:

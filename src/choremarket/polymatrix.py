@@ -23,16 +23,18 @@ from .errors import (
     DegenerateSize,
     DimensionMismatch,
     Malformed,
-    NotGadget,
     OutOfBand,
 )
 from .model import (
     EquilibriumCandidate,
     Instance,
+    _gadget_from_json,
+    _gadget_to_json,
     _json_array,
+    _reading,
+    agent_budget,
     exchange_instance,
     format_rational,
-    instance_to_json,
     to_fraction,
     to_int,
 )
@@ -373,9 +375,7 @@ def verify_gadget_properties(
     details = []
     for c in range(size):
         agent = size + c  # column agents follow the 2n layer-1 owners
-        budget = sum(
-            float(w) * p[j] for j, w in enumerate(inst.endowment[agent]) if w
-        )
+        budget = agent_budget(inst, agent, p)
         target = float((1 - params.alpha[-1]) * (2 * n - gadget.game.column_sums[c]))
         if abs(budget - target) > tol * max(1.0, abs(target)):
             details.append(f"column agent {c}: budget {budget}, target {target}")
@@ -461,63 +461,41 @@ def game_to_json(game: PolymatrixGame) -> dict:
 
 
 def game_from_json(doc: dict) -> PolymatrixGame:
-    try:
+    with _reading("game document"):
         n = to_int(doc["n"])
         rows = _json_array(doc["payoff"], "payoff", nested=True)
         payoff = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-    except KeyError as exc:
-        raise Malformed(f"game document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise Malformed(f"game document has a bad value: {exc}") from exc
     return PolymatrixGame(n, payoff)
 
 
 def gadget_to_json(gadget: PolymatrixGadget) -> dict:
-    return {
-        "instance": instance_to_json(gadget.instance),
-        "metadata": {
-            "kind": "polymatrix-gadget",
-            "game": game_to_json(gadget.game),
-            "params": {
-                "n": gadget.params.n,
-                "c": gadget.params.c,
-                "K": gadget.params.K,
-                "alpha": [format_rational(a) for a in gadget.params.alpha],
-                "delta": [format_rational(d) for d in gadget.params.delta],
-                "tau": format_rational(gadget.params.tau),
-            },
-            "agents": list(gadget.agent_labels),
-            "chores": list(gadget.chore_labels),
+    return _gadget_to_json(gadget, "polymatrix-gadget", {
+        "game": game_to_json(gadget.game),
+        "params": {
+            "n": gadget.params.n,
+            "c": gadget.params.c,
+            "K": gadget.params.K,
+            "alpha": [format_rational(a) for a in gadget.params.alpha],
+            "delta": [format_rational(d) for d in gadget.params.delta],
+            "tau": format_rational(gadget.params.tau),
         },
-    }
+    })
+
+
+def _read_metadata(meta: dict) -> tuple:
+    game = game_from_json(meta["game"])
+    pm = meta["params"]
+    params = PPADGadgetParams(
+        n=to_int(pm["n"]),
+        c=to_int(pm["c"]),
+        K=to_int(pm["K"]),
+        alpha=tuple(to_fraction(a) for a in _json_array(pm["alpha"], "alpha")),
+        delta=tuple(to_fraction(d) for d in _json_array(pm["delta"], "delta")),
+        tau=to_fraction(pm["tau"]),
+    )
+    return game, params
 
 
 def gadget_from_json(doc: dict) -> PolymatrixGadget:
-    """Rebuild the gadget from its metadata.
-
-    The document's ``instance`` must be the rebuilt market, exactly as
-    :func:`gadget_to_json` writes it; otherwise the checks would run on a
-    market other than the file's, so :class:`NotGadget` is raised.
-    """
-    meta = doc.get("metadata") if isinstance(doc, dict) else None
-    if not isinstance(meta, dict) or meta.get("kind") != "polymatrix-gadget":
-        raise NotGadget("document lacks polymatrix-gadget metadata")
-    try:
-        game = game_from_json(meta["game"])
-        pm = meta["params"]
-        params = PPADGadgetParams(
-            n=to_int(pm["n"]),
-            c=to_int(pm["c"]),
-            K=to_int(pm["K"]),
-            alpha=tuple(to_fraction(a) for a in _json_array(pm["alpha"], "alpha")),
-            delta=tuple(to_fraction(d) for d in _json_array(pm["delta"], "delta")),
-            tau=to_fraction(pm["tau"]),
-        )
-    except KeyError as exc:
-        raise Malformed(f"polymatrix-gadget metadata missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise Malformed(f"polymatrix-gadget metadata has a bad value: {exc}") from exc
-    gadget = build_polymatrix_gadget(game, params)
-    if doc.get("instance") != instance_to_json(gadget.instance):
-        raise NotGadget("instance differs from the market its metadata builds")
-    return gadget
+    """The gadget of a file :func:`gadget_to_json` wrote, checked against it."""
+    return _gadget_from_json(doc, "polymatrix-gadget", _read_metadata, build_polymatrix_gadget)

@@ -27,10 +27,11 @@ from .model import (
     FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
+    _gadget_from_json,
+    _gadget_to_json,
     _json_array,
     fixed_earnings_instance,
     format_rational,
-    instance_to_json,
     to_fraction,
     to_int,
 )
@@ -95,13 +96,16 @@ def parse_dimacs(text: str) -> CNFFormula:
     pending = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's files end the clause list with "%"
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise Malformed(f"bad DIMACS header: {line!r}")
             num_vars = _dimacs_int(parts[2])
+            _dimacs_int(parts[3])  # the clause count is checked, not used
             continue
         for token in line.split():
             lit = _dimacs_int(token)
@@ -382,43 +386,34 @@ def expand_to_equal_earnings(
 
 
 def gadget_to_json(gadget: SATGadget) -> dict:
-    return {
-        "instance": instance_to_json(gadget.instance),
-        "metadata": {
-            "kind": "sat-gadget",
-            "formula": {
-                "num_vars": gadget.formula.num_vars,
-                "clauses": [list(c) for c in gadget.formula.clauses],
-            },
-            "params": {
-                "eps": format_rational(gadget.params.eps),
-                "eps_prime": format_rational(gadget.params.eps_prime),
-                "tau": format_rational(gadget.params.tau),
-                "gap": format_rational(gadget.params.gap),
-            },
-            "agents": list(gadget.agent_labels),
-            "chores": list(gadget.chore_labels),
+    return _gadget_to_json(gadget, "sat-gadget", {
+        "formula": {
+            "num_vars": gadget.formula.num_vars,
+            "clauses": [list(c) for c in gadget.formula.clauses],
         },
-    }
+        "params": {
+            "eps": format_rational(gadget.params.eps),
+            "eps_prime": format_rational(gadget.params.eps_prime),
+            "tau": format_rational(gadget.params.tau),
+            "gap": format_rational(gadget.params.gap),
+        },
+    })
+
+
+def _read_metadata(meta: dict) -> tuple:
+    formula = CNFFormula(
+        meta["formula"]["num_vars"],
+        _json_array(meta["formula"]["clauses"], "clauses", nested=True),
+    )
+    params = SATGadgetParams(
+        eps=to_fraction(meta["params"]["eps"]),
+        eps_prime=to_fraction(meta["params"]["eps_prime"]),
+        tau=to_fraction(meta["params"]["tau"]),
+        gap=to_fraction(meta["params"]["gap"]),
+    )
+    return formula, params
 
 
 def gadget_from_json(doc: dict) -> SATGadget:
-    meta = doc.get("metadata") if isinstance(doc, dict) else None
-    if not isinstance(meta, dict) or meta.get("kind") != "sat-gadget":
-        raise NotGadget("document lacks sat-gadget metadata")
-    try:
-        formula = CNFFormula(
-            meta["formula"]["num_vars"],
-            _json_array(meta["formula"]["clauses"], "clauses", nested=True),
-        )
-        params = SATGadgetParams(
-            eps=to_fraction(meta["params"]["eps"]),
-            eps_prime=to_fraction(meta["params"]["eps_prime"]),
-            tau=to_fraction(meta["params"]["tau"]),
-            gap=to_fraction(meta["params"]["gap"]),
-        )
-    except KeyError as exc:
-        raise Malformed(f"sat-gadget metadata missing field {exc}") from exc
-    except TypeError as exc:
-        raise Malformed(f"sat-gadget metadata has a badly shaped field: {exc}") from exc
-    return build_sat_gadget(formula, params)
+    """The gadget of a file :func:`gadget_to_json` wrote, checked against it."""
+    return _gadget_from_json(doc, "sat-gadget", _read_metadata, build_sat_gadget)

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from choremarket import polymatrix, sat_reduction
 from choremarket.cli import main
+from choremarket.errors import Malformed, NotGadget
 from choremarket.model import (
     candidate_from_json,
     candidate_to_json,
@@ -417,6 +419,77 @@ def _huge_exact_price(m, n):
     return {"mode": "exact", "prices": ["1e400"] + ["1"] * (m - 1), "allocation": [["0"] * m] * n}
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check-conditions", "--instance"], b'{"variant": "\xff"}'),
+        (["gen-sat", "--cnf"], b"p cnf 3 1\n1 2 3 0 \xff\n"),
+    ],
+    ids=["json", "cnf"],
+)
+def test_non_utf8_input_is_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    assert run(*argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec")
+
+
+def _edit_first_entry(doc):
+    """Raise the first earning (SAT) or endowment entry (polymatrix) of a
+    gadget file's market to 1000."""
+    inst = doc["instance"]
+    (inst["earning"] if "earning" in inst else inst["endowment"][0])[0] = "1000/1"
+
+
+class TestGadgetFiles:
+    """Both reductions read their files through one codec: a file must hold
+    the market its metadata builds."""
+
+    @staticmethod
+    def _file(paths, tmp_path, kind):
+        """A generated gadget file of ``kind``, its library reader, and the
+        argv of the command that checks it."""
+        gadget = tmp_path / "gadget.json"
+        if kind == "sat-gadget":
+            eq = tmp_path / "eq.json"
+            assert run("gen-sat", "--cnf", paths["cnf"], "-o", str(gadget)) == 0
+            argv = ["sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "111"]
+            assert run(*argv, "-o", str(eq)) == 0
+            argv = ["sat-readback", "--instance", str(gadget), "--equilibrium", str(eq)]
+            return gadget, sat_reduction.gadget_from_json, argv
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        return gadget, polymatrix.gadget_from_json, ["check-gadget", "--instance", str(gadget)]
+
+    @pytest.mark.parametrize("kind", ["sat-gadget", "polymatrix-gadget"])
+    @pytest.mark.parametrize(
+        "tamper, error, message",
+        [
+            (_edit_first_entry, NotGadget, "instance differs from the market its metadata builds"),
+            (lambda doc: doc.pop("instance"), NotGadget, "instance differs"),
+            (lambda doc: doc["metadata"].pop("params"), Malformed, "metadata missing field 'params'"),
+        ],
+        ids=["edited-entry", "no-instance", "no-params"],
+    )
+    def test_file_must_hold_its_market(
+        self, paths, tmp_path, capsys, kind, tamper, error, message
+    ):
+        gadget, read, argv = self._file(paths, tmp_path, kind)
+        assert run(*argv) == 0
+        doc = json.loads(gadget.read_text())
+        tamper(doc)
+        with pytest.raises(Malformed, match=message) as excinfo:
+            read(doc)
+        assert excinfo.type is error
+        if error is Malformed:  # the message names the file's kind
+            assert str(excinfo.value).startswith(f"{kind} metadata missing field")
+        capsys.readouterr()
+        gadget.write_text(json.dumps(doc))
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 class TestPolymatrixCommands:
     def test_gen_check_recover(self, paths, tmp_path, capsys):
         gadget = tmp_path / "pm.json"
@@ -441,17 +514,6 @@ class TestPolymatrixCommands:
         assert run(*argv) == 1
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["error"] and doc["error"].startswith("top-layer price")
-
-    def test_tampered_gadget_instance_is_usage_error(self, paths, tmp_path, capsys):
-        # The checks must run on the file's market, which the metadata rebuilds.
-        gadget = tmp_path / "pm.json"
-        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
-        doc = json.loads(gadget.read_text())
-        doc["instance"]["endowment"][0][0] = "1000/1"
-        gadget.write_text(json.dumps(doc))
-        assert run("check-gadget", "--instance", str(gadget)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "instance differs" in captured.err
 
     def test_verify_polymatrix(self, paths, tmp_path, capsys):
         strategy = tmp_path / "x.json"

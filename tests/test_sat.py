@@ -59,6 +59,15 @@ class TestFormula:
         text = "c comment\np cnf 3 2\n1 2 3 0\n-1 -2 3 0\n"
         assert parse_dimacs(text) == PHI
 
+    def test_parse_dimacs_percent_ends_the_clauses(self):
+        # SATLIB's uf* files close with "%" and a lone "0".
+        text = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n%\n0\n"
+        assert parse_dimacs(text) == CNFFormula(3, [(1, -2, 3), (-1, 2, -3)])
+
+    def test_parse_dimacs_clause_count_is_an_integer(self):
+        with pytest.raises(Malformed, match="bad DIMACS integer: 'x'"):
+            parse_dimacs("p cnf 3 x\n1 2 3 0\n")
+
 
 class TestParams:
     def test_defaults_valid(self):
