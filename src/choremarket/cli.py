@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import math
 import sys
 
 from . import enumeration, graphs, polymatrix, sat_reduction, verification
 from .errors import ChoreMarketError, Malformed
 from .model import (
+    _encode_values,
     _json_array,
     _json_text,
+    _tolerance,
     candidate_from_json,
     candidate_to_json,
     format_rational,
@@ -165,7 +165,11 @@ def _sat_params(args):
 
 def _load_formula(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return sat_reduction.parse_dimacs(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise Malformed(f"{exc} (reading {path})") from exc
+    return sat_reduction.parse_dimacs(text)
 
 
 def _cmd_gen_sat(args):
@@ -239,7 +243,7 @@ def _cmd_recover_strategy(args):
     gadget = polymatrix.gadget_from_json(load_json(args.instance))
     cand = _load_candidate(args.equilibrium)
     x = polymatrix.recover_strategy(gadget, cand, tol=args.tol)
-    return {"x": list(x)}, True
+    return {"x": _encode_values(x, cand.mode)}, True
 
 
 def _cmd_verify_polymatrix(args):
@@ -256,17 +260,14 @@ def _cmd_verify_polymatrix(args):
 # Parser
 
 
-def _tolerance(text):
-    """A finite, nonnegative float; NaN would make every comparison pass."""
+def _tolerance_flag(text):
+    """A finite, nonnegative float (see :func:`model._tolerance`)."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
+        return _tolerance(float(text))
+    except (ValueError, Malformed) as exc:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite nonnegative number: {text!r}"
-        )
-    return value
+        ) from exc
 
 
 @functools.cache
@@ -290,8 +291,8 @@ def _build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--equilibrium", required=True)
     p.add_argument("--epsilon", default="0")
-    p.add_argument("--tol-mpb", type=_tolerance, default=verification.TOL_MPB)
-    p.add_argument("--tol-clearing", type=_tolerance, default=verification.TOL_CLEARING)
+    p.add_argument("--tol-mpb", type=_tolerance_flag, default=verification.TOL_MPB)
+    p.add_argument("--tol-clearing", type=_tolerance_flag, default=verification.TOL_CLEARING)
 
     p = add("enumerate", _cmd_enumerate, "one verified equilibrium price ray per pattern")
     p.add_argument("--instance", required=True)
@@ -334,17 +335,17 @@ def _build_parser():
     p = add("check-gadget", _cmd_check_gadget, "verify gadget structure and price shape")
     p.add_argument("--instance", required=True, help="gadget JSON with metadata")
     p.add_argument("--equilibrium")
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_tolerance_flag, default=1e-6)
 
     p = add("recover-strategy", _cmd_recover_strategy, "strategy from top-layer prices")
     p.add_argument("--instance", required=True, help="gadget JSON with metadata")
     p.add_argument("--equilibrium", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_tolerance_flag, default=1e-6)
 
     p = add("verify-polymatrix", _cmd_verify_polymatrix, "check a threshold equilibrium")
     p.add_argument("--game", required=True)
     p.add_argument("--strategy", required=True, help='JSON {"x": [...]}')
-    p.add_argument("--slack", type=_tolerance, default=1e-6)
+    p.add_argument("--slack", type=_tolerance_flag, default=1e-6)
 
     return parser
 
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
             save_json(doc, args.output)
         else:
             print(_json_text(doc))
-    except (Malformed, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (Malformed, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -70,6 +70,14 @@ def to_int(value) -> int:
     raise Malformed(f"not an integer: {value!r}")
 
 
+def _tolerance(value):
+    """``value`` if it is a finite nonnegative number, else :class:`Malformed`:
+    with NaN every comparison is false, so a failing input would pass."""
+    if not (math.isfinite(value) and value >= 0):
+        raise Malformed(f"tolerance must be a finite nonnegative number: {value!r}")
+    return value
+
+
 def _json_array(value, name: str, nested: bool = False) -> list:
     """Return ``value`` if it is a JSON array, of arrays when ``nested``;
     anything else raises :class:`Malformed`.  A string in particular would
@@ -472,5 +480,11 @@ def save_json(doc: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The file's JSON document.  Text that is not UTF-8 or not JSON, or an
+    integer past the interpreter's digit limit, is :class:`Malformed`, and
+    the message names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise Malformed(f"{exc} (reading {path})") from exc

@@ -26,12 +26,14 @@ from .errors import (
     OutOfBand,
 )
 from .model import (
+    EXACT,
     EquilibriumCandidate,
     Instance,
     _gadget_from_json,
     _gadget_to_json,
     _json_array,
     _reading,
+    _tolerance,
     agent_budget,
     exchange_instance,
     format_rational,
@@ -88,35 +90,34 @@ def verify_polymatrix_equilibrium(
     ``x`` must be a nonnegative vector with each strategy pair summing to
     one; whenever one strategy of a pair beats the other by more than
     ``1/n``, the losing strategy must carry no weight.  Weights are numbers
-    or rational strings (see :func:`model.to_fraction`), read as floats; any
-    other weight, a bool included, or a NaN, infinite or out-of-float-range
-    one, is :class:`Malformed`, and so is a string ``x``.
+    or rational strings (see :func:`model.to_fraction`), read as exact
+    rationals; any other weight (a bool, NaN or infinity included), a string
+    ``x``, and a NaN, infinite or negative ``slack`` are :class:`Malformed`.
     """
     if isinstance(x, str):
         raise Malformed("strategy must be a sequence of weights, not a string")
+    slack = Fraction(_tolerance(slack))
     try:
-        # to_fraction parses strings and rejects bools, which float() reads as 1 and 0.
-        x = [float(to_fraction(v)) if isinstance(v, (str, bool)) else float(v) for v in x]
+        # to_fraction parses strings and rejects bools, which Fraction() reads as 1 and 0.
+        x = [to_fraction(v) if isinstance(v, (str, bool)) else Fraction(v) for v in x]
     except (TypeError, ValueError, OverflowError) as exc:
         raise Malformed(f"bad strategy weight: {exc}") from exc
     size = 2 * game.n
     if len(x) != size:
         raise DimensionMismatch("strategy length must be 2n")
-    if not all(map(math.isfinite, x)):
-        raise Malformed("strategy weights must be finite")
     violations = []
     for j, v in enumerate(x):
         if v < -slack:
             violations.append(f"strategy weight {j} is negative")
     for i in range(game.n):
         pair = x[2 * i] + x[2 * i + 1]
-        if abs(pair - 1.0) > slack:
+        if abs(pair - 1) > slack:
             violations.append(f"pair {i} weights sum to {pair}, not 1")
     scores = [
-        sum(x[r] * float(game.payoff[r][j]) for r in range(size))
+        sum(x[r] * game.payoff[r][j] for r in range(size))
         for j in range(size)
     ]
-    threshold = 1.0 / game.n
+    threshold = Fraction(1, game.n)
     for i in range(game.n):
         a, b = scores[2 * i], scores[2 * i + 1]
         if a > b + threshold + slack and x[2 * i + 1] > slack:
@@ -311,18 +312,17 @@ class GadgetPropertyReport:
         raise KeyError(name)
 
 
-def _scaled_prices(gadget: PolymatrixGadget, prices) -> List[float]:
-    """The prices as floats, rescaled so the first layer-1 pair sums to two."""
-    if len(prices) != gadget.instance.m:
+def _scaled_prices(gadget: PolymatrixGadget, cand: EquilibriumCandidate) -> tuple:
+    """The candidate's number type (Fraction or float) and its prices in it,
+    rescaled so the first layer-1 pair sums to two."""
+    if cand.m != gadget.instance.m:
         raise DimensionMismatch("candidate shape does not match the gadget")
-    try:
-        p = [float(x) for x in prices]
-    except OverflowError as exc:
-        raise Malformed(f"price out of float range: {exc}") from exc
+    num = Fraction if cand.mode == EXACT else float
+    p = [num(x) for x in cand.prices]
     base = p[gadget.chore(1, 0)] + p[gadget.chore(1, 1)]
     if base <= 0:
         raise OutOfBand("first layer-1 pair carries no price mass")
-    return [2.0 * x / base for x in p]
+    return num, [2 * x / base for x in p]
 
 
 def verify_gadget_properties(
@@ -337,7 +337,8 @@ def verify_gadget_properties(
     layer-1 pair sums to two, and then every pair must sum to two, the
     column agents' budgets must match their fixed targets, every pair ratio
     must respect its layer band, and a ratio pinned at a band endpoint must
-    flip to the opposite endpoint one layer up.
+    flip to the opposite endpoint one layer up.  These price checks run in
+    the candidate's own numbers, exactly for an exact candidate.
     """
     params = gadget.params
     inst = gadget.instance
@@ -362,13 +363,14 @@ def verify_gadget_properties(
     if cand is None:
         return GadgetPropertyReport(tuple(checks))
 
-    p = _scaled_prices(gadget, cand.prices)
+    num, p = _scaled_prices(gadget, cand)
+    tol = num(_tolerance(tol))
 
     details = []
     for k in range(1, K + 1):
         for pair in range(n):
             total = p[gadget.chore(k, 2 * pair)] + p[gadget.chore(k, 2 * pair + 1)]
-            if abs(total - 2.0) > tol:
+            if abs(total - 2) > tol:
                 details.append(f"layer {k} pair {pair} sums to {total}")
     checks.append(PropertyCheck("price-equality", not details, tuple(details)))
 
@@ -376,16 +378,18 @@ def verify_gadget_properties(
     for c in range(size):
         agent = size + c  # column agents follow the 2n layer-1 owners
         budget = agent_budget(inst, agent, p)
-        target = float((1 - params.alpha[-1]) * (2 * n - gadget.game.column_sums[c]))
-        if abs(budget - target) > tol * max(1.0, abs(target)):
+        target = num((1 - params.alpha[-1]) * (2 * n - gadget.game.column_sums[c]))
+        if abs(budget - target) > tol * max(1, abs(target)):
             details.append(f"column agent {c}: budget {budget}, target {target}")
     checks.append(PropertyCheck("fixed-column-earnings", not details, tuple(details)))
+
+    # bands[k - 1] is layer k's ratio band (lo, hi), shared by the last two checks.
+    bands = [((1 - a) / (1 + a), (1 + a) / (1 - a)) for a in map(num, params.alpha)]
 
     details = []
     ratios = {}
     for k in range(1, K + 1):
-        a = float(params.alpha[k - 1])
-        lo, hi = (1 - a) / (1 + a), (1 + a) / (1 - a)
+        lo, hi = bands[k - 1]
         for pair in range(n):
             odd = p[gadget.chore(k, 2 * pair + 1)]
             if odd <= 0:
@@ -399,11 +403,8 @@ def verify_gadget_properties(
 
     details = []
     for k in range(1, K):
-        a = float(params.alpha[k - 1])
-        a_next = float(params.alpha[k])
-        lo, hi = (1 - a) / (1 + a), (1 + a) / (1 - a)
-        lo_next = (1 - a_next) / (1 + a_next)
-        hi_next = (1 + a_next) / (1 - a_next)
+        lo, hi = bands[k - 1]
+        lo_next, hi_next = bands[k]
         for pair in range(n):
             r = ratios.get((k, pair))
             r_next = ratios.get((k + 1, pair))
@@ -426,26 +427,26 @@ def recover_strategy(
     gadget: PolymatrixGadget,
     cand: EquilibriumCandidate,
     tol: float = 1e-6,
-) -> Tuple[float, ...]:
+) -> tuple:
     """Map top-layer prices to a mixed strategy.
 
     After rescaling so the first layer-1 pair sums to two, each top-layer
     price must lie in ``[1 - alpha_K, 1 + alpha_K]`` up to ``tol`` (else
     :class:`OutOfBand`); the affine map onto ``[0, 1]`` gives the strategy
-    weight, clamped to the unit interval.
+    weight in the candidate's own numbers, clamped to the unit interval.
     """
     params = gadget.params
-    p = _scaled_prices(gadget, cand.prices)
-    a = float(params.alpha[-1])
+    num, p = _scaled_prices(gadget, cand)
+    tol = num(_tolerance(tol))
+    a = num(params.alpha[-1])
+    lo, hi = 1 - a, 1 + a
     out = []
     for i in range(2 * params.n):
         price = p[gadget.chore(params.K, i)]
-        if price < 1 - a - tol or price > 1 + a + tol:
-            raise OutOfBand(
-                f"top-layer price {price} outside [{1 - a}, {1 + a}]"
-            )
-        x = (price - (1 - a)) / (2 * a)
-        out.append(min(1.0, max(0.0, x)))
+        if price < lo - tol or price > hi + tol:
+            raise OutOfBand(f"top-layer price {price} outside [{lo}, {hi}]")
+        x = (price - lo) / (2 * a)
+        out.append(min(num(1), max(num(0), x)))
     return tuple(out)
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .model import (
     _ZERO,
+    EXACT,
     FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
@@ -332,7 +333,7 @@ def equilibrium_to_assignment(
     inst = gadget.instance
     if cand.n != inst.n or cand.m != inst.m:
         raise NotGadget("candidate shape does not match the gadget")
-    threshold = 0 if cand.mode == "exact" else 1e-9
+    threshold = 0 if cand.mode == EXACT else 1e-9
     out = []
     for v in range(gadget.formula.num_vars):
         b2 = gadget.b(v, 2)

@@ -20,6 +20,7 @@ from .model import (
     EXACT,
     EquilibriumCandidate,
     Instance,
+    _tolerance,
     agent_budget,
 )
 from . import lp
@@ -109,8 +110,11 @@ def verify_equilibrium(
     condition outright.  Every allocation entry must be nonnegative (in
     float mode: at least ``-POS_TOL``); a negative one fails the clearing
     condition, named by agent and chore.  Agent ``i`` earns
-    ``sum_j allocation[i][j] * prices[j]``.
+    ``sum_j allocation[i][j] * prices[j]``.  A NaN, infinite or negative
+    tolerance is :class:`Malformed`.
     """
+    _tolerance(tol_mpb)
+    _tolerance(tol_clearing)
     epsilon = Fraction(epsilon)
     if not 0 <= epsilon < 1:
         raise Malformed("epsilon must lie in [0, 1)")

@@ -19,7 +19,7 @@ from choremarket.model import (
     save_json,
 )
 from choremarket.polymatrix import PolymatrixGame, build_polymatrix_gadget, game_to_json
-from test_polymatrix import GAME2, synthetic_endpoint_prices
+from test_polymatrix import GAME2, k2_equilibria, synthetic_endpoint_prices
 
 F = Fraction
 
@@ -435,6 +435,30 @@ def test_non_utf8_input_is_usage_error(tmp_path, capsys, argv, text):
     assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec")
 
 
+def test_huge_json_integer_is_usage_error(tmp_path, capsys):
+    # Past the interpreter's 4,300-digit limit, json.load raises ValueError.
+    game = tmp_path / "game.json"
+    game.write_text('{"n": ' + "9" * 5000 + ', "payoff": []}')
+    assert run("gen-polymatrix", "--game", str(game)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f" (reading {game})\n")
+
+
+@pytest.mark.parametrize("bad", ["instance", "equilibrium"])
+def test_unreadable_input_names_its_file(paths, tmp_path, capsys, bad):
+    files = {"instance": paths["warmup"], "equilibrium": str(tmp_path / "eq.json")}
+    Path(files["equilibrium"]).write_text(
+        json.dumps({"prices": ["1", "1"], "allocation": [["1", "0"], ["0", "1"]]})
+    )
+    argv = ["verify", "--instance", files["instance"], "--equilibrium", files["equilibrium"]]
+    assert run(*argv) == 0
+    capsys.readouterr()
+    Path(files[bad]).write_text('{"prices": [')
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f" (reading {files[bad]})\n")
+
+
 def _edit_first_entry(doc):
     """Raise the first earning (SAT) or endowment entry (polymatrix) of a
     gadget file's market to 1000."""
@@ -515,6 +539,33 @@ class TestPolymatrixCommands:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["error"] and doc["error"].startswith("top-layer price")
 
+    def test_exact_chain_on_k2_gadget(self, tmp_path, capsys):
+        """An exact equilibrium's strategy is written as "num/den" weights,
+        and ``verify-polymatrix --slack 0`` reads them back exactly: on a
+        ray that passes and on one that fails, its verdict is the library's."""
+        g, equilibria = k2_equilibria()
+        gadget, game, eq, strategy = (
+            str(tmp_path / name) for name in ("k2.json", "game.json", "eq.json", "x.json")
+        )
+        save_json(polymatrix.gadget_to_json(g), gadget)
+        save_json(game_to_json(GAME2), game)
+        verdicts = {}
+        for e in equilibria:
+            x = polymatrix.recover_strategy(g, e.candidate)
+            verdict = polymatrix.verify_polymatrix_equilibrium(GAME2, x)
+            verdicts.setdefault(verdict.ok, (e.candidate, x, verdict))
+        assert sorted(verdicts) == [False, True]
+        for cand, x, verdict in verdicts.values():
+            save_json(candidate_to_json(cand), eq)
+            argv = ["recover-strategy", "--instance", gadget, "--equilibrium", eq]
+            assert run(*argv, "-o", strategy) == 0
+            weights = json.loads(Path(strategy).read_text())["x"]
+            assert weights == [f"{v.numerator}/{v.denominator}" for v in x]
+            argv = ["verify-polymatrix", "--game", game, "--strategy", strategy, "--slack", "0"]
+            assert run(*argv) == (0 if verdict.ok else 1)
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"ok": verdict.ok, "violations": list(verdict.violations)}
+
     def test_verify_polymatrix(self, paths, tmp_path, capsys):
         strategy = tmp_path / "x.json"
         strategy.write_text(json.dumps({"x": [1.0, 0.0, 1.0, 0.0]}))
@@ -558,8 +609,10 @@ class TestPolymatrixCommands:
 
 
 class TestNonFiniteFloats:
-    """NaN, infinite and out-of-float-range numbers, and bools, are bad
-    input, never a passing check or a traceback."""
+    """NaN and infinite numbers, and bools, are bad input, never a passing
+    check or a traceback.  A number past float range is bad input in a float
+    candidate only: exact candidates and strategy weights are read as the
+    rationals they are, and checked."""
 
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), "nan", "-inf", pytest.param(HUGE, id="huge-int"), True]
@@ -576,34 +629,43 @@ class TestNonFiniteFloats:
         def nan_float_price(m, n):
             return {"mode": "float", "prices": [float("nan")] * m, "allocation": [[0.0] * m] * n}
 
-        for doc in (nan_float_price, _huge_exact_price):
-            gadget, eq = _gadget_and_candidate(paths, tmp_path, doc)
-            argv = ["recover-strategy", "--instance", gadget, "--equilibrium", eq]
-            assert run(*argv) == 2
-            assert capsys.readouterr().out == ""
+        gadget, eq = _gadget_and_candidate(paths, tmp_path, nan_float_price)
+        argv = ["recover-strategy", "--instance", gadget, "--equilibrium", eq]
+        assert run(*argv) == 2
+        assert capsys.readouterr().out == ""
+        # Rescaled by the huge first price, the top-layer prices are near zero.
+        gadget, eq = _gadget_and_candidate(paths, tmp_path, _huge_exact_price)
+        assert run("recover-strategy", "--instance", gadget, "--equilibrium", eq) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["error"] and doc["error"].startswith("top-layer price ")
 
     def test_check_gadget(self, paths, tmp_path, capsys):
         gadget, eq = _gadget_and_candidate(paths, tmp_path, _huge_exact_price)
-        assert run("check-gadget", "--instance", gadget, "--equilibrium", eq) == 2
-        assert "float range" in capsys.readouterr().err
+        assert run("check-gadget", "--instance", gadget, "--equilibrium", eq) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["price-equality"]["ok"]
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, code",
         [
-            float("nan"),
-            float("inf"),
-            pytest.param("1e400", id="huge-literal"),
-            pytest.param(HUGE, id="huge-int"),
-            True,
-            False,
+            pytest.param(float("nan"), 2, id="nan"),
+            pytest.param(float("inf"), 2, id="inf"),
+            pytest.param("1e400", 1, id="huge-literal"),
+            pytest.param(HUGE, 1, id="huge-int"),
+            pytest.param(True, 2, id="True"),
+            pytest.param(False, 2, id="False"),
         ],
     )
-    def test_verify_polymatrix(self, paths, tmp_path, capsys, bad):
+    def test_verify_polymatrix(self, paths, tmp_path, capsys, bad, code):
         strategy = tmp_path / "x.json"
         strategy.write_text(json.dumps({"x": [bad] * 4}))
         argv = ["verify-polymatrix", "--game", paths["game"], "--strategy", str(strategy)]
-        assert run(*argv) == 2
-        assert capsys.readouterr().out == ""
+        assert run(*argv) == code
+        out = capsys.readouterr().out
+        if code == 2:
+            assert out == ""
+        else:  # a huge weight is read exactly, and its pair sums to 2 * 10**400
+            assert json.loads(out)["violations"][0] == f"pair 0 weights sum to {2 * HUGE}, not 1"
 
 
 class TestToleranceFlags:

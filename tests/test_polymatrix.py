@@ -1,10 +1,12 @@
 """Polymatrix reduction: schedules, gadget structure, strategy recovery."""
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import BadGame, DegenerateSize, Malformed, NotGadget, OutOfBand
 from choremarket.graphs import check_conditions
 from choremarket.model import (
@@ -39,18 +41,30 @@ GAME2 = PolymatrixGame(
 )
 
 
-def synthetic_endpoint_prices(gadget, signs):
-    """Alternating band-endpoint prices; ``signs[i]`` picks the branch."""
+def synthetic_endpoint_prices(gadget, signs, mode="float"):
+    """Alternating band-endpoint prices; ``signs[i]`` picks the branch.
+    Floats, or Fractions for ``mode="exact"``."""
+    num = F if mode == "exact" else float
     params = gadget.params
-    p = [0.0] * gadget.instance.m
+    p = [num(0)] * gadget.instance.m
     for k in range(1, params.K + 1):
-        a = float(params.alpha[k - 1])
+        a = num(params.alpha[k - 1])
         for pair in range(params.n):
             s = signs[pair] * (-1) ** k
             p[gadget.chore(k, 2 * pair)] = 1 + s * a
             p[gadget.chore(k, 2 * pair + 1)] = 1 - s * a
-    zeros = [[0.0] * gadget.instance.m for _ in range(gadget.instance.n)]
-    return EquilibriumCandidate(p, zeros, mode="float")
+    zeros = [[num(0)] * gadget.instance.m for _ in range(gadget.instance.n)]
+    return EquilibriumCandidate(p, zeros, mode=mode)
+
+
+@functools.cache
+def k2_equilibria():
+    """GAME2's gadget on a hand-set schedule that ``validate()`` accepts
+    (c = 1, K = 2, ``alpha = delta = (1/100, 3/10)``, tau = 2; 26 x 8), and
+    its 49 exact equilibria, found by exhaustive search in about 1 s."""
+    alpha = (F(1, 100), F(3, 10))
+    gadget = build_polymatrix_gadget(GAME2, PPADGadgetParams(2, 1, 2, alpha, alpha, F(2)))
+    return gadget, enumerate_equilibria(gadget.instance, cap=10**12).equilibria
 
 
 class TestGame:
@@ -92,14 +106,33 @@ class TestVerifyPolymatrix:
         game = PolymatrixGame(1, [[1, 0], [0, 1]])
         assert not verify_polymatrix_equilibrium(game, [0.7, 0.7]).ok
 
-    @pytest.mark.parametrize(
-        "bad",
-        [float("nan"), float("inf"), "1e400", pytest.param(F(10**400), id="huge"), "x", None, True, False],
-    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x", None, True, False])
     def test_bad_weight_is_malformed(self, bad):
         game = PolymatrixGame(1, [[1, 0], [0, 1]])
         with pytest.raises(Malformed):
             verify_polymatrix_equilibrium(game, [bad, 0.5])
+
+    @pytest.mark.parametrize("huge", ["1e400", pytest.param(F(10**400), id="huge")])
+    def test_huge_weight_is_read_exactly(self, huge):
+        # Past float range, yet a rational: its pair sums to 10**400 + 1/2.
+        game = PolymatrixGame(1, [[1, 0], [0, 1]])
+        verdict = verify_polymatrix_equilibrium(game, [huge, 0.5])
+        assert verdict.violations[0] == f"pair 0 weights sum to {10**400 * 2 + 1}/2, not 1"
+
+    def test_float_weights_are_read_exactly(self):
+        # 0.1 + 0.9 rounds to 1.0 in floats, but the two binary fractions
+        # sum to just above one; only a slack forgives that.
+        game = PolymatrixGame(1, [[1, 0], [0, 1]])
+        assert verify_polymatrix_equilibrium(game, [0.5, "1/2"]).ok
+        (sum_line,) = verify_polymatrix_equilibrium(game, [0.1, 0.9]).violations
+        assert sum_line == f"pair 0 weights sum to {F(0.1) + F(0.9)}, not 1"
+        assert verify_polymatrix_equilibrium(game, [0.1, 0.9], slack=1e-9).ok
+
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -1])
+    def test_bad_slack_is_malformed(self, slack):
+        # With a NaN slack every comparison is false: [5, 5, 5, 5] would pass.
+        with pytest.raises(Malformed, match="tolerance must be"):
+            verify_polymatrix_equilibrium(GAME2, [5, 5, 5, 5], slack=slack)
 
 
     def test_string_strategy_is_malformed(self):
@@ -284,3 +317,42 @@ class TestRecovery:
         cand2 = EquilibriumCandidate(flat, cand.allocation, mode="float")
         x = recover_strategy(g, cand2)
         assert all(abs(v - 0.5) < 1e-9 for v in x)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize("check", [verify_gadget_properties, recover_strategy])
+    def test_bad_tolerance_is_malformed(self, check, tol):
+        g = build_polymatrix_gadget(GAME2)
+        with pytest.raises(Malformed, match="tolerance must be"):
+            check(g, synthetic_endpoint_prices(g, (1, 1)), tol=tol)
+
+    def test_exact_endpoints_recover_exact_pure_strategies(self):
+        g = build_polymatrix_gadget(GAME2)
+        for signs in [(1, -1), (-1, 1)]:
+            cand = synthetic_endpoint_prices(g, signs, mode="exact")
+            assert verify_gadget_properties(g, cand, tol=0).ok
+            x = recover_strategy(g, cand, tol=0)
+            assert all(type(v) is F for v in x)
+            assert x == recover_strategy(g, synthetic_endpoint_prices(g, signs))
+
+
+class TestExactChain:
+    def test_k2_gadget_equilibria(self):
+        """Every equilibrium of the K = 2 gadget, through the exact chain.
+
+        Each recovered strategy is a vector of Fractions whose pairs sum to
+        exactly one, so ``slack=0`` reports no pair-sum or sign violation.
+        25 of the 49 equilibria recover a threshold equilibrium of GAME2 and
+        24 do not.  ROADMAP item 13 may change ``validate()`` so that it
+        rejects this schedule, and with it this split.
+        """
+        g, equilibria = k2_equilibria()
+        assert len(equilibria) == 49
+        passed = 0
+        for eq in equilibria:
+            x = recover_strategy(g, eq.candidate)
+            assert all(type(v) is F for v in x)
+            assert all(x[2 * i] + x[2 * i + 1] == 1 for i in range(GAME2.n))
+            verdict = verify_polymatrix_equilibrium(GAME2, x, slack=0)
+            assert not [v for v in verdict.violations if "sum to" in v or "negative" in v]
+            passed += verdict.ok
+        assert (passed, len(equilibria) - passed) == (25, 24)

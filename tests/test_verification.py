@@ -162,6 +162,16 @@ class TestVerify:
         with pytest.raises(Malformed):
             verify_equilibrium(warmup, warmup_candidate_flat(), epsilon=F(1))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize("name", ["tol_mpb", "tol_clearing"])
+    def test_bad_tolerance_is_malformed(self, warmup, name, tol):
+        # With NaN tolerances every float comparison is false, and this
+        # all-zero allocation would pass.
+        cand = EquilibriumCandidate((1.0, 1.0), ((0.0, 0.0), (0.0, 0.0)), mode="float")
+        assert not verify_equilibrium(warmup, cand).ok
+        with pytest.raises(Malformed, match="tolerance must be"):
+            verify_equilibrium(warmup, cand, **{name: tol})
+
     def test_float_mode_tolerances(self, warmup):
         cand = EquilibriumCandidate(
             (1.0, 1.0 + 1e-12),
