@@ -7,6 +7,10 @@ up empty or exceeds its budget (``--cap``, ``--max-iters``), or on any other
 package error that is not :class:`Malformed`, written as ``{"error": message}``
 and to stderr; 2 on malformed or undecodable input, usage errors or an
 unwritable ``-o``.  Exits 0 and 1 always write a document, exit 2 writes none.
+
+A report document holds its result type's fields, written by
+:func:`model._plain`: keys are field names and ``None`` fields are left out.
+Candidates and markets keep their own codecs in :mod:`model`.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ import sys
 from . import enumeration, graphs, polymatrix, sat_reduction, verification
 from .errors import ChoreMarketError, Malformed
 from .model import (
-    _encode_values,
     _json_array,
     _json_text,
+    _plain,
     _tolerance,
     candidate_from_json,
     candidate_to_json,
-    format_rational,
     instance_from_json,
     instance_to_json,
     load_json,
@@ -41,55 +44,11 @@ def _load_candidate(path):
     return candidate_from_json(load_json(path))
 
 
-# ---------------------------------------------------------------------------
-# Report serialization
-
-
 def _condition1_doc(res):
-    doc = {"ok": res.ok}
-    if res.decomposition is not None:
-        doc["components"] = [
-            {"agents": list(c.agents), "chores": list(c.chores)}
-            for c in res.decomposition.components
-        ]
-        doc["isolated_agents"] = list(res.decomposition.isolated_agents)
-    if res.witness is not None:
-        w = {"kind": res.witness.kind}
-        if res.witness.chore is not None:
-            w["chore"] = res.witness.chore
-        if res.witness.agent is not None:
-            w["agent"] = res.witness.agent
-        if res.witness.missing_pair is not None:
-            w["missing_pair"] = list(res.witness.missing_pair)
-        if res.witness.component is not None:
-            w["component"] = {
-                "agents": list(res.witness.component.agents),
-                "chores": list(res.witness.component.chores),
-            }
-        doc["witness"] = w
+    """Condition 1's result, with its decomposition's two fields at the top."""
+    doc = _plain(res)
+    doc.update(doc.pop("decomposition", {}))
     return doc
-
-
-def _condition2_doc(res):
-    if res is None:
-        return None
-    doc = {"ok": res.ok}
-    if res.scc_order is not None:
-        doc["scc_order"] = [sorted(s) for s in res.scc_order]
-    return doc
-
-
-def _verification_doc(report):
-    return {
-        "ok": report.ok,
-        "mpb_ok": report.mpb_ok,
-        "threshold_ok": report.threshold_ok,
-        "budget_ok": report.budget_ok,
-        "clearing_ok": report.clearing_ok,
-        "epsilon": format_rational(report.epsilon),
-        "mode": report.mode,
-        "violations": list(report.violations),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +61,7 @@ def _cmd_check_conditions(args):
     return {
         "ok": report.ok,
         "condition1": _condition1_doc(report.condition1),
-        "condition2": _condition2_doc(report.condition2),
+        "condition2": _plain(report.condition2),
     }, report.ok
 
 
@@ -116,7 +75,7 @@ def _cmd_verify(args):
         tol_mpb=args.tol_mpb,
         tol_clearing=args.tol_clearing,
     )
-    return _verification_doc(report), report.ok
+    return {**_plain(report), "ok": report.ok}, report.ok
 
 
 def _cmd_enumerate(args):
@@ -129,8 +88,8 @@ def _cmd_enumerate(args):
         "patterns_tried": result.patterns_tried,
         "equilibria": [
             {
-                "ray": [format_rational(p) for p in e.ray],
-                "pattern": [sorted(s) for s in e.pattern],
+                "ray": _plain(e.ray),
+                "pattern": _plain(e.pattern),
                 "equilibrium": candidate_to_json(e.candidate),
             }
             for e in result.equilibria
@@ -216,7 +175,7 @@ def _cmd_expand_equal_earnings(args):
     )
     return {
         "instance": instance_to_json(expanded),
-        "groups": [list(g) for g in groups],
+        "groups": _plain(groups),
     }, True
 
 
@@ -230,20 +189,14 @@ def _cmd_check_gadget(args):
     gadget = polymatrix.gadget_from_json(load_json(args.instance))
     cand = _load_candidate(args.equilibrium) if args.equilibrium else None
     report = polymatrix.verify_gadget_properties(gadget, cand, tol=args.tol)
-    return {
-        "ok": report.ok,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "details": list(c.details)}
-            for c in report.checks
-        ],
-    }, report.ok
+    return {**_plain(report), "ok": report.ok}, report.ok
 
 
 def _cmd_recover_strategy(args):
     gadget = polymatrix.gadget_from_json(load_json(args.instance))
     cand = _load_candidate(args.equilibrium)
     x = polymatrix.recover_strategy(gadget, cand, tol=args.tol)
-    return {"x": _encode_values(x, cand.mode)}, True
+    return {"x": _plain(x)}, True
 
 
 def _cmd_verify_polymatrix(args):
@@ -253,7 +206,7 @@ def _cmd_verify_polymatrix(args):
         raise Malformed("strategy document must be a JSON object")
     x = _json_array(doc.get("x"), "x")
     verdict = polymatrix.verify_polymatrix_equilibrium(game, x, slack=args.slack)
-    return {"ok": verdict.ok, "violations": list(verdict.violations)}, verdict.ok
+    return _plain(verdict), verdict.ok
 
 
 # ---------------------------------------------------------------------------

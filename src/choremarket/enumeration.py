@@ -58,6 +58,7 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
+    _epsilon,
     agent_budget,
     normalize_prices,
 )
@@ -443,9 +444,7 @@ def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
     :class:`PatternBudgetExceeded`); return its lazy ``(pattern, closure)``
     leaves and a function that solves one leaf's LP, for the caller to call
     per leaf."""
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon < 1:
-        raise Malformed("epsilon must lie in [0, 1)")
+    epsilon = _epsilon(epsilon)
     if cap < 0:
         raise Malformed("cap must be nonnegative")
     patterns = _patterns(inst, cap)

@@ -8,11 +8,18 @@ quantities are :class:`fractions.Fraction`; float vectors appear only in
 candidates tagged with ``mode="float"``.  A candidate is prices plus an
 allocation; the money agent ``i`` earns on chore ``j`` is their product
 ``allocation[i][j] * prices[j]``.
+
+Report and metadata documents come straight from their dataclasses through
+:func:`_plain`.  :func:`instance_to_json` and :func:`candidate_to_json` keep
+their own loops: a gadget's market and candidate hold thousands of entries,
+mostly zeros, which they write as ``"0/1"`` without formatting each, and a
+generic recursion per entry would slow them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -70,12 +77,33 @@ def to_int(value) -> int:
     raise Malformed(f"not an integer: {value!r}")
 
 
+def _finite_reals(values) -> bool:
+    """Whether every value is a finite real number and none is a bool:
+    ``None``, strings and ints past float range are not."""
+    try:
+        return bool not in map(type, values) and all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
 def _tolerance(value):
     """``value`` if it is a finite nonnegative number, else :class:`Malformed`:
     with NaN every comparison is false, so a failing input would pass."""
-    if not (math.isfinite(value) and value >= 0):
+    if not (_finite_reals((value,)) and value >= 0):
         raise Malformed(f"tolerance must be a finite nonnegative number: {value!r}")
     return value
+
+
+def _epsilon(value) -> Fraction:
+    """``value`` as an exact rational in ``[0, 1)`` (a float at its exact
+    binary value), else :class:`Malformed`."""
+    try:
+        epsilon = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise Malformed("epsilon must lie in [0, 1)") from exc
+    if not 0 <= epsilon < 1:
+        raise Malformed("epsilon must lie in [0, 1)")
+    return epsilon
 
 
 def _json_array(value, name: str, nested: bool = False) -> list:
@@ -308,25 +336,15 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def _rational(entries) -> bool:
-    """Whether every entry is a finite rational number (not ``None``, NaN
-    or a string)."""
-    try:
-        for x in entries:
-            x.as_integer_ratio()
-    except (AttributeError, ValueError, OverflowError):
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class EquilibriumCandidate:
     """Prices plus an allocation: agent ``i`` does ``allocation[i][j]``
     units of chore ``j`` and earns ``allocation[i][j] * prices[j]`` for it.
 
     ``mode`` tags the numeric representation: ``"exact"`` candidates carry
-    Fractions and are compared exactly, ``"float"`` candidates carry finite
-    real numbers, never bools, and are verified within tolerances.
+    Fractions and ints (not bools) and are compared exactly, ``"float"``
+    candidates carry finite real numbers, never bools, and are verified
+    within tolerances.
     """
 
     prices: tuple
@@ -342,16 +360,11 @@ class EquilibriumCandidate:
         for row in self.allocation:
             if len(row) != m:
                 raise DimensionMismatch("allocation width must match price length")
-        if self.mode == EXACT and not _rational(chain(self.prices, *self.allocation)):
+        entries = tuple(chain(self.prices, *self.allocation))
+        if self.mode == EXACT and not set(map(type, entries)) <= {Fraction, int}:
             raise Malformed("exact candidate entries must be rational numbers")
-        if self.mode == FLOAT:
-            entries = tuple(chain(self.prices, *self.allocation))
-            try:
-                finite = all(map(math.isfinite, entries))
-            except TypeError:  # None, strings and other non-numbers
-                finite = False
-            if not finite or bool in map(type, entries):
-                raise Malformed("float candidate entries must be finite real numbers")
+        if self.mode == FLOAT and not _finite_reals(entries):
+            raise Malformed("float candidate entries must be finite real numbers")
 
     @property
     def n(self) -> int:
@@ -379,6 +392,26 @@ def _decode_values(values, mode: str) -> list:
         # to reject; a string such as "0/1" fails ``float``.
         return [x if x is None or x is True or x is False else float(x) for x in values]
     return [_ZERO if x == "0/1" else None if x is None else to_fraction(x) for x in values]
+
+
+def _plain(value):
+    """The JSON value of a result or metadata object: a dataclass becomes an
+    object of its fields that are not ``None``, a Fraction its ``"num/den"``
+    string, a frozenset a sorted array and a tuple or list an array; anything
+    else is kept as it is."""
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: _plain(item)
+            for field in dataclasses.fields(value)
+            if (item := getattr(value, field.name)) is not None
+        }
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, frozenset):
+        value = sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
 
 
 def instance_to_json(inst: Instance) -> dict:

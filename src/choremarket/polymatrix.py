@@ -32,11 +32,11 @@ from .model import (
     _gadget_from_json,
     _gadget_to_json,
     _json_array,
+    _plain,
     _reading,
     _tolerance,
     agent_budget,
     exchange_instance,
-    format_rational,
     to_fraction,
     to_int,
 )
@@ -346,16 +346,11 @@ def verify_gadget_properties(
     size = 2 * n
     checks: List[PropertyCheck] = []
 
-    columns = tuple(zip(*inst.endowment))
-
-    def endowed(chore):
-        return sum(w for w in columns[chore] if w)
-
     details = []
     for k in range(1, K + 1):
         for pair in range(n):
-            even = endowed(gadget.chore(k, 2 * pair))
-            odd = endowed(gadget.chore(k, 2 * pair + 1))
+            even = inst.supplies[gadget.chore(k, 2 * pair)]
+            odd = inst.supplies[gadget.chore(k, 2 * pair + 1)]
             if even != odd:
                 details.append(f"layer {k} pair {pair}: {even} vs {odd}")
     checks.append(PropertyCheck("pairwise-equal-endowments", not details, tuple(details)))
@@ -455,10 +450,7 @@ def recover_strategy(
 
 
 def game_to_json(game: PolymatrixGame) -> dict:
-    return {
-        "n": game.n,
-        "payoff": [[format_rational(x) for x in row] for row in game.payoff],
-    }
+    return _plain(game)
 
 
 def game_from_json(doc: dict) -> PolymatrixGame:
@@ -470,17 +462,8 @@ def game_from_json(doc: dict) -> PolymatrixGame:
 
 
 def gadget_to_json(gadget: PolymatrixGadget) -> dict:
-    return _gadget_to_json(gadget, "polymatrix-gadget", {
-        "game": game_to_json(gadget.game),
-        "params": {
-            "n": gadget.params.n,
-            "c": gadget.params.c,
-            "K": gadget.params.K,
-            "alpha": [format_rational(a) for a in gadget.params.alpha],
-            "delta": [format_rational(d) for d in gadget.params.delta],
-            "tau": format_rational(gadget.params.tau),
-        },
-    })
+    fields = {"game": game_to_json(gadget.game), "params": _plain(gadget.params)}
+    return _gadget_to_json(gadget, "polymatrix-gadget", fields)
 
 
 def _read_metadata(meta: dict) -> tuple:

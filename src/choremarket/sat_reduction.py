@@ -31,8 +31,8 @@ from .model import (
     _gadget_from_json,
     _gadget_to_json,
     _json_array,
+    _plain,
     fixed_earnings_instance,
-    format_rational,
     to_fraction,
     to_int,
 )
@@ -387,18 +387,8 @@ def expand_to_equal_earnings(
 
 
 def gadget_to_json(gadget: SATGadget) -> dict:
-    return _gadget_to_json(gadget, "sat-gadget", {
-        "formula": {
-            "num_vars": gadget.formula.num_vars,
-            "clauses": [list(c) for c in gadget.formula.clauses],
-        },
-        "params": {
-            "eps": format_rational(gadget.params.eps),
-            "eps_prime": format_rational(gadget.params.eps_prime),
-            "tau": format_rational(gadget.params.tau),
-            "gap": format_rational(gadget.params.gap),
-        },
-    })
+    fields = {"formula": _plain(gadget.formula), "params": _plain(gadget.params)}
+    return _gadget_to_json(gadget, "sat-gadget", fields)
 
 
 def _read_metadata(meta: dict) -> tuple:

@@ -14,12 +14,13 @@ from fractions import Fraction
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, Infeasible, Malformed
+from .errors import DimensionMismatch, Infeasible
 from .model import (
     _ZERO,
     EXACT,
     EquilibriumCandidate,
     Instance,
+    _epsilon,
     _tolerance,
     agent_budget,
 )
@@ -110,14 +111,13 @@ def verify_equilibrium(
     condition outright.  Every allocation entry must be nonnegative (in
     float mode: at least ``-POS_TOL``); a negative one fails the clearing
     condition, named by agent and chore.  Agent ``i`` earns
-    ``sum_j allocation[i][j] * prices[j]``.  A NaN, infinite or negative
-    tolerance is :class:`Malformed`.
+    ``sum_j allocation[i][j] * prices[j]``.  A tolerance that is not a
+    finite nonnegative number (a bool included), and an ``epsilon`` that is
+    not a rational in ``[0, 1)``, are :class:`Malformed`.
     """
     _tolerance(tol_mpb)
     _tolerance(tol_clearing)
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon < 1:
-        raise Malformed("epsilon must lie in [0, 1)")
+    epsilon = _epsilon(epsilon)
     if cand.n != inst.n or cand.m != inst.m:
         raise DimensionMismatch("candidate shape must match instance")
     exact = cand.mode == EXACT

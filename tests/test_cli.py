@@ -872,3 +872,76 @@ class TestGadgetOutputBytes:
             for name in GADGET_OUTPUT_SHA256
         }
         assert digests == GADGET_OUTPUT_SHA256
+
+
+#: sha256 of the ``-o`` file of each report run below: condition reports on
+#: a passing market, on every witness kind and on a condition-2 failure,
+#: enumeration at two epsilons, the agent groups of an expansion, an exact
+#: strategy recovery and a passing and a failing strategy check.
+REPORT_OUTPUT_SHA256 = {
+    "conditions.intro.json": "7fd32b821a9c73e6e2601c82987d3418b99a2ab427355924e3b27917c0fa3716",
+    "conditions.uncovered.json": "4db2418da98d7354c081df11c1793655b37852578d4b8e1893956c95a1ce7d81",
+    "conditions.isolated.json": "3fcbb1f893325d31eafc64e5d5eff41bb71404234179879e5660d6162603534c",
+    "conditions.example1.json": "ad4ddc652e9022881e606dcb6a21726c5f3711ce484ecc26afc449a231a04ec8",
+    "conditions.example2.json": "615bbc60fd6db20114528d3474a1241daeddcda0c39924ac5f9bfe403c8a39b2",
+    "enumerate.warmup.json": "319828a4c9b50d07aaf4bf93264d3fa707ae72e27ac9860556daa626138a7de2",
+    "enumerate.warmup.eps.json": "c596c3c7bb13b07b92c477e702c5d901c7dafba6c4c4a207aa851a33d3ed46be",
+    "expand.warmup.json": "8ab20c6cd180e01cd961347dabcedcd132460a3a27ae55f348d0a3c60b5bd77e",
+    "game2.exact.strategy.json": "d9d3749fa861a7e008c825246cb89827cd8d9c7acb830d0510ce281cc0b07223",
+    "strategy.pass.json": "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c",
+    "strategy.fail.json": "4dff2d8b43bc17c1b69097e0cd6eed9d3f9b7bc17946e0d311dbafb3e1ff8f73",
+}
+
+
+class TestReportOutputBytes:
+    def test_outputs_are_pinned(self, paths, intro, tmp_path):
+        def out(name):
+            return str(tmp_path / name)
+
+        def market(name, inst):
+            save_json(instance_to_json(inst), out(f"{name}.market.json"))
+            return out(f"{name}.market.json")
+
+        pm, endpoints = out("game2.gadget.json"), out("endpoints.json")
+        cand = synthetic_endpoint_prices(build_polymatrix_gadget(GAME2), (1, -1), mode="exact")
+        save_json(candidate_to_json(cand), endpoints)
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", pm) == 0
+        conditions = {
+            "intro": market("intro", intro),
+            "uncovered": market("uncovered", fixed_earnings_instance(10, [[1, None]], [1])),
+            "isolated": market("isolated", fixed_earnings_instance(10, [[1], [None]], [1, 1])),
+            "example1": paths["example1"],
+            "example2": paths["example2"],
+        }
+        strategies = {"pass": [1, 0, 1, 0], "fail": ["1", "0", "0", "1"]}
+        runs = [
+            (f"conditions.{name}.json", ["check-conditions", "--instance", path])
+            for name, path in conditions.items()
+        ]
+        runs += [
+            ("enumerate.warmup.json", ["enumerate", "--instance", paths["warmup"]]),
+            ("enumerate.warmup.eps.json",
+             ["enumerate", "--instance", paths["warmup"], "--epsilon", "1/10"]),
+            ("expand.warmup.json", ["expand-equal-earnings", "--instance", paths["warmup"]]),
+            ("game2.exact.strategy.json",
+             ["recover-strategy", "--instance", pm, "--equilibrium", endpoints]),
+        ]
+        for name, x in strategies.items():
+            save_json({"x": x}, out(f"x.{name}.json"))
+            runs.append((f"strategy.{name}.json",
+                         ["verify-polymatrix", "--game", paths["game"],
+                          "--strategy", out(f"x.{name}.json")]))
+        exits = {name: run(*argv, "-o", out(name)) for name, argv in runs}
+        assert [name for name, code in exits.items() if code == 0] == [
+            "conditions.intro.json",
+            "enumerate.warmup.json",
+            "enumerate.warmup.eps.json",
+            "expand.warmup.json",
+            "game2.exact.strategy.json",
+            "strategy.pass.json",
+        ]
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in REPORT_OUTPUT_SHA256
+        }
+        assert digests == REPORT_OUTPUT_SHA256

@@ -20,6 +20,7 @@ from choremarket.enumeration import (
 from choremarket.errors import Malformed, PatternBudgetExceeded
 from choremarket.model import (
     EXCHANGE,
+    EquilibriumCandidate,
     exchange_instance,
     fixed_earnings_instance,
     normalize_prices,
@@ -106,6 +107,29 @@ class TestControls:
     def test_bad_epsilon(self, warmup):
         with pytest.raises(Malformed):
             enumerate_equilibria(warmup, epsilon=F(1))
+
+    @pytest.mark.parametrize("epsilon", ["x", None, float("nan")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            enumerate_equilibria,
+            exists_equilibrium,
+            lambda inst, epsilon: verify_equilibrium(
+                inst, EquilibriumCandidate((1, 1), ((1, 0), (0, 1))), epsilon=epsilon
+            ),
+        ],
+        ids=["enumerate_equilibria", "exists_equilibrium", "verify_equilibrium"],
+    )
+    def test_unreadable_epsilon_is_malformed(self, warmup, call, epsilon):
+        with pytest.raises(Malformed, match=r"epsilon must lie in \[0, 1\)"):
+            call(warmup, epsilon=epsilon)
+
+    def test_float_epsilon_is_read_exactly(self, warmup):
+        # 0.1 is read as its binary value, just above 1/10.
+        cand = EquilibriumCandidate((1, 1), ((1, 0), (0, 1)))
+        assert verify_equilibrium(warmup, cand, epsilon=0.1).epsilon == F(0.1)
+        assert F(0.1) != F(1, 10)
+        assert enumerate_equilibria(warmup, epsilon=0.1).rays
 
     def test_exists_matches_enumerate(self, warmup, example1):
         assert exists_equilibrium(warmup) is not None

@@ -424,3 +424,24 @@ def test_solve_lp_counts_on_conditioned_seeds():
         1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 4, 1, 1, 1, 2, 1, 2, 1,
         1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1,
     )
+
+
+#: One call per input check of :class:`lp.LinearProgram`, its exception type
+#: and a fragment of its message.
+REJECTED = {
+    "no-variables": (
+        lambda: lp.LinearProgram(0, (), ()), Malformed, "needs at least one variable"),
+    "constraint-width": (
+        lambda: lp.LinearProgram(2, (lp.constraint([1], lp.LE, 1),), (1, 1)),
+        Malformed, "constraint width must equal num_vars"),
+    "unknown-relation": (
+        lambda: lp.LinearProgram(1, (lp.constraint([1], "<", 1),), (1,)),
+        Malformed, "unknown relation '<'"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

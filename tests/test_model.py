@@ -1,12 +1,15 @@
 """Data model, validation, and JSON round-tripping."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from choremarket.errors import DimensionMismatch, Malformed, ZeroPriceSum
+from choremarket.errors import DimensionMismatch, Infeasible, Malformed, ZeroPriceSum
 from choremarket.model import (
+    EXCHANGE,
+    FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
     agent_budget,
@@ -192,9 +195,91 @@ class TestJson:
         with pytest.raises(Malformed):
             candidate_from_json(doc)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1", True, False])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), None, "1", True, False, pytest.param(10**400, id="huge-int")],
+    )
     def test_float_candidate_entries_must_be_finite_reals(self, bad):
         with pytest.raises(Malformed):
             EquilibriumCandidate((0.5, bad), ((1.0, 0.0),), mode="float")
         with pytest.raises(Malformed):
             EquilibriumCandidate((0.5, 0.5), ((1.0, bad),), mode="float")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [0.5, 1.0, True, False, None, "1", float("nan"), pytest.param(Decimal(1), id="decimal")],
+    )
+    def test_exact_candidate_entries_are_fractions_or_ints(self, bad):
+        with pytest.raises(Malformed, match="exact candidate entries must be rational numbers"):
+            EquilibriumCandidate((Fraction(1, 2), bad), ((1, 0),))
+        with pytest.raises(Malformed, match="exact candidate entries must be rational numbers"):
+            EquilibriumCandidate((Fraction(1, 2), Fraction(1, 2)), ((1, bad),))
+        assert EquilibriumCandidate((Fraction(1, 2), 1), ((1, 0),)).prices[1] == 1
+
+
+_F1 = Fraction(1)
+_WARMUP = fixed_earnings_instance(100, [[1, 3], [None, 1]], [1, 1])
+_INTRO = exchange_instance(100, [[1, 3], [3, 1]], [[1, 1], [1, 1]])
+
+#: One call per input check of the model, its exception type and a fragment
+#: of its message.
+REJECTED = {
+    "unknown-variant": (
+        lambda: Instance("barter", _F1, ((_F1,),)), Malformed, "unknown variant 'barter'"),
+    "tau-not-positive": (
+        lambda: Instance(EXCHANGE, Fraction(0), ((_F1,),), endowment=((_F1,),)),
+        Malformed, "tau must be a positive rational"),
+    "no-agents": (
+        lambda: Instance(EXCHANGE, _F1, (), endowment=()), Malformed, "at least one agent"),
+    "no-chores": (
+        lambda: Instance(EXCHANGE, _F1, ((),), endowment=((),)), Malformed, "at least one agent"),
+    "ragged-disutility": (
+        lambda: exchange_instance(10, [[1, 1], [1]], [[1, 1], [1, 1]]),
+        Malformed, "ragged disutility matrix"),
+    "int-disutility": (
+        lambda: Instance(EXCHANGE, Fraction(10), ((1,),), endowment=((_F1,),)),
+        Malformed, "disutility entries must be Fraction or None"),
+    "exchange-with-earning": (
+        lambda: Instance(EXCHANGE, Fraction(10), ((_F1,),), endowment=((_F1,),), earning=(_F1,)),
+        Malformed, "exchange variant takes exactly an endowment matrix"),
+    "fixed-earnings-with-endowment": (
+        lambda: Instance(FIXED_EARNINGS, Fraction(10), ((_F1,),), endowment=((_F1,),)),
+        Malformed, "fixed-earnings variant takes an earning vector"),
+    "earning-length": (
+        lambda: fixed_earnings_instance(10, [[1]], [1, 1]),
+        DimensionMismatch, "earning length must match agent count"),
+    "supply-length": (
+        lambda: fixed_earnings_instance(10, [[1]], [1], [1, 1]),
+        DimensionMismatch, "supply length must match chore count"),
+    "to-exchange-zero-earnings": (
+        lambda: fixed_earnings_instance(10, [[1]], [0]).to_exchange(),
+        Infeasible, "all earnings are zero"),
+    "budget-agent-index": (
+        lambda: agent_budget(_WARMUP, 2, (_F1, _F1)), DimensionMismatch, "agent index 2"),
+    "budget-negative-agent-index": (
+        lambda: agent_budget(_INTRO, -1, (_F1, _F1)), DimensionMismatch, "agent index -1"),
+    "budget-price-length": (
+        lambda: agent_budget(_INTRO, 0, (_F1,)),
+        DimensionMismatch, "price vector length must match chore count"),
+    "supply-chore-index": (
+        lambda: chore_supply(_WARMUP, 2), DimensionMismatch, "chore index 2 out of range"),
+    "candidate-mode": (
+        lambda: EquilibriumCandidate((_F1,), ((_F1,),), mode="decimal"),
+        Malformed, "unknown numeric mode 'decimal'"),
+    "candidate-ragged-allocation": (
+        lambda: EquilibriumCandidate((_F1, _F1), ((_F1, _F1), (_F1,))),
+        DimensionMismatch, "allocation width must match price length"),
+    "instance-document-array": (
+        lambda: instance_from_json([]), Malformed, "instance document must be a JSON object"),
+    "candidate-document-array": (
+        lambda: candidate_from_json([]),
+        Malformed, "equilibrium document must be a JSON object"),
+    "float-rational": (lambda: to_fraction(0.5), Malformed, "not a rational: 0.5"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

@@ -134,3 +134,26 @@ def test_no_unreferenced_public_definitions():
         and node.name not in (used if node.name.startswith("_") else exported | used)
     ]
     assert not unused, unused
+
+
+def test_module_entry_point(warmup, tmp_path):
+    # ``python -m choremarket.cli`` exits with main's code and writes its document.
+    from choremarket.cli import main
+    from choremarket.model import instance_to_json, save_json
+
+    market, missing = str(tmp_path / "warmup.json"), str(tmp_path / "missing.json")
+    save_json(instance_to_json(warmup), market)
+
+    def module(*argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        command = [sys.executable, "-m", "choremarket.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    # warmup fails condition 1, so both exit 1 with the same document.
+    proc = module("check-conditions", "--instance", market, "-o", str(tmp_path / "module.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert main(["check-conditions", "--instance", market, "-o", str(tmp_path / "main.json")]) == 1
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    proc = module("check-conditions", "--instance", missing, "-o", str(tmp_path / "none.json"))
+    assert proc.returncode == 2 and "missing.json" in proc.stderr
+    assert not (tmp_path / "none.json").exists()

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from choremarket.enumeration import enumerate_equilibria
-from choremarket.errors import BadGame, DegenerateSize, Malformed, NotGadget, OutOfBand
+from choremarket.errors import (
+    BadGame,
+    BadParams,
+    DegenerateSize,
+    DimensionMismatch,
+    Malformed,
+    NotGadget,
+    OutOfBand,
+)
 from choremarket.graphs import check_conditions
 from choremarket.model import (
     EquilibriumCandidate,
@@ -57,13 +65,18 @@ def synthetic_endpoint_prices(gadget, signs, mode="float"):
     return EquilibriumCandidate(p, zeros, mode=mode)
 
 
+def _k2_params(**changes):
+    """The K = 2 schedule of :func:`k2_equilibria`, with ``changes``."""
+    alpha = (F(1, 100), F(3, 10))
+    return replace(PPADGadgetParams(2, 1, 2, alpha, alpha, F(2)), **changes)
+
+
 @functools.cache
 def k2_equilibria():
     """GAME2's gadget on a hand-set schedule that ``validate()`` accepts
     (c = 1, K = 2, ``alpha = delta = (1/100, 3/10)``, tau = 2; 26 x 8), and
     its 49 exact equilibria, found by exhaustive search in about 1 s."""
-    alpha = (F(1, 100), F(3, 10))
-    gadget = build_polymatrix_gadget(GAME2, PPADGadgetParams(2, 1, 2, alpha, alpha, F(2)))
+    gadget = build_polymatrix_gadget(GAME2, _k2_params())
     return gadget, enumerate_equilibria(gadget.instance, cap=10**12).equilibria
 
 
@@ -128,7 +141,9 @@ class TestVerifyPolymatrix:
         assert sum_line == f"pair 0 weights sum to {F(0.1) + F(0.9)}, not 1"
         assert verify_polymatrix_equilibrium(game, [0.1, 0.9], slack=1e-9).ok
 
-    @pytest.mark.parametrize("slack", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize(
+        "slack", [float("nan"), float("inf"), -1, pytest.param(10**400, id="huge-int"), "1", True]
+    )
     def test_bad_slack_is_malformed(self, slack):
         # With a NaN slack every comparison is false: [5, 5, 5, 5] would pass.
         with pytest.raises(Malformed, match="tolerance must be"):
@@ -318,7 +333,9 @@ class TestRecovery:
         x = recover_strategy(g, cand2)
         assert all(abs(v - 0.5) < 1e-9 for v in x)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), -1, pytest.param(10**400, id="huge-int"), "1", True]
+    )
     @pytest.mark.parametrize("check", [verify_gadget_properties, recover_strategy])
     def test_bad_tolerance_is_malformed(self, check, tol):
         g = build_polymatrix_gadget(GAME2)
@@ -356,3 +373,55 @@ class TestExactChain:
             assert not [v for v in verdict.violations if "sum to" in v or "negative" in v]
             passed += verdict.ok
         assert (passed, len(equilibria) - passed) == (25, 24)
+
+
+def _zero_first_pair():
+    g = build_polymatrix_gadget(GAME2, _k2_params())
+    prices = [F(1)] * g.instance.m
+    prices[g.chore(1, 0)] = prices[g.chore(1, 1)] = F(0)
+    zeros = [[F(0)] * g.instance.m for _ in range(g.instance.n)]
+    return g, EquilibriumCandidate(prices, zeros)
+
+
+#: One call per input check of the reduction, its exception type and a
+#: fragment of its message.
+REJECTED = {
+    "no-players": (lambda: PolymatrixGame(0, ()), BadGame, "at least one player"),
+    "payoff-shape": (
+        lambda: PolymatrixGame(1, [[1, 0]]), BadGame, "payoff matrix must be 2n x 2n"),
+    "schedule-length": (
+        lambda: _k2_params(alpha=(F(1, 100),)).validate(),
+        BadParams, "schedule length must equal K"),
+    "odd-K": (
+        lambda: _k2_params(K=3, alpha=(F(1, 100),) * 3, delta=(F(1, 100),) * 3).validate(),
+        BadParams, "K must be a positive even number"),
+    "top-band-too-small": (
+        lambda: _k2_params(alpha=(F(1, 100), F(1, 50))).validate(),
+        BadParams, "top band must dominate the bottom band"),
+    "top-band-too-large": (
+        lambda: _k2_params(alpha=(F(1, 100), F(6, 10))).validate(),
+        BadParams, "top band must stay below 1 / n**c"),
+    "tau-too-small": (
+        lambda: _k2_params(tau=F(13, 10)).validate(),
+        BadParams, "tau must exceed every finite disutility"),
+    "params-size": (
+        lambda: build_polymatrix_gadget(PolymatrixGame(1, [[1, 0], [0, 1]]), _k2_params()),
+        BadParams, "parameter size must match the game"),
+    "strategy-length": (
+        lambda: verify_polymatrix_equilibrium(GAME2, [1, 0]),
+        DimensionMismatch, "strategy length must be 2n"),
+    "no-price-mass": (
+        lambda: recover_strategy(*_zero_first_pair()),
+        OutOfBand, "first layer-1 pair carries no price mass"),
+    "unknown-check": (
+        lambda: verify_gadget_properties(build_polymatrix_gadget(GAME2, _k2_params()))
+        .check("no-such-check"),
+        KeyError, "no-such-check"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

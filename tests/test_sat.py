@@ -19,6 +19,7 @@ from choremarket.model import (
     agent_budget,
     candidate_from_json,
     candidate_to_json,
+    exchange_instance,
     fixed_earnings_instance,
     instance_from_json,
     instance_to_json,
@@ -231,3 +232,55 @@ class TestExpansion:
         for i, group in enumerate(groups):
             total = sum(agent_budget(expanded, k, p) for k in group)
             assert total == agent_budget(inst, i, p)
+
+
+def test_last_clause_needs_no_terminating_zero():
+    assert parse_dimacs("p cnf 3 1\n1 -2 3\n") == CNFFormula(3, [(1, -2, 3)])
+
+
+#: One call per input check of the reduction, its exception type and a
+#: fragment of its message.
+REJECTED = {
+    "no-variables": (lambda: CNFFormula(0, [(1, 2, 3)]), Malformed, "at least one variable"),
+    "no-clauses": (lambda: CNFFormula(3, []), Malformed, "at least one clause"),
+    "zero-literal": (
+        lambda: CNFFormula(3, [(1, 0, 2)]), Malformed, "literals are nonzero signed integers"),
+    "literal-past-count": (
+        lambda: CNFFormula(2, [(1, 2, 3)]), Malformed, "literal 3 exceeds variable count"),
+    "assignment-length": (
+        lambda: PHI.satisfies([True]), Malformed, "assignment length must match"),
+    "dimacs-header": (
+        lambda: parse_dimacs("p dnf 3 1\n1 2 3 0\n"), Malformed, "bad DIMACS header"),
+    "dimacs-no-problem-line": (
+        lambda: parse_dimacs("1 2 3 0\n"), Malformed, "missing DIMACS problem line"),
+    "tau-too-small": (
+        lambda: SATGadgetParams(tau=F(3)), BadParams, "tau must exceed every finite disutility"),
+    "eps-not-below-one": (
+        lambda: SATGadgetParams(eps=F(1), gap=F(1, 12)), BadParams, "eps must be below one"),
+    "readback-not-a-gadget": (
+        lambda: equilibrium_to_assignment(
+            build_sat_gadget(PHI).instance, EquilibriumCandidate([F(1)], [[F(1)]])
+        ),
+        NotGadget, "gadget metadata required"),
+    "readback-shape": (
+        lambda: equilibrium_to_assignment(
+            build_sat_gadget(PHI), EquilibriumCandidate([F(1)], [[F(1)]])
+        ),
+        NotGadget, "candidate shape does not match the gadget"),
+    "expand-exchange": (
+        lambda: expand_to_equal_earnings(exchange_instance(10, [[1]], [[1]])),
+        Malformed, "applies to fixed earnings"),
+    "expand-unit": (
+        lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [1]), F(0)),
+        BadParams, "unit must be positive"),
+    "expand-zero-earnings": (
+        lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [0])),
+        NonIntegralEarnings, "all agents have zero earning"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

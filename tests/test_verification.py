@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from choremarket import lp
-from choremarket.errors import Infeasible, Malformed
+from choremarket.errors import DimensionMismatch, Infeasible, Malformed
 from choremarket.model import (
     EquilibriumCandidate,
     exchange_instance,
@@ -158,11 +158,20 @@ class TestVerify:
         assert not verify_equilibrium(warmup, cand).clearing_ok
         assert verify_equilibrium(warmup, cand, epsilon=F(1, 10)).clearing_ok
 
+    def test_bool_prices_are_not_an_exact_candidate(self):
+        # True == 1, so [True, True] would pass as the prices (1, 1).
+        inst = fixed_earnings_instance(100, [[1, 3], [3, 1]], [1, 1])
+        assert verify_equilibrium(inst, EquilibriumCandidate((1, 1), ((1, 0), (0, 1)))).ok
+        with pytest.raises(Malformed, match="exact candidate entries"):
+            EquilibriumCandidate((True, True), ((1, 0), (0, 1)))
+
     def test_epsilon_validated(self, warmup):
         with pytest.raises(Malformed):
             verify_equilibrium(warmup, warmup_candidate_flat(), epsilon=F(1))
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), -1, pytest.param(10**400, id="huge-int"), "1", True]
+    )
     @pytest.mark.parametrize("name", ["tol_mpb", "tol_clearing"])
     def test_bad_tolerance_is_malformed(self, warmup, name, tol):
         # With NaN tolerances every float comparison is false, and this
@@ -393,3 +402,31 @@ class TestPareto:
             assert all(b <= a for a, b in zip(old, new))
             assert res.dominated_agent == next(i for i in range(inst.n) if new[i] < old[i])
         assert 20 <= verdicts.count(False) <= 130
+
+
+_WARMUP = fixed_earnings_instance(100, [[1, 3], [None, 1]], [1, 1])
+_INTRO = exchange_instance(100, [[1, 3], [3, 1]], [[1, 1], [1, 1]])
+
+#: One call per input check of verification, its exception type and a
+#: fragment of its message.
+REJECTED = {
+    "mpb-price-length": (
+        lambda: mpb_sets(_WARMUP, (F(1),)),
+        DimensionMismatch, "price vector length must match chore count"),
+    "verify-shape": (
+        lambda: verify_equilibrium(_WARMUP, EquilibriumCandidate((1,), ((1,), (1,)))),
+        DimensionMismatch, "candidate shape must match instance"),
+    "pareto-shape": (
+        lambda: check_pareto(_INTRO, [[1, 1]]),
+        DimensionMismatch, "allocation shape must match instance"),
+    "pareto-negative-entry": (
+        lambda: check_pareto(_INTRO, [[2, 0], [-1, 1]]),
+        Infeasible, "assignment entries must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)
