@@ -59,8 +59,6 @@ from .model import (
     EquilibriumCandidate,
     Instance,
     _epsilon,
-    agent_budget,
-    normalize_prices,
 )
 from .verification import verify_equilibrium
 
@@ -115,12 +113,10 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
 class _IntegerView:
     """The instance's pattern-LP data as integers, built once per search.
 
-    ``disutility[i]`` is agent ``i``'s disutility row times the lcm of its
-    denominators, with that lcm.  ``budget[i]`` is ``(den, wealth, const)``
-    with agent ``i``'s budget ``(sum of x p_j over (j, x) in wealth +
-    const) / den``: exchange budgets list the nonzero entries of the
-    endowment row times the lcm of its denominators, fixed earnings have
-    the earning in ``const``.  ``supply[j]`` is chore ``j``'s supply as
+    ``disutility`` and ``budget`` are the instance's cached integer form
+    (see :class:`~choremarket.model.Instance`): per agent, its disutility
+    row over the lcm of its denominators, and its budget as ``(den,
+    wealth, const)``.  ``supply[j]`` is chore ``j``'s supply as
     ``(num, den)``.  ``clearing[j]`` lists chore ``j``'s rows as
     ``(relation, flow coefficient, price coefficient, scale)`` with right
     side 0; the lower bound at ``epsilon > 0`` is stored negated as a
@@ -132,14 +128,7 @@ class _IntegerView:
         self.inst = inst
         self.epsilon = epsilon
         self.finite = [inst.finite_chores(i) for i in range(inst.n)]
-        self.disutility = [lp._integer_row(row) for row in inst.disutility]
-        if inst.variant == EXCHANGE:
-            self.budget = [
-                (scale, [(j, x) for j, x in enumerate(ints) if x], 0)
-                for ints, scale in map(lp._integer_row, inst.endowment)
-            ]
-        else:
-            self.budget = [(e.denominator, [], e.numerator) for e in inst.earning]
+        self.disutility, self.budget = inst._integer_form
         self.supply = [(x.numerator, x.denominator) for x in inst.supplies]
         if epsilon == 0:
             factors = [(lp.EQ, 1, Fraction(1))]
@@ -316,22 +305,28 @@ def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedE
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
     point = result.point
-    prices = [x * point[c] for c, x in zip(cls, mult)]
+    # Chore j's price is scaled[j] / den: the class prices over their
+    # common denominator, times the chore's multiplier.
+    q, den = lp._integer_row(point[: max(cls) + 1])
+    scaled = [x * q[c] for c, x in zip(cls, mult)]
     allocation = [[_ZERO] * inst.m for _ in range(inst.n)]
     for i, members in enumerate(pattern):
         for j in members:
             k = flows.get((i, j))
             if k is not None:
-                if point[k]:
-                    allocation[i][j] = point[k] / prices[j]
+                if flow := point[k]:
+                    allocation[i][j] = Fraction(flow.numerator * den, flow.denominator * scaled[j])
             elif len(members) == 1:  # the agent's budget, all on j
-                allocation[i][j] = agent_budget(inst, i, prices) / prices[j]
+                bden, wealth, const = view.budget[i]
+                owed = sum(x * scaled[l] for l, x in wealth) + const * den
+                allocation[i][j] = Fraction(owed, bden * scaled[j])
             else:  # j's one taker does its whole supply
                 allocation[i][j] = inst.supplies[j]
-    cand = EquilibriumCandidate(prices, allocation)
+    cand = EquilibriumCandidate([Fraction(x, den) for x in scaled], allocation)
     if not verify_equilibrium(inst, cand, view.epsilon).ok:
         return None
-    return EnumeratedEquilibrium(normalize_prices(prices), tuple(pattern), cand)
+    total = sum(scaled)
+    return EnumeratedEquilibrium(tuple(Fraction(x, total) for x in scaled), tuple(pattern), cand)
 
 
 #: A bound ``(ratio, weak)`` on ``p_x / p_y`` means ``p_x / p_y <= ratio``

@@ -35,6 +35,7 @@ from .errors import (
     NotGadget,
     ZeroPriceSum,
 )
+from .lp import _integer_row
 
 EXCHANGE = "exchange"
 FIXED_EARNINGS = "fixed_earnings"
@@ -157,6 +158,20 @@ class Instance:
     ``None`` when the pair is forbidden (cost at least ``tau``).  Exactly one
     of ``endowment`` (exchange) or ``earning`` (fixed earnings, with per-chore
     ``supply``) is present depending on ``variant``.
+
+    Like :attr:`supplies`, the market's integer form ``_integer_form`` is
+    computed once per instance, on first use; it is not a field, so it
+    takes no part in equality or hashing.  It is ``(disutility, budget)``,
+    one entry per agent in each:
+
+    - ``disutility[i]`` is ``(row, scale)``: agent ``i``'s disutility row
+      times ``scale``, the lcm of its denominators, with ``None`` kept;
+    - ``budget[i]`` is ``(den, wealth, const)``: at prices ``p`` agent
+      ``i``'s budget is ``(sum of x p_j over (j, x) in wealth + const) /
+      den``.  An exchange agent's ``wealth`` lists the nonzero entries
+      ``(j, integer)`` of its endowment row times ``den``, the lcm of the
+      row's denominators, and ``const`` is 0; a fixed-earnings agent has no
+      ``wealth`` and earns ``const / den``.
     """
 
     variant: str
@@ -243,6 +258,19 @@ class Instance:
         if self.variant == FIXED_EARNINGS:
             return self.supply
         return tuple(sum(w for w in col if w) for col in zip(*self.endowment))
+
+    @functools.cached_property
+    def _integer_form(self) -> tuple:
+        """``(disutility, budget)`` in integers; see the class docstring."""
+        disutility = tuple(map(_integer_row, self.disutility))
+        if self.variant == EXCHANGE:
+            budget = tuple(
+                (scale, tuple((j, x) for j, x in enumerate(ints) if x), 0)
+                for ints, scale in map(_integer_row, self.endowment)
+            )
+        else:
+            budget = tuple((e.denominator, (), e.numerator) for e in self.earning)
+        return disutility, budget
 
     def finite_chores(self, agent: int) -> tuple:
         """Indices of chores agent can do (disutility below the threshold)."""

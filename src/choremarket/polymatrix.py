@@ -48,7 +48,9 @@ class PolymatrixGame:
 
     Entry ``payoff[i][j]`` is what the owner of row ``i`` contributes to
     strategy ``j``; entries lie in ``[0, 1]`` and each row's two entries for
-    a player's strategy pair sum to one.
+    a player's strategy pair sum to one.  Entries are read as
+    :func:`~choremarket.model.to_fraction` reads them, so a bool or a float
+    is :class:`Malformed`.
     """
 
     n: int
@@ -57,7 +59,7 @@ class PolymatrixGame:
     def __post_init__(self):
         if self.n < 1:
             raise BadGame("game needs at least one player")
-        payoff = tuple(tuple(Fraction(x) for x in row) for row in self.payoff)
+        payoff = tuple(tuple(to_fraction(x) for x in row) for row in self.payoff)
         object.__setattr__(self, "payoff", payoff)
         size = 2 * self.n
         if len(payoff) != size or any(len(row) != size for row in payoff):

@@ -346,13 +346,14 @@ def expand_to_equal_earnings(
 ) -> Tuple[Instance, Tuple[Tuple[int, ...], ...]]:
     """Split each agent into ``earning / unit`` unit-earning copies.
 
-    Earnings must be nonnegative integer multiples of ``unit``; agents with
+    Earnings must be nonnegative integer multiples of ``unit``, a rational
+    read as :func:`~choremarket.model.to_fraction` reads it; agents with
     zero earning are dropped.  Returns the expanded instance and, per
     original agent, the tuple of its copy indices.
     """
     if inst.variant != FIXED_EARNINGS:
         raise Malformed("equal-earnings expansion applies to fixed earnings")
-    unit = Fraction(unit)
+    unit = to_fraction(unit)
     if unit <= 0:
         raise BadParams("unit must be positive")
     counts = []

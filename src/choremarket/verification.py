@@ -5,6 +5,12 @@ budget, does so only through minimum pain-per-buck (MPB) chores below the
 dislike threshold, and every chore is fully done.  The clearing condition may
 be relaxed to a ``(1 - epsilon)`` band; the MPB and budget conditions are
 never relaxed.
+
+The exact check runs on integers: prices and allocation over their common
+denominators, and budgets from the instance's cached integer form, so each
+budget and each chore's clearing band is one comparison of integer
+cross-products.  MPB membership comes from :func:`mpb_sets`, the package's
+one MPB routine, in Fractions.  The float check has its own loop.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, Infeasible
@@ -23,6 +30,7 @@ from .model import (
     _epsilon,
     _tolerance,
     agent_budget,
+    to_fraction,
 )
 from . import lp
 
@@ -122,18 +130,89 @@ def verify_equilibrium(
         raise DimensionMismatch("candidate shape must match instance")
     exact = cand.mode == EXACT
     violations: List[str] = []
-    mpb_ok = threshold_ok = budget_ok = clearing_ok = True
-
-    pos = (lambda x: x > 0) if exact else (lambda x: x > POS_TOL)
-    low = 0 if exact else -POS_TOL
+    mpb_ok = True
     prices = cand.prices
-
     for j, pj in enumerate(prices):
         if pj <= 0:
             mpb_ok = False
             violations.append(f"chore {j} has non-positive price")
 
     sets = mpb_sets(inst, prices, 0 if exact else tol_mpb) if mpb_ok else None
+    if exact:
+        flags = _exact_conditions(inst, cand, epsilon, sets, violations)
+    else:
+        flags = _float_conditions(inst, cand, epsilon, sets, tol_mpb, tol_clearing, violations)
+    cells_mpb_ok, threshold_ok, budget_ok, clearing_ok = flags
+    return VerificationReport(
+        mpb_ok and cells_mpb_ok,
+        threshold_ok,
+        budget_ok,
+        clearing_ok,
+        epsilon,
+        cand.mode,
+        tuple(violations),
+    )
+
+
+def _exact_conditions(inst, cand, epsilon, sets, violations):
+    """``(mpb_ok, threshold_ok, budget_ok, clearing_ok)`` of an exact
+    candidate's cells, budgets and chores, appending their violations.
+
+    The sums run in integers: prices ``P_j / D`` and allocation
+    ``X_ij / L`` over their common denominators ``D`` and ``L``.  A
+    Fraction is built only to write a violation.
+    """
+    mpb_ok = threshold_ok = budget_ok = clearing_ok = True
+    chores = range(inst.m)
+    cells = []  # (i, j, x) per nonzero entry, in row order
+    for i, row in enumerate(cand.allocation):
+        for j in compress(chores, row):
+            x = row[j]
+            cells.append((i, j, x))
+            if x.numerator < 0:
+                clearing_ok = False
+                violations.append(f"agent {i} does negative amount {x} of chore {j}")
+            elif inst.disutility[i][j] is None:
+                threshold_ok = False
+                violations.append(f"agent {i} does forbidden chore {j}")
+            elif sets is not None and j not in sets[i].members:
+                mpb_ok = False
+                violations.append(f"agent {i} does non-MPB chore {j}")
+
+    prices, D = lp._integer_row(cand.prices)
+    L = lcm(*(x.denominator for _, _, x in cells))
+    earned = [0] * inst.n
+    done = [0] * inst.m
+    for i, j, x in cells:
+        amount = x.numerator * (L // x.denominator)
+        earned[i] += amount * prices[j]
+        done[j] += amount
+
+    # Agent i earns earned[i] / (L D) and owes owed / (den D).
+    for i, (den, wealth, const) in enumerate(inst._integer_form[1]):
+        owed = sum(x * prices[j] for j, x in wealth) + const * D
+        if earned[i] * den != owed * L:
+            budget_ok = False
+            violations.append(
+                f"agent {i} earns {Fraction(earned[i], L * D)} but owes {Fraction(owed, den * D)}"
+            )
+
+    # Chore j is done done[j] / L of supply s / t, within the band
+    # (1 - a / b) s / t <= done[j] / L <= (s / t) / (1 - a / b), a / b = epsilon.
+    a, b = epsilon.numerator, epsilon.denominator
+    for j, (supply, amount) in enumerate(zip(inst.supplies, done)):
+        s, t = supply.numerator, supply.denominator
+        if (b - a) * s * L > b * t * amount or (b - a) * t * amount > b * s * L:
+            clearing_ok = False
+            violations.append(f"chore {j}: {Fraction(amount, L)} done of supply {supply}")
+    return mpb_ok, threshold_ok, budget_ok, clearing_ok
+
+
+def _float_conditions(inst, cand, epsilon, sets, tol_mpb, tol_clearing, violations):
+    """``(mpb_ok, threshold_ok, budget_ok, clearing_ok)`` of a float
+    candidate within the tolerances, appending their violations."""
+    mpb_ok = threshold_ok = budget_ok = clearing_ok = True
+    prices = cand.prices
 
     # One visit per nonzero entry (in a large market most are zero) checks
     # the cell and adds it to its agent's earnings and its chore's done
@@ -148,8 +227,8 @@ def verify_equilibrium(
             x = row[j]
             earned[i] += x * prices[j]
             done[j] += x
-            if not pos(x):
-                if x < low:
+            if not x > POS_TOL:
+                if x < -POS_TOL:
                     clearing_ok = False
                     violations.append(f"agent {i} does negative amount {x} of chore {j}")
                 continue
@@ -163,11 +242,7 @@ def verify_equilibrium(
 
     for i, earned_i in enumerate(earned):
         budget = agent_budget(inst, i, prices)
-        if exact:
-            bad = earned_i != budget
-        else:
-            bad = abs(float(earned_i) - float(budget)) > tol_mpb * max(1.0, abs(float(budget)))
-        if bad:
+        if abs(float(earned_i) - float(budget)) > tol_mpb * max(1.0, abs(float(budget))):
             budget_ok = False
             violations.append(
                 f"agent {i} earns {earned_i} but owes {budget}"
@@ -176,24 +251,11 @@ def verify_equilibrium(
     for j, (supply, done_j) in enumerate(zip(inst.supplies, done)):
         lo = (1 - epsilon) * supply
         hi = supply / (1 - epsilon)
-        if exact:
-            bad = not (lo <= done_j <= hi)
-        else:
-            slack = tol_clearing * max(1.0, float(supply))
-            bad = float(done_j) < float(lo) - slack or float(done_j) > float(hi) + slack
-        if bad:
+        slack = tol_clearing * max(1.0, float(supply))
+        if float(done_j) < float(lo) - slack or float(done_j) > float(hi) + slack:
             clearing_ok = False
             violations.append(f"chore {j}: {done_j} done of supply {supply}")
-
-    return VerificationReport(
-        mpb_ok,
-        threshold_ok,
-        budget_ok,
-        clearing_ok,
-        epsilon,
-        cand.mode,
-        tuple(violations),
-    )
+    return mpb_ok, threshold_ok, budget_ok, clearing_ok
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +371,11 @@ def check_pareto(inst: Instance, allocation) -> ParetoResult:
     it is Pareto optimal exactly when the optimum equals its own sum;
     otherwise the optimal point is the witness, and ``dominated_agent`` is
     the lowest agent strictly better off under it.  The input must fully
-    assign every chore using only finite-disutility pairs.
+    assign every chore using only finite-disutility pairs; its entries are
+    read by :func:`~choremarket.model.to_fraction`, so a float, a bool or
+    an unreadable string is :class:`Malformed`.
     """
-    allocation = tuple(tuple(Fraction(x) for x in row) for row in allocation)
+    allocation = tuple(tuple(to_fraction(x) for x in row) for row in allocation)
     if len(allocation) != inst.n or any(len(row) != inst.m for row in allocation):
         raise DimensionMismatch("allocation shape must match instance")
     for i in range(inst.n):

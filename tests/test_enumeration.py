@@ -1,5 +1,6 @@
 """Pattern enumeration of exact equilibria."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from choremarket.verification import verify_equilibrium
 from conftest import (
     PATTERN_MARKETS,
     covering_patterns,
+    fixed_earnings_twin,
     pattern_market,
     random_conditioned_instance,
 )
@@ -384,3 +386,24 @@ class TestTieClasses:
     @pytest.mark.parametrize("clause", [(1, -2, 3), (-1, -2, -3)])
     def test_one_clause_sat_gadgets(self, clause):
         self._assert_classes_meet_ties(build_sat_gadget(CNFFormula(3, [clause])).instance)
+
+
+def test_hit_path_digest():
+    """Pins every hit's ray, pattern, prices and allocation, values and
+    types, on the 50 conftest seeds and their fixed-earnings twins at
+    ``epsilon`` 0 and 1/10: 316 hits, hashed as their ``repr``."""
+    digest = hashlib.sha256()
+    hits = 0
+    for k in range(50):
+        base = random_conditioned_instance(random.Random(k))
+        for inst in (base, fixed_earnings_twin(base)):
+            for epsilon in (F(0), F(1, 10)):
+                for e in enumerate_equilibria(inst, epsilon).equilibria:
+                    hits += 1
+                    cand = e.candidate
+                    line = (e.ray, [sorted(s) for s in e.pattern], cand.prices, cand.allocation)
+                    digest.update(repr(line).encode() + b"\n")
+    assert hits == 316
+    assert digest.hexdigest() == (
+        "baed01014c7dc26d7665548fdba71a3b0ac523883d9e3bea1814992835448357"
+    )

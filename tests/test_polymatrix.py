@@ -389,6 +389,8 @@ REJECTED = {
     "no-players": (lambda: PolymatrixGame(0, ()), BadGame, "at least one player"),
     "payoff-shape": (
         lambda: PolymatrixGame(1, [[1, 0]]), BadGame, "payoff matrix must be 2n x 2n"),
+    "payoff-bool-and-float": (
+        lambda: PolymatrixGame(1, [[True, False], [0.25, 0.75]]), Malformed, "not a rational"),
     "schedule-length": (
         lambda: _k2_params(alpha=(F(1, 100),)).validate(),
         BadParams, "schedule length must equal K"),

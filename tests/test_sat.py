@@ -273,6 +273,15 @@ REJECTED = {
     "expand-unit": (
         lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [1]), F(0)),
         BadParams, "unit must be positive"),
+    "expand-unit-text": (
+        lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [1]), "x"),
+        Malformed, "bad rational literal"),
+    "expand-unit-nan": (
+        lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [1]), float("nan")),
+        Malformed, "not a rational"),
+    "expand-unit-none": (
+        lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [1]), None),
+        Malformed, "not a rational"),
     "expand-zero-earnings": (
         lambda: expand_to_equal_earnings(fixed_earnings_instance(10, [[1]], [0])),
         NonIntegralEarnings, "all agents have zero earning"),

@@ -6,16 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from choremarket import lp
+from choremarket import lp, verification
+from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed
 from choremarket.model import (
+    EXACT,
     EquilibriumCandidate,
+    agent_budget,
     exchange_instance,
     fixed_earnings_instance,
 )
+from choremarket.sat_reduction import CNFFormula, assignment_to_equilibrium, build_sat_gadget
 from choremarket.verification import (
     POS_TOL,
     PairComparison,
+    VerificationReport,
     check_pareto,
     disutility_profile,
     fairness_report,
@@ -23,7 +28,7 @@ from choremarket.verification import (
     verify_equilibrium,
 )
 
-from conftest import random_conditioned_instance
+from conftest import fixed_earnings_twin, random_conditioned_instance
 
 F = Fraction
 
@@ -264,6 +269,185 @@ class TestNegativeEntries:
         assert verify_equilibrium(self.INST, cand).ok
 
 
+def _reference_verify(inst, cand, epsilon):
+    """The exact conditions of :func:`verify_equilibrium` by Fraction
+    arithmetic on the candidate's own entries: the reference the integer
+    check must match, report for report."""
+    violations = []
+    mpb_ok = threshold_ok = budget_ok = clearing_ok = True
+    prices = cand.prices
+    for j, pj in enumerate(prices):
+        if pj <= 0:
+            mpb_ok = False
+            violations.append(f"chore {j} has non-positive price")
+    sets = mpb_sets(inst, prices) if mpb_ok else None
+    earned = [F(0)] * inst.n
+    done = [F(0)] * inst.m
+    for i, row in enumerate(cand.allocation):
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            earned[i] += x * prices[j]
+            done[j] += x
+            if x < 0:
+                clearing_ok = False
+                violations.append(f"agent {i} does negative amount {x} of chore {j}")
+            elif inst.disutility[i][j] is None:
+                threshold_ok = False
+                violations.append(f"agent {i} does forbidden chore {j}")
+            elif sets is not None and j not in sets[i].members:
+                mpb_ok = False
+                violations.append(f"agent {i} does non-MPB chore {j}")
+    for i, earned_i in enumerate(earned):
+        budget = agent_budget(inst, i, prices)
+        if earned_i != budget:
+            budget_ok = False
+            violations.append(f"agent {i} earns {earned_i} but owes {budget}")
+    for j, (supply, done_j) in enumerate(zip(inst.supplies, done)):
+        if not (1 - epsilon) * supply <= done_j <= supply / (1 - epsilon):
+            clearing_ok = False
+            violations.append(f"chore {j}: {done_j} done of supply {supply}")
+    return VerificationReport(
+        mpb_ok, threshold_ok, budget_ok, clearing_ok, F(epsilon), EXACT, tuple(violations)
+    )
+
+
+def _seed_hits(epsilons):
+    """``(inst, candidate, epsilon)`` of every hit of the 50 conftest seeds
+    and their fixed-earnings twins at each of ``epsilons``."""
+    for k in range(50):
+        base = random_conditioned_instance(random.Random(k))
+        for inst in (base, fixed_earnings_twin(base)):
+            for epsilon in epsilons:
+                for e in enumerate_equilibria(inst, epsilon).equilibria:
+                    yield inst, e.candidate, epsilon
+
+
+def _planted_sat_hits():
+    """The planted equilibria of a two-clause SAT gadget, one per
+    satisfying assignment."""
+    gadget = build_sat_gadget(CNFFormula(3, [(1, 2, 3), (-1, -2, 3)]))
+    for assignment in [(True, True, True), (False, False, True), (False, True, False)]:
+        yield gadget.instance, assignment_to_equilibrium(gadget, assignment), F(0)
+
+
+def _variants(inst, cand, rng):
+    """The candidate and copies of it with one price scaled, a cell bumped,
+    a negative cell, a forbidden cell (when the market has one), a zero
+    price, and its integral entries as ints."""
+    prices = list(cand.prices)
+    rows = [list(row) for row in cand.allocation]
+
+    def with_price(j, value):
+        return EquilibriumCandidate(prices[:j] + [value] + prices[j + 1:], rows)
+
+    def with_cell(i, j, value):
+        changed = [row[:] for row in rows]
+        changed[i][j] = value
+        return EquilibriumCandidate(prices, changed)
+
+    yield cand
+    j = rng.randrange(inst.m)
+    yield with_price(j, prices[j] * F(3, 2))
+    i, j = rng.choice([(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x])
+    yield with_cell(i, j, rows[i][j] + F(1, 7))
+    yield with_cell(rng.randrange(inst.n), rng.randrange(inst.m), F(-1, 3))
+    forbidden = [
+        (i, j) for i, row in enumerate(inst.disutility) for j, d in enumerate(row) if d is None
+    ]
+    if forbidden:
+        yield with_cell(*rng.choice(forbidden), F(1, 2))
+    yield with_price(rng.randrange(inst.m), F(0))
+
+    def integral(x):
+        return int(x) if x.denominator == 1 else x
+
+    yield EquilibriumCandidate(
+        [integral(p) for p in prices], [[integral(x) for x in row] for row in rows]
+    )
+
+
+class TestExactParity:
+    """The integer exact check returns the reference's report: the same
+    flags and the same violations in the same order."""
+
+    def test_seed_hits_and_perturbations(self):
+        rng = random.Random(29)
+        cases = list(_seed_hits((F(0), F(1, 10)))) + list(_planted_sat_hits())
+        reports = []
+        for inst, hit, epsilon in cases:
+            assert verify_equilibrium(inst, hit, epsilon).ok
+            for cand in _variants(inst, hit, rng):
+                report = verify_equilibrium(inst, cand, epsilon)
+                assert report == _reference_verify(inst, cand, epsilon)
+                reports.append(report)
+        assert len(cases) == 316 + 3
+        # Every condition fails somewhere.
+        for flag in ("mpb_ok", "threshold_ok", "budget_ok", "clearing_ok"):
+            assert not all(getattr(r, flag) for r in reports), flag
+
+    def test_mixed_int_and_fraction_entries(self, warmup):
+        # The tilted warmup equilibrium with int 1 and 0 cells, then with its
+        # int cell doubled and a cell made negative.
+        for epsilon in (F(0), F(1, 10)):
+            for cand in (
+                warmup_candidate_tilted(),
+                EquilibriumCandidate((F(1, 2), 3), ((2, F(1, 3)), (0, F(2, 3)))),
+                EquilibriumCandidate((1, F(1, 2)), ((1, -1), (F(-1, 2), 2))),
+            ):
+                assert verify_equilibrium(warmup, cand, epsilon) == _reference_verify(
+                    warmup, cand, epsilon
+                )
+
+    def test_integer_form_leaves_equality_and_hash(self):
+        for make in (
+            lambda: random_conditioned_instance(random.Random(3)),
+            lambda: fixed_earnings_twin(random_conditioned_instance(random.Random(3))),
+        ):
+            filled, fresh = make(), make()
+            filled._integer_form
+            assert "_integer_form" in vars(filled) and "_integer_form" not in vars(fresh)
+            assert filled == fresh and hash(filled) == hash(fresh)
+
+
+_COUNTED = ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_exact_verification_makes_no_fraction_arithmetic(monkeypatch):
+    """A passing exact check at ``epsilon = 0`` on every hit of the seeds
+    and their twins adds, multiplies and divides no Fraction outside
+    :func:`mpb_sets`, the package's one MPB routine, which divides
+    disutilities by prices."""
+    hits = list(_seed_hits((F(0),)))
+    calls = {"count": 0, "paused": False}
+
+    def counting(original):
+        def counted(self, other):
+            calls["count"] += not calls["paused"]
+            return original(self, other)
+
+        return counted
+
+    for name in _COUNTED:
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    mpb = verification.mpb_sets
+
+    def paused(*args):
+        calls["paused"] = True
+        try:
+            return mpb(*args)
+        finally:
+            calls["paused"] = False
+
+    monkeypatch.setattr(verification, "mpb_sets", paused)
+    for inst, cand, epsilon in hits:
+        assert verify_equilibrium(inst, cand, epsilon).ok
+    assert calls["count"] == 0
+    # The counters see the reference's Fraction sums.
+    _reference_verify(*hits[0])
+    assert calls["count"] > 0
+
+
 class TestFairness:
     def test_intro_profiles(self, intro):
         flat = EquilibriumCandidate((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))
@@ -419,6 +603,12 @@ REJECTED = {
     "pareto-shape": (
         lambda: check_pareto(_INTRO, [[1, 1]]),
         DimensionMismatch, "allocation shape must match instance"),
+    "pareto-text-entry": (
+        lambda: check_pareto(_INTRO, [[2, 0], ["x", 2]]), Malformed, "bad rational literal"),
+    "pareto-nan-entry": (
+        lambda: check_pareto(_INTRO, [[2, 0], [float("nan"), 2]]), Malformed, "not a rational"),
+    "pareto-none-entry": (
+        lambda: check_pareto(_INTRO, [[2, 0], [None, 2]]), Malformed, "not a rational"),
     "pareto-negative-entry": (
         lambda: check_pareto(_INTRO, [[2, 0], [-1, 1]]),
         Infeasible, "assignment entries must be nonnegative"),
