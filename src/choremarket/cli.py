@@ -112,14 +112,9 @@ def _cmd_solve_fixedpoint(args):
 
 
 def _sat_params(args):
-    kwargs = {}
-    if args.eps is not None:
-        kwargs["eps"] = to_fraction(args.eps)
-    if args.eps_prime is not None:
-        kwargs["eps_prime"] = to_fraction(args.eps_prime)
-    if args.tau is not None:
-        kwargs["tau"] = to_fraction(args.tau)
-    return sat_reduction.SATGadgetParams(**kwargs)
+    names = ("eps", "eps_prime", "tau")
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return sat_reduction.SATGadgetParams(**given)
 
 
 def _load_formula(path):

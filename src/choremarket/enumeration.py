@@ -44,6 +44,7 @@ that map, and the test suite keeps it as an oracle for :func:`solve`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -58,7 +59,9 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
+    _clearing_band,
     _epsilon,
+    to_int,
 )
 from .verification import verify_equilibrium
 
@@ -110,49 +113,15 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
     ]
 
 
-class _IntegerView:
-    """The instance's pattern-LP data as integers, built once per search.
-
-    ``disutility`` and ``budget`` are the instance's cached integer form
-    (see :class:`~choremarket.model.Instance`): per agent, its disutility
-    row over the lcm of its denominators, and its budget as ``(den,
-    wealth, const)``.  ``supply[j]`` is chore ``j``'s supply as
-    ``(num, den)``.  ``clearing[j]`` lists chore ``j``'s rows as
-    ``(relation, flow coefficient, price coefficient, scale)`` with right
-    side 0; the lower bound at ``epsilon > 0`` is stored negated as a
-    ``<=`` row.  Divided by its scale, each row is the rational row of the
-    pattern LP.
-    """
-
-    def __init__(self, inst: Instance, epsilon: Fraction):
-        self.inst = inst
-        self.epsilon = epsilon
-        self.finite = [inst.finite_chores(i) for i in range(inst.n)]
-        self.disutility, self.budget = inst._integer_form
-        self.supply = [(x.numerator, x.denominator) for x in inst.supplies]
-        if epsilon == 0:
-            factors = [(lp.EQ, 1, Fraction(1))]
-        else:
-            # flows >= (1 - eps) supply p, negated so its slack starts basic.
-            factors = [(lp.LE, -1, 1 - epsilon), (lp.LE, 1, 1 / (1 - epsilon))]
-        self.clearing = []
-        for supply in inst.supplies:
-            rows = []
-            for rel, sign, factor in factors:
-                bound = factor * supply
-                rows.append(
-                    (rel, sign * bound.denominator, -sign * bound.numerator, bound.denominator)
-                )
-            self.clearing.append(rows)
-
-
-def _pattern_lp(view: _IntegerView, pattern, closure):
+def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
     """Build the strict-feasibility LP for one pattern, and its variables.
 
     Variables: one price ``q_c`` per tie class, the flows ``f_ij`` (money
     agent ``i`` earns on chore ``j`` of its pattern set) that no row forces,
     and one slack ``s`` (maximized).  Feasible with positive optimum iff the
-    pattern supports an equilibrium.
+    pattern supports an equilibrium.  Its integer rows are written straight
+    from the instance's integer disutility rows and budgets (see
+    :class:`~choremarket.model.Instance`) and its chores' clearing bands.
 
     The tie classes come from ``closure``, the search's ratio closure at the
     pattern's leaf (see :func:`_patterns`).  Only tie bounds are weak, and a
@@ -192,7 +161,8 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
     Returns the program and ``(cls, mult, flows)``, with ``flows`` mapping
     each ``(i, j)`` whose flow is a variable to its column.
     """
-    m = view.inst.m
+    m = inst.m
+    rows, budgets, supplies = inst._integer_rows, inst._integer_budgets, inst.supplies
     # (root, p_j / p_root) per chore j: the first chore j is tied to.
     ties = [next((x, b[0]) for x, b in enumerate(row) if b and b[1]) for row in closure]
     den = {}
@@ -208,7 +178,7 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
         for j in mem:
             takers[j].append(i)
     single = [len(mem) == 1 for mem in members]
-    sole = [view.epsilon == 0 and len(t) == 1 and not single[t[0]] for t in takers]
+    sole = [epsilon == 0 and len(t) == 1 and not single[t[0]] for t in takers]
     flows = {}
     k = max(cls) + 1
     for i, mem in enumerate(members):
@@ -224,57 +194,62 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
 
     def add_wealth(r, i, factor):
         # factor times the price part of agent i's budget times its den.
-        for j, x in view.budget[i][1]:
+        for j, x in budgets[i][1]:
             r[cls[j]] += factor * x * mult[j]
 
     for i, mem in enumerate(members):
         if mem:
-            d, scale = view.disutility[i]
+            d, scale = rows[i]
             rep = mem[0]
             # Strictly worse ratios outside: d(i,rep) p_j' + s <= d(i,j') p_rep.
-            for j in view.finite[i]:
-                if j in pattern[i]:
+            for j, dj in enumerate(d):
+                if dj is None or j in pattern[i]:
                     continue
                 r = zero[:]
                 r[cls[j]] += d[rep] * mult[j]
-                r[cls[rep]] -= d[j] * mult[rep]
+                r[cls[rep]] -= dj * mult[rep]
                 r[slack] = scale
                 cons.append(lp.Constraint(tuple(r), lp.LE, 0, scale))
         if single[i] or not mem:
             continue
         # Budget: the flows, free and forced, sum to the agent's budget.
-        bden, _, const = view.budget[i]
-        scale = lcm(bden, *(view.supply[j][1] for j in mem if sole[j]))
+        bden, _, const = budgets[i]
+        scale = lcm(bden, *(supplies[j].denominator for j in mem if sole[j]))
         r = zero[:]
         add_wealth(r, i, -(scale // bden))
         for j in mem:
             if sole[j]:
-                snum, sden = view.supply[j]
-                r[cls[j]] += (scale // sden) * snum * mult[j]
+                supply = supplies[j]
+                r[cls[j]] += (scale // supply.denominator) * supply.numerator * mult[j]
             else:
                 r[flows[i, j]] = scale
         cons.append(lp.Constraint(tuple(r), lp.EQ, (scale // bden) * const, scale))
 
-    # Clearing: the flows into chore j against its supply value (within
-    # the epsilon band when epsilon > 0); a one-member set's flow is its
-    # agent's budget.
+    # Clearing: the flows into chore j against its supply value, or within
+    # its band [lo, hi] of it when epsilon > 0; a one-member set's flow is
+    # its agent's budget.  The row with bound b and sign +1 (or -1) is
+    # (flows - b p_j) times sign <= 0 (or = 0 when lo = hi), over b's
+    # denominator: the lower bound is negated so its slack starts basic.
     for j in range(m):
         if sole[j]:
             continue
-        bscale = lcm(*(view.budget[i][0] for i in takers[j] if single[i]))
-        for rel, flow, coeff, scale in view.clearing[j]:
+        lo, hi = _clearing_band(supplies[j], epsilon)
+        bounds = [(lp.EQ, 1, hi)] if lo == hi else [(lp.LE, -1, lo), (lp.LE, 1, hi)]
+        bscale = lcm(*(budgets[i][0] for i in takers[j] if single[i]))
+        for rel, sign, bound in bounds:
+            flow = sign * bound.denominator
             r = zero[:]
             rhs = 0
             for i in takers[j]:
                 if single[i]:
-                    bden, _, const = view.budget[i]
+                    bden, _, const = budgets[i]
                     factor = flow * (bscale // bden)
                     add_wealth(r, i, factor)
                     rhs -= factor * const
                 else:
                     r[flows[i, j]] = flow * bscale
-            r[cls[j]] += coeff * mult[j] * bscale
-            cons.append(lp.Constraint(tuple(r), rel, rhs, scale * bscale))
+            r[cls[j]] -= sign * bound.numerator * mult[j] * bscale
+            cons.append(lp.Constraint(tuple(r), rel, rhs, bound.denominator * bscale))
 
     # Positive prices: s - mult q_c <= 0 for each class's smallest multiplier.
     low = {}
@@ -286,7 +261,7 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
         r[slack] = 1
         cons.append(lp.Constraint(tuple(r), lp.LE, 0))
 
-    if view.inst.variant == EXCHANGE:
+    if inst.variant == EXCHANGE:
         # Fix the scale of the price ray; fixed-earnings budgets pin it already.
         r = zero[:]
         for c, x in zip(cls, mult):
@@ -298,9 +273,11 @@ def _pattern_lp(view: _IntegerView, pattern, closure):
     return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult, flows)
 
 
-def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedEquilibrium]:
-    inst = view.inst
-    program, (cls, mult, flows) = _pattern_lp(view, pattern, closure)
+def _solve_pattern(inst: Instance, epsilon: Fraction, pattern, closure):
+    """The verified equilibrium read off the optimal vertex of the pattern's
+    LP (see :func:`_pattern_lp`), or ``None``.  A one-member set's
+    allocation comes from the instance's integer budgets."""
+    program, (cls, mult, flows) = _pattern_lp(inst, epsilon, pattern, closure)
     result = lp.lp_solve(program)
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
@@ -317,13 +294,13 @@ def _solve_pattern(view: _IntegerView, pattern, closure) -> Optional[EnumeratedE
                 if flow := point[k]:
                     allocation[i][j] = Fraction(flow.numerator * den, flow.denominator * scaled[j])
             elif len(members) == 1:  # the agent's budget, all on j
-                bden, wealth, const = view.budget[i]
+                bden, wealth, const = inst._integer_budgets[i]
                 owed = sum(x * scaled[l] for l, x in wealth) + const * den
                 allocation[i][j] = Fraction(owed, bden * scaled[j])
             else:  # j's one taker does its whole supply
                 allocation[i][j] = inst.supplies[j]
     cand = EquilibriumCandidate([Fraction(x, den) for x in scaled], allocation)
-    if not verify_equilibrium(inst, cand, view.epsilon).ok:
+    if not verify_equilibrium(inst, cand, epsilon).ok:
         return None
     total = sum(scaled)
     return EnumeratedEquilibrium(tuple(Fraction(x, total) for x in scaled), tuple(pattern), cand)
@@ -435,16 +412,17 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[Tuple[frozenset, ...],
 
 
 def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
-    """Check the arguments and start the pattern search (which may raise
+    """Check the arguments (``cap`` must be a nonnegative int, else
+    :class:`Malformed`) and start the pattern search (which may raise
     :class:`PatternBudgetExceeded`); return its lazy ``(pattern, closure)``
     leaves and a function that solves one leaf's LP, for the caller to call
     per leaf."""
     epsilon = _epsilon(epsilon)
+    cap = to_int(cap)
     if cap < 0:
         raise Malformed("cap must be nonnegative")
     patterns = _patterns(inst, cap)
-    view = _IntegerView(inst, epsilon)
-    return patterns, lambda pattern, closure: _solve_pattern(view, pattern, closure)
+    return patterns, functools.partial(_solve_pattern, inst, epsilon)
 
 
 def enumerate_equilibria(
@@ -456,7 +434,8 @@ def enumerate_equilibria(
     equilibrium, with a witness allocation; duplicate rays are kept once.
 
     Raises :class:`PatternBudgetExceeded` when the pattern space is larger
-    than ``cap``.
+    than ``cap``, and :class:`Malformed` when ``cap`` is not a nonnegative
+    int.
     """
     patterns, solve_pattern = _search(inst, epsilon, cap)
     found = {}
@@ -518,9 +497,11 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
     first verified equilibrium in the caller's units and variant.  Each LP
     has its forced flows substituted out (see :func:`_pattern_lp`).  The
     conditions guarantee an equilibrium, so a search that runs out of
-    patterns is a bug and raises :class:`ConstructionFailed`.
+    patterns is a bug and raises :class:`ConstructionFailed`.  A
+    ``max_iters`` that is not a nonnegative int is :class:`Malformed`.
     """
-    if config.max_iters < 0:
+    max_iters = to_int(config.max_iters)
+    if max_iters < 0:
         raise Malformed("max_iters must be nonnegative")
     report = check_conditions(inst)
     if not report.condition1.ok:
@@ -533,7 +514,7 @@ def solve(inst: Instance, config: SolverConfig = SolverConfig()) -> SolveOutcome
         return SolveOutcome(None, 0, "cap")
     solved = 0
     for leaf in patterns:
-        if solved == config.max_iters:
+        if solved == max_iters:
             return SolveOutcome(None, solved, "budget")
         solved += 1
         hit = solve_pattern(*leaf)

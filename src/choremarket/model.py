@@ -107,6 +107,15 @@ def _epsilon(value) -> Fraction:
     return epsilon
 
 
+def _clearing_band(supply: Fraction, epsilon: Fraction) -> tuple:
+    """The amounts ``(lo, hi) = ((1 - epsilon) supply, supply / (1 -
+    epsilon))`` that clear a chore; ``supply`` itself at ``epsilon = 0``."""
+    if not epsilon:
+        return supply, supply
+    keep = 1 - epsilon
+    return keep * supply, supply / keep
+
+
 def _json_array(value, name: str, nested: bool = False) -> list:
     """Return ``value`` if it is a JSON array, of arrays when ``nested``;
     anything else raises :class:`Malformed`.  A string in particular would
@@ -159,19 +168,20 @@ class Instance:
     of ``endowment`` (exchange) or ``earning`` (fixed earnings, with per-chore
     ``supply``) is present depending on ``variant``.
 
-    Like :attr:`supplies`, the market's integer form ``_integer_form`` is
-    computed once per instance, on first use; it is not a field, so it
-    takes no part in equality or hashing.  It is ``(disutility, budget)``,
-    one entry per agent in each:
+    Like :attr:`supplies`, the market's integer form is cached per instance
+    on first use, outside the fields (so outside equality and hashing), as
+    two tuples with one entry per agent:
 
-    - ``disutility[i]`` is ``(row, scale)``: agent ``i``'s disutility row
-      times ``scale``, the lcm of its denominators, with ``None`` kept;
-    - ``budget[i]`` is ``(den, wealth, const)``: at prices ``p`` agent
-      ``i``'s budget is ``(sum of x p_j over (j, x) in wealth + const) /
-      den``.  An exchange agent's ``wealth`` lists the nonzero entries
-      ``(j, integer)`` of its endowment row times ``den``, the lcm of the
-      row's denominators, and ``const`` is 0; a fixed-earnings agent has no
-      ``wealth`` and earns ``const / den``.
+    - ``_integer_rows[i]`` is ``(row, scale)``: agent ``i``'s disutility
+      row times ``scale``, the lcm of its denominators, with ``None`` kept.
+      Only the pattern search reads it.
+    - ``_integer_budgets[i]`` is ``(den, wealth, const)``: at prices ``p``
+      agent ``i``'s budget is ``(sum of x p_j over (j, x) in wealth +
+      const) / den``.  An exchange agent's ``wealth`` lists the nonzero
+      entries ``(j, integer)`` of its endowment row times ``den``, the lcm
+      of the row's denominators, and ``const`` is 0; a fixed-earnings agent
+      has no ``wealth`` and earns ``const / den``.  The search and the
+      exact check read it.
     """
 
     variant: str
@@ -260,17 +270,19 @@ class Instance:
         return tuple(sum(w for w in col if w) for col in zip(*self.endowment))
 
     @functools.cached_property
-    def _integer_form(self) -> tuple:
-        """``(disutility, budget)`` in integers; see the class docstring."""
-        disutility = tuple(map(_integer_row, self.disutility))
+    def _integer_rows(self) -> tuple:
+        """The disutility rows in integers; see the class docstring."""
+        return tuple(map(_integer_row, self.disutility))
+
+    @functools.cached_property
+    def _integer_budgets(self) -> tuple:
+        """The budgets in integers; see the class docstring."""
         if self.variant == EXCHANGE:
-            budget = tuple(
+            return tuple(
                 (scale, tuple((j, x) for j, x in enumerate(ints) if x), 0)
                 for ints, scale in map(_integer_row, self.endowment)
             )
-        else:
-            budget = tuple((e.denominator, (), e.numerator) for e in self.earning)
-        return disutility, budget
+        return tuple((e.denominator, (), e.numerator) for e in self.earning)
 
     def finite_chores(self, agent: int) -> tuple:
         """Indices of chores agent can do (disutility below the threshold)."""
@@ -300,7 +312,7 @@ class Instance:
             [self.earning[i] * self.supply[j] / total for j in range(self.m)]
             for i in range(self.n)
         ]
-        return Instance(EXCHANGE, self.tau, self.disutility, endowment=_freeze_matrix(w))
+        return Instance(EXCHANGE, self.tau, self.disutility, endowment=w)
 
 
 def exchange_instance(tau, disutility, endowment) -> Instance:
@@ -308,10 +320,8 @@ def exchange_instance(tau, disutility, endowment) -> Instance:
     return Instance(
         EXCHANGE,
         to_fraction(tau),
-        _freeze_matrix(
-            [[None if x is None else to_fraction(x) for x in row] for row in disutility]
-        ),
-        endowment=_freeze_matrix([[to_fraction(x) for x in row] for row in endowment]),
+        [[None if x is None else to_fraction(x) for x in row] for row in disutility],
+        endowment=[[to_fraction(x) for x in row] for row in endowment],
     )
 
 
@@ -320,9 +330,7 @@ def fixed_earnings_instance(tau, disutility, earning, supply=None) -> Instance:
     return Instance(
         FIXED_EARNINGS,
         to_fraction(tau),
-        _freeze_matrix(
-            [[None if x is None else to_fraction(x) for x in row] for row in disutility]
-        ),
+        [[None if x is None else to_fraction(x) for x in row] for row in disutility],
         earning=tuple(to_fraction(x) for x in earning),
         supply=None if supply is None else tuple(to_fraction(x) for x in supply),
     )

@@ -130,6 +130,8 @@ class SATGadgetParams:
     balancing agent, and ``tau`` the dislike threshold.  The constraints
     ``0 < eps_prime < eps / 2`` and ``eps_prime / (6 eps) > 1/12 - gap``
     keep the clause chores priceable exactly when the clause is satisfied.
+    Each field is read as :func:`~choremarket.model.to_fraction` reads it,
+    so a float, a bool or an unreadable string is :class:`Malformed`.
     """
 
     eps: Fraction = Fraction(1, 10)
@@ -139,7 +141,7 @@ class SATGadgetParams:
 
     def __post_init__(self):
         for name in ("eps", "eps_prime", "tau", "gap"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
         if not 0 < self.eps_prime < self.eps / 2:
             raise BadParams("need 0 < eps_prime < eps / 2")
         if not self.eps_prime / (6 * self.eps) > Fraction(1, 12) - self.gap:
@@ -397,13 +399,8 @@ def _read_metadata(meta: dict) -> tuple:
         meta["formula"]["num_vars"],
         _json_array(meta["formula"]["clauses"], "clauses", nested=True),
     )
-    params = SATGadgetParams(
-        eps=to_fraction(meta["params"]["eps"]),
-        eps_prime=to_fraction(meta["params"]["eps_prime"]),
-        tau=to_fraction(meta["params"]["tau"]),
-        gap=to_fraction(meta["params"]["gap"]),
-    )
-    return formula, params
+    names = ("eps", "eps_prime", "tau", "gap")
+    return formula, SATGadgetParams(**{name: meta["params"][name] for name in names})
 
 
 def gadget_from_json(doc: dict) -> SATGadget:

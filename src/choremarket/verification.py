@@ -7,8 +7,8 @@ be relaxed to a ``(1 - epsilon)`` band; the MPB and budget conditions are
 never relaxed.
 
 The exact check runs on integers: prices and allocation over their common
-denominators, and budgets from the instance's cached integer form, so each
-budget and each chore's clearing band is one comparison of integer
+denominators, and budgets from the instance's cached integer budgets, so
+each budget and each chore's clearing band is one comparison of integer
 cross-products.  MPB membership comes from :func:`mpb_sets`, the package's
 one MPB routine, in Fractions.  The float check has its own loop.
 """
@@ -27,6 +27,7 @@ from .model import (
     EXACT,
     EquilibriumCandidate,
     Instance,
+    _clearing_band,
     _epsilon,
     _tolerance,
     agent_budget,
@@ -67,8 +68,10 @@ def mpb_sets(inst: Instance, prices: Sequence, tol: float = 0) -> Tuple[MPBSet, 
     ``(1 + tol)`` times the minimum.  Dividing a Fraction disutility by a
     float price gives the float ``float(d) / p``.  Zero-price chores are
     never members: a finite-disutility chore at price zero has unbounded pain
-    per buck.
+    per buck.  A ``tol`` that is not a finite nonnegative number (a bool
+    included) is :class:`Malformed`.
     """
+    _tolerance(tol)
     if len(prices) != inst.m:
         raise DimensionMismatch("price vector length must match chore count")
     out = []
@@ -189,7 +192,7 @@ def _exact_conditions(inst, cand, epsilon, sets, violations):
         done[j] += amount
 
     # Agent i earns earned[i] / (L D) and owes owed / (den D).
-    for i, (den, wealth, const) in enumerate(inst._integer_form[1]):
+    for i, (den, wealth, const) in enumerate(inst._integer_budgets):
         owed = sum(x * prices[j] for j, x in wealth) + const * D
         if earned[i] * den != owed * L:
             budget_ok = False
@@ -197,12 +200,13 @@ def _exact_conditions(inst, cand, epsilon, sets, violations):
                 f"agent {i} earns {Fraction(earned[i], L * D)} but owes {Fraction(owed, den * D)}"
             )
 
-    # Chore j is done done[j] / L of supply s / t, within the band
-    # (1 - a / b) s / t <= done[j] / L <= (s / t) / (1 - a / b), a / b = epsilon.
-    a, b = epsilon.numerator, epsilon.denominator
+    # Chore j is done done[j] / L, within its band lo <= done[j] / L <= hi.
     for j, (supply, amount) in enumerate(zip(inst.supplies, done)):
-        s, t = supply.numerator, supply.denominator
-        if (b - a) * s * L > b * t * amount or (b - a) * t * amount > b * s * L:
+        lo, hi = _clearing_band(supply, epsilon)
+        if (
+            lo.numerator * L > lo.denominator * amount
+            or hi.denominator * amount > hi.numerator * L
+        ):
             clearing_ok = False
             violations.append(f"chore {j}: {Fraction(amount, L)} done of supply {supply}")
     return mpb_ok, threshold_ok, budget_ok, clearing_ok
@@ -249,8 +253,7 @@ def _float_conditions(inst, cand, epsilon, sets, tol_mpb, tol_clearing, violatio
             )
 
     for j, (supply, done_j) in enumerate(zip(inst.supplies, done)):
-        lo = (1 - epsilon) * supply
-        hi = supply / (1 - epsilon)
+        lo, hi = _clearing_band(supply, epsilon)
         slack = tol_clearing * max(1.0, float(supply))
         if float(done_j) < float(lo) - slack or float(done_j) > float(hi) + slack:
             clearing_ok = False

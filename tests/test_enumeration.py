@@ -10,7 +10,6 @@ from choremarket import lp
 from choremarket.enumeration import (
     PATTERN_CAP,
     SolveOutcome,
-    _IntegerView,
     _pattern_lp,
     _patterns,
     _solve_pattern,
@@ -109,6 +108,12 @@ class TestControls:
     def test_bad_epsilon(self, warmup):
         with pytest.raises(Malformed):
             enumerate_equilibria(warmup, epsilon=F(1))
+
+    @pytest.mark.parametrize("cap", ["x", None, 2.5, True])
+    @pytest.mark.parametrize("call", [enumerate_equilibria, exists_equilibrium])
+    def test_non_integer_cap_is_malformed(self, warmup, call, cap):
+        with pytest.raises(Malformed, match="not an integer"):
+            call(warmup, cap=cap)
 
     @pytest.mark.parametrize("epsilon", ["x", None, float("nan")])
     @pytest.mark.parametrize(
@@ -269,13 +274,12 @@ class TestReducedProgram:
     @staticmethod
     def _assert_same_optimum(inst, epsilons, kept, patterns):
         for epsilon in epsilons:
-            view = _IntegerView(inst, epsilon)
             for pattern in patterns:
                 reference = lp.lp_solve(_price_program(inst, epsilon, pattern))
                 if pattern not in kept:
                     assert _no_positive_optimum(reference), pattern
                     continue
-                reduced = lp.lp_solve(_pattern_lp(view, pattern, kept[pattern])[0])
+                reduced = lp.lp_solve(_pattern_lp(inst, epsilon, pattern, kept[pattern])[0])
                 assert (reduced.status, reduced.value) == (
                     reference.status,
                     reference.value,
@@ -309,13 +313,13 @@ class TestReducedProgram:
             10, [[1, None, None], [1, 1, None], [None, 1, 1]], [1, 1, 1]
         )
         closure = _kept(inst)[self.FORCED]
-        program, (cls, _, flows) = _pattern_lp(_IntegerView(inst, F(0)), self.FORCED, closure)
+        program, (cls, _, flows) = _pattern_lp(inst, F(0), self.FORCED, closure)
         assert cls == [0, 0, 0]
         assert set(flows) == {(1, 0), (1, 1), (2, 1)}
         assert program.num_vars == 1 + len(flows) + 1
-        _, (_, _, flows) = _pattern_lp(_IntegerView(inst, F(1, 10)), self.FORCED, closure)
+        _, (_, _, flows) = _pattern_lp(inst, F(1, 10), self.FORCED, closure)
         assert set(flows) == {(1, 0), (1, 1), (2, 1), (2, 2)}
-        hit = _solve_pattern(_IntegerView(inst, F(0)), self.FORCED, closure)
+        hit = _solve_pattern(inst, F(0), self.FORCED, closure)
         assert hit is not None and hit.ray == (F(1, 3),) * 3
         assert hit.candidate.allocation == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -341,7 +345,7 @@ class TestReducedProgram:
     def test_ties_at_one_ratio_keep_the_price_programs_ray(self):
         inst = self._triangle(6)
         closure = _kept(inst)[self.PATTERN]
-        hit = _solve_pattern(_IntegerView(inst, F(0)), self.PATTERN, closure)
+        hit = _solve_pattern(inst, F(0), self.PATTERN, closure)
         reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
         assert hit is not None and reference.value > 0
         assert hit.ray == normalize_prices(reference.point[: inst.m])
@@ -368,9 +372,8 @@ class TestTieClasses:
 
     @staticmethod
     def _assert_classes_meet_ties(inst):
-        view = _IntegerView(inst, F(0))
         for pattern, closure in _patterns(inst, PATTERN_CAP):
-            _, (cls, mult, _) = _pattern_lp(view, pattern, closure)
+            _, (cls, mult, _) = _pattern_lp(inst, F(0), pattern, closure)
             assert cls == _tie_components(pattern, inst.m), pattern
             assert all(isinstance(x, int) and x > 0 for x in mult)
             for i, members in enumerate(pattern):

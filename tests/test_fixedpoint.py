@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from choremarket import enumeration
-from choremarket.errors import ConditionViolated, ConstructionFailed, Infeasible
+from choremarket.errors import ConditionViolated, ConstructionFailed, Infeasible, Malformed
 from choremarket.enumeration import SolveOutcome, SolverConfig, solve
 from choremarket.graphs import build_disutility_graph, check_condition1
 from choremarket.model import (
@@ -181,3 +181,11 @@ class TestSolve:
         for max_iters in (3, 4):
             with pytest.raises(ConstructionFailed, match="^pattern search ran out after 3 LPs$"):
                 solve(intro, SolverConfig(max_iters=max_iters))
+
+    @pytest.mark.parametrize("max_iters", [2.5, "x", None, True])
+    def test_non_integer_budget_is_malformed(self, intro, monkeypatch, max_iters):
+        # A fractional budget never equals the LP count, so it would never
+        # stop the search.
+        monkeypatch.setattr(enumeration, "_solve_pattern", lambda *args: None)
+        with pytest.raises(Malformed, match="not an integer"):
+            solve(intro, SolverConfig(max_iters=max_iters))

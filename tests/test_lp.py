@@ -9,7 +9,6 @@ import pytest
 from choremarket import enumeration, lp
 from choremarket.enumeration import (
     PATTERN_CAP,
-    _IntegerView,
     _pattern_lp,
     _patterns,
     enumerate_equilibria,
@@ -381,9 +380,8 @@ class TestReferenceSimplex:
     def test_pattern_programs(self, name, request):
         inst = pattern_market(name, request)
         for epsilon in (F(0), F(1, 10)):
-            view = _IntegerView(inst, epsilon)
             for pattern, closure in _patterns(inst, PATTERN_CAP):
-                program, _ = _pattern_lp(view, pattern, closure)
+                program, _ = _pattern_lp(inst, epsilon, pattern, closure)
                 _assert_matches_reference(program)
 
 

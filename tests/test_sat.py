@@ -257,6 +257,9 @@ REJECTED = {
         lambda: SATGadgetParams(tau=F(3)), BadParams, "tau must exceed every finite disutility"),
     "eps-not-below-one": (
         lambda: SATGadgetParams(eps=F(1), gap=F(1, 12)), BadParams, "eps must be below one"),
+    "params-text": (lambda: SATGadgetParams(eps="x"), Malformed, "bad rational literal"),
+    "params-none": (lambda: SATGadgetParams(eps=None), Malformed, "not a rational"),
+    "params-float": (lambda: SATGadgetParams(eps=0.1), Malformed, "not a rational"),
     "readback-not-a-gadget": (
         lambda: equilibrium_to_assignment(
             build_sat_gadget(PHI).instance, EquilibriumCandidate([F(1)], [[F(1)]])

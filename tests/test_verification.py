@@ -1,5 +1,6 @@
 """Equilibrium verification, fairness, and Pareto checks."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed
 from choremarket.model import (
     EXACT,
+    FLOAT,
     EquilibriumCandidate,
+    Instance,
     agent_budget,
     exchange_instance,
     fixed_earnings_instance,
@@ -157,11 +160,22 @@ class TestVerify:
         report = verify_equilibrium(inst, cand)
         assert not report.mpb_ok
 
-    def test_epsilon_band_relaxes_clearing(self, warmup):
-        # Chore 0 is only 19/20 done; budgets and MPB remain exact.
-        cand = EquilibriumCandidate((F(20, 19), F(1)), ((F(19, 20), 0), (0, 1)))
-        assert not verify_equilibrium(warmup, cand).clearing_ok
-        assert verify_equilibrium(warmup, cand, epsilon=F(1, 10)).clearing_ok
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("edge, outward", [(F(9, 10), -1), (F(10, 9), 1)], ids=["lo", "hi"])
+    def test_epsilon_band_relaxes_clearing(self, warmup, mode, edge, outward):
+        # At epsilon 1/10 chore 0's band is [9/10, 10/9].  Agent 0 does an
+        # edge of it, or one step past (a step above the float clearing
+        # slack of 1e-7), at the price that pays its budget exactly.
+        def report(done, epsilon):
+            prices, allocation = (1 / done, F(1)), ((done, 0), (0, 1))
+            if mode == FLOAT:
+                prices, allocation = tuple(map(float, prices)), ((float(done), 0.0), (0.0, 1.0))
+            return verify_equilibrium(warmup, EquilibriumCandidate(prices, allocation, mode), epsilon)
+
+        assert not report(edge, F(0)).clearing_ok
+        assert report(edge, F(1, 10)).ok
+        past = report(edge + outward * F(1, 10**6), F(1, 10))
+        assert (past.mpb_ok, past.budget_ok, past.clearing_ok) == (True, True, False)
 
     def test_bool_prices_are_not_an_exact_candidate(self):
         # True == 1, so [True, True] would pass as the prices (1, 1).
@@ -400,14 +414,30 @@ class TestExactParity:
                 )
 
     def test_integer_form_leaves_equality_and_hash(self):
+        # Every cached property of an instance, filled, stays out of its
+        # equality and hash.
+        caches = [
+            name
+            for name, value in vars(Instance).items()
+            if isinstance(value, functools.cached_property)
+        ]
+        assert {"supplies", "_integer_rows", "_integer_budgets"} <= set(caches)
         for make in (
             lambda: random_conditioned_instance(random.Random(3)),
             lambda: fixed_earnings_twin(random_conditioned_instance(random.Random(3))),
         ):
             filled, fresh = make(), make()
-            filled._integer_form
-            assert "_integer_form" in vars(filled) and "_integer_form" not in vars(fresh)
+            for name in caches:
+                getattr(filled, name)
+                assert name in vars(filled) and name not in vars(fresh)
             assert filled == fresh and hash(filled) == hash(fresh)
+
+    def test_exact_check_fills_only_the_budgets(self):
+        # The disutility rows in integers are the search's alone.
+        inst = exchange_instance(100, [[1, 3], [3, 1]], [[1, 1], [1, 1]])
+        cand = EquilibriumCandidate((F(1), F(1)), ((2, 0), (0, 2)))
+        assert verify_equilibrium(inst, cand).ok
+        assert "_integer_budgets" in vars(inst) and "_integer_rows" not in vars(inst)
 
 
 _COUNTED = ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
@@ -597,6 +627,12 @@ REJECTED = {
     "mpb-price-length": (
         lambda: mpb_sets(_WARMUP, (F(1),)),
         DimensionMismatch, "price vector length must match chore count"),
+    "mpb-tol-nan": (
+        lambda: mpb_sets(_INTRO, (F(1, 2), F(1, 2)), tol=float("nan")),
+        Malformed, "tolerance must be a finite nonnegative number"),
+    "mpb-tol-negative": (
+        lambda: mpb_sets(_INTRO, (F(1, 2), F(1, 2)), tol=-0.5),
+        Malformed, "tolerance must be a finite nonnegative number"),
     "verify-shape": (
         lambda: verify_equilibrium(_WARMUP, EquilibriumCandidate((1,), ((1,), (1,)))),
         DimensionMismatch, "candidate shape must match instance"),
