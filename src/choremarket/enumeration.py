@@ -21,18 +21,20 @@ LP's vertex is one.
 Patterns come from a backtracking search over agents.  Each agent's set fixes
 price ratios: members tie with the set's first chore, and the agent's other
 finite chores have strictly higher pain per buck.  The search keeps the exact
-closure of these ratio bounds and cuts a branch as soon as a cycle of them
-multiplies to less than 1, or to exactly 1 through a strict bound, or when the
-remaining agents can no longer cover every chore.  The cut is safe: a
-pattern's LP has a positive optimum only at positive prices that meet its
-ratio bounds strictly, and no such prices exist past a bad cycle; an
-uncovered chore cannot clear at a positive price.  So the search loses no
-equilibrium, for any ``epsilon``.  At each leaf the closure holds the
-pattern's tie ratios, and the LP reads its tie classes and their price
-multipliers off it.  No class whose ties meet at two different ratios reaches
-an LP: such ties form a bad cycle, which the search cuts.  Each agent tries
-its sets largest first, so the searches that stop at the first hit reach one
-sooner; the order decides which hit comes first, not which patterns exist.
+closure of these ratio bounds, each ratio a pair of integers read off the
+market's integer disutility rows (see :data:`_UNIT`), and cuts a branch as
+soon as a cycle of them multiplies to less than 1, or to exactly 1 through a
+strict bound, or when the remaining agents can no longer cover every chore.
+The cut is safe: a pattern's LP has a positive optimum only at positive
+prices that meet its ratio bounds strictly, and no such prices exist past a
+bad cycle; an uncovered chore cannot clear at a positive price.  So the
+search loses no equilibrium, for any ``epsilon``.  At each leaf the closure
+holds the pattern's tie ratios, and the LP reads its tie classes and their
+price multipliers off it.  No class whose ties meet at two different ratios
+reaches an LP: such ties form a bad cycle, which the search cuts.  Each agent
+tries its sets largest first, so the searches that stop at the first hit
+reach one sooner; the order decides which hit comes first, not which
+patterns exist.
 
 :func:`enumerate_equilibria` (one ray per pattern with a hit),
 :func:`exists_equilibrium` (the first hit) and :func:`solve` (the first hit
@@ -48,7 +50,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import lp
@@ -59,7 +61,7 @@ from .model import (
     EXCHANGE,
     EquilibriumCandidate,
     Instance,
-    _clearing_band,
+    _clearing_bands,
     _epsilon,
     to_int,
 )
@@ -113,7 +115,7 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
     ]
 
 
-def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
+def _pattern_lp(inst: Instance, bands, pattern, closure):
     """Build the strict-feasibility LP for one pattern, and its variables.
 
     Variables: one price ``q_c`` per tie class, the flows ``f_ij`` (money
@@ -121,17 +123,21 @@ def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
     and one slack ``s`` (maximized).  Feasible with positive optimum iff the
     pattern supports an equilibrium.  Its integer rows are written straight
     from the instance's integer disutility rows and budgets (see
-    :class:`~choremarket.model.Instance`) and its chores' clearing bands.
+    :class:`~choremarket.model.Instance`) and the chores' clearing bands
+    ``bands``, one ``(lo, hi)`` per chore (see
+    :func:`~choremarket.model._clearing_bands`; ``lo == hi`` at
+    ``epsilon = 0``).
 
     The tie classes come from ``closure``, the search's ratio closure at the
     pattern's leaf (see :func:`_patterns`).  Only tie bounds are weak, and a
     strict bound at least as tight as a tie would close a bad cycle with the
     reverse tie, so ``closure[j][x]`` is weak exactly when ``j`` and ``x``
-    are tied, and its ratio is then ``p_j / p_x``.  Chore ``j``'s class
-    root is the first such ``x``, the class's smallest chore; classes are
-    numbered by their roots, and ``p_j = mult_j q_cls(j)`` with the ratios
-    to the root scaled to positive integers.  No class has ties that meet at
-    two different ratios: such ties are a bad cycle, which the search cuts.
+    are tied, and its integer pair is then ``p_j / p_x`` in lowest terms.
+    Chore ``j``'s class root is the first such ``x``, the class's smallest
+    chore; classes are numbered by their roots, and ``p_j = mult_j
+    q_cls(j)``, with ``mult_j`` the ratio to the root times the lcm of the
+    class's denominators.  No class has ties that meet at two different
+    ratios: such ties are a bad cycle, which the search cuts.
 
     This is the program over prices ``p_j`` with a tie row
     ``d_ir p_j = d_ij p_r`` per MPB set member and ``p_j >= s`` per chore,
@@ -147,9 +153,10 @@ def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
       ``f_ij`` is the budget (the endowment's value at the class prices,
       or the fixed earning) in chore ``j``'s clearing rows, and the agent
       has no budget row;
-    - at ``epsilon = 0``, a chore taken by one agent whose set has more
-      members is paid ``supply_j p_j``, which replaces ``f_ij`` in that
-      agent's budget row, and the chore has no clearing row.
+    - at ``epsilon = 0`` (``lo == hi``), a chore taken by one agent whose
+      set has more members is paid ``supply_j p_j``, which replaces
+      ``f_ij`` in that agent's budget row, and the chore has no clearing
+      row.
 
     Both substitutes are nonnegative at nonnegative prices, so dropping
     ``f_ij >= 0`` adds no row: the feasible set, projected on the prices
@@ -163,22 +170,25 @@ def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
     """
     m = inst.m
     rows, budgets, supplies = inst._integer_rows, inst._integer_budgets, inst.supplies
-    # (root, p_j / p_root) per chore j: the first chore j is tied to.
-    ties = [next((x, b[0]) for x, b in enumerate(row) if b and b[1]) for row in closure]
-    den = {}
-    for root, w in ties:
-        den[root] = lcm(den.get(root, 1), w.denominator)
+    # (root, num, den) per chore j, with p_j / p_root = num / den in lowest
+    # terms: the first chore j is tied to.
+    ties = [next((x, *b[:2]) for x, b in enumerate(row) if b and b[2]) for row in closure]
+    dens = {}
+    for root, _, d in ties:
+        dens[root] = lcm(dens.get(root, 1), d)
     # The root has ratio 1, so these multipliers have no common factor.
-    mult = [w.numerator * (den[root] // w.denominator) for root, w in ties]
-    number = {root: c for c, root in enumerate(sorted(den))}
-    cls = [number[root] for root, _ in ties]
+    mult = [n * (dens[root] // d) for root, n, d in ties]
+    number = {root: c for c, root in enumerate(sorted(dens))}
+    cls = [number[root] for root, _, _ in ties]
     members = [sorted(s) for s in pattern]
     takers = [[] for _ in range(m)]
     for i, mem in enumerate(members):
         for j in mem:
             takers[j].append(i)
     single = [len(mem) == 1 for mem in members]
-    sole = [epsilon == 0 and len(t) == 1 and not single[t[0]] for t in takers]
+    sole = [
+        lo == hi and len(t) == 1 and not single[t[0]] for (lo, hi), t in zip(bands, takers)
+    ]
     flows = {}
     k = max(cls) + 1
     for i, mem in enumerate(members):
@@ -233,7 +243,7 @@ def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
     for j in range(m):
         if sole[j]:
             continue
-        lo, hi = _clearing_band(supplies[j], epsilon)
+        lo, hi = bands[j]
         bounds = [(lp.EQ, 1, hi)] if lo == hi else [(lp.LE, -1, lo), (lp.LE, 1, hi)]
         bscale = lcm(*(budgets[i][0] for i in takers[j] if single[i]))
         for rel, sign, bound in bounds:
@@ -273,11 +283,13 @@ def _pattern_lp(inst: Instance, epsilon: Fraction, pattern, closure):
     return lp.LinearProgram(num, tuple(cons), tuple(obj)), (cls, mult, flows)
 
 
-def _solve_pattern(inst: Instance, epsilon: Fraction, pattern, closure):
+def _solve_pattern(inst: Instance, epsilon: Fraction, bands, pattern, closure):
     """The verified equilibrium read off the optimal vertex of the pattern's
-    LP (see :func:`_pattern_lp`), or ``None``.  A one-member set's
-    allocation comes from the instance's integer budgets."""
-    program, (cls, mult, flows) = _pattern_lp(inst, epsilon, pattern, closure)
+    LP (see :func:`_pattern_lp`), or ``None``.  ``bands`` are the chores'
+    clearing bands at ``epsilon``: the LP reads the bands and the check
+    reads ``epsilon``.  A one-member set's allocation comes from the
+    instance's integer budgets."""
+    program, (cls, mult, flows) = _pattern_lp(inst, bands, pattern, closure)
     result = lp.lp_solve(program)
     if result.status != lp.OPTIMAL or result.value <= 0:
         return None
@@ -306,10 +318,12 @@ def _solve_pattern(inst: Instance, epsilon: Fraction, pattern, closure):
     return EnumeratedEquilibrium(tuple(Fraction(x, total) for x in scaled), tuple(pattern), cand)
 
 
-#: A bound ``(ratio, weak)`` on ``p_x / p_y`` means ``p_x / p_y <= ratio``
-#: when ``weak`` and ``p_x / p_y < ratio`` otherwise.  Tuple order is
-#: tightness order, and bounds compose as ``(r1 * r2, w1 and w2)``.
-_UNIT = (Fraction(1), True)
+#: A bound ``(num, den, weak)`` on ``p_x / p_y``, with ``num`` and ``den``
+#: positive integers, means ``p_x / p_y <= num / den`` when ``weak`` and
+#: ``p_x / p_y < num / den`` otherwise.  Bounds compose as ``(n1 * n2, d1 *
+#: d2, w1 and w2)`` and are compared by cross-multiplying; of two bounds at
+#: one ratio the strict one is tighter.  Stored bounds are in lowest terms.
+_UNIT = (1, 1, True)
 
 
 def _agent_edges(inst: Instance, agent: int, members: frozenset):
@@ -317,20 +331,24 @@ def _agent_edges(inst: Instance, agent: int, members: frozenset):
 
     With ``r`` the set's smallest chore, a member ``j`` ties with it,
     ``p_j = (d_ij / d_ir) p_r``; any other finite chore ``j`` is strictly
-    worse, ``p_j < (d_ij / d_ir) p_r``.
+    worse, ``p_j < (d_ij / d_ir) p_r``.  The ratios come in lowest terms
+    from the agent's integer disutility row.
     """
     if not members:
         return []
-    d = inst.disutility[agent]
+    row = inst._integer_rows[agent][0]
     rep = min(members)
+    dr = row[rep]
     edges = []
-    for j in inst.finite_chores(agent):
-        if j == rep:
+    for j, dj in enumerate(row):
+        if dj is None or j == rep:
             continue
+        g = gcd(dj, dr)
+        num, den = dj // g, dr // g
         tie = j in members
-        edges.append((j, rep, (d[j] / d[rep], tie)))
+        edges.append((j, rep, (num, den, tie)))
         if tie:
-            edges.append((rep, j, (d[rep] / d[j], True)))
+            edges.append((rep, j, (den, num, True)))
     return edges
 
 
@@ -339,23 +357,35 @@ def _tighten(closure, edges) -> bool:
 
     ``closure[x][y]`` is the tightest bound on ``p_x / p_y`` implied so far,
     or ``None``.  A bad cycle multiplies to less than 1, or to exactly 1
-    through a strict bound; then no positive prices meet the bounds.
+    through a strict bound; then no positive prices meet the bounds.  The
+    products are integer pairs, reduced only when one is stored.
     """
-    for u, v, (ratio, weak) in edges:
+    for u, v, (num, den, weak) in edges:
         back = closure[v][u]
-        if back is not None and (ratio * back[0], weak and back[1]) < _UNIT:
-            return False
-        if closure[u][v] is not None and closure[u][v] <= (ratio, weak):
-            continue  # already implied
+        if back is not None:
+            lhs, rhs = num * back[0], den * back[1]
+            if lhs < rhs or (lhs == rhs and not (weak and back[2])):
+                return False
+        old = closure[u][v]
+        if old is not None:
+            lhs, rhs = old[0] * den, num * old[1]
+            if lhs < rhs or (lhs == rhs and old[2] <= weak):
+                continue  # already implied
         sources = [(row, row[u]) for row in closure if row[u] is not None]
         targets = [(y, b) for y, b in enumerate(closure[v]) if b is not None]
-        for row, (r1, w1) in sources:
-            r1 *= ratio
+        for row, (n1, d1, w1) in sources:
+            n1 *= num
+            d1 *= den
             w1 = w1 and weak
-            for y, (r2, w2) in targets:
-                bound = (r1 * r2, w1 and w2)
-                if row[y] is None or bound < row[y]:
-                    row[y] = bound
+            for y, (n2, d2, w2) in targets:
+                n, d = n1 * n2, d1 * d2
+                old = row[y]
+                if old is not None:
+                    lhs, rhs = n * old[1], old[0] * d
+                    if lhs > rhs or (lhs == rhs and old[2] <= (w1 and w2)):
+                        continue
+                g = gcd(n, d)
+                row[y] = (n // g, d // g, w1 and w2)
     return True
 
 
@@ -416,13 +446,15 @@ def _search(inst: Instance, epsilon, cap: int) -> Tuple[Iterator, Callable]:
     :class:`Malformed`) and start the pattern search (which may raise
     :class:`PatternBudgetExceeded`); return its lazy ``(pattern, closure)``
     leaves and a function that solves one leaf's LP, for the caller to call
-    per leaf."""
+    per leaf.  The chores' clearing bands are computed here, once."""
     epsilon = _epsilon(epsilon)
     cap = to_int(cap)
     if cap < 0:
         raise Malformed("cap must be nonnegative")
     patterns = _patterns(inst, cap)
-    return patterns, functools.partial(_solve_pattern, inst, epsilon)
+    return patterns, functools.partial(
+        _solve_pattern, inst, epsilon, _clearing_bands(inst.supplies, epsilon)
+    )
 
 
 def enumerate_equilibria(

@@ -173,15 +173,19 @@ class ExchangeGraph:
 def build_exchange_graph(inst: Instance, dec: ComponentDecomposition) -> ExchangeGraph:
     if inst.variant != EXCHANGE:
         raise WrongVariant("exchange graph requires the exchange variant")
-    edges = set()
-    for k, src in enumerate(dec.components):
-        for kk, dst in enumerate(dec.components):
-            if all(
-                any(inst.endowment[a][b] > 0 for a in src.agents)
-                for b in dst.chores
-            ):
-                edges.add((k, kk))
-    return ExchangeGraph(dec, frozenset(edges))
+    # The chores each component's agents own, from their integer budgets'
+    # wealth entries: the nonzero, so positive, endowments.
+    budgets = inst._integer_budgets
+    owned = [
+        {j for a in comp.agents for j, _ in budgets[a][1]} for comp in dec.components
+    ]
+    edges = frozenset(
+        (k, kk)
+        for k, chores in enumerate(owned)
+        for kk, dst in enumerate(dec.components)
+        if chores.issuperset(dst.chores)
+    )
+    return ExchangeGraph(dec, edges)
 
 
 @dataclass(frozen=True)

@@ -107,13 +107,14 @@ def _epsilon(value) -> Fraction:
     return epsilon
 
 
-def _clearing_band(supply: Fraction, epsilon: Fraction) -> tuple:
-    """The amounts ``(lo, hi) = ((1 - epsilon) supply, supply / (1 -
-    epsilon))`` that clear a chore; ``supply`` itself at ``epsilon = 0``."""
+def _clearing_bands(supplies, epsilon: Fraction) -> tuple:
+    """Per chore of ``supplies``, the amounts ``(lo, hi) = ((1 - epsilon)
+    supply, supply / (1 - epsilon))`` that clear it; ``supply`` itself at
+    ``epsilon = 0``."""
     if not epsilon:
-        return supply, supply
+        return tuple((supply, supply) for supply in supplies)
     keep = 1 - epsilon
-    return keep * supply, supply / keep
+    return tuple((keep * supply, supply / keep) for supply in supplies)
 
 
 def _json_array(value, name: str, nested: bool = False) -> list:
@@ -174,14 +175,16 @@ class Instance:
 
     - ``_integer_rows[i]`` is ``(row, scale)``: agent ``i``'s disutility
       row times ``scale``, the lcm of its denominators, with ``None`` kept.
-      Only the pattern search reads it.
+      The pattern search builds its ratio bounds from it, and
+      :func:`~choremarket.verification.mpb_sets` compares ratios at exact
+      prices by its cross-products.
     - ``_integer_budgets[i]`` is ``(den, wealth, const)``: at prices ``p``
       agent ``i``'s budget is ``(sum of x p_j over (j, x) in wealth +
       const) / den``.  An exchange agent's ``wealth`` lists the nonzero
       entries ``(j, integer)`` of its endowment row times ``den``, the lcm
       of the row's denominators, and ``const`` is 0; a fixed-earnings agent
-      has no ``wealth`` and earns ``const / den``.  The search and the
-      exact check read it.
+      has no ``wealth`` and earns ``const / den``.  The search, the exact
+      check, :meth:`has_positive_wealth` and the exchange graph read it.
     """
 
     variant: str
@@ -289,10 +292,10 @@ class Instance:
         return tuple(j for j, dij in enumerate(self.disutility[agent]) if dij is not None)
 
     def has_positive_wealth(self, agent: int) -> bool:
-        """Whether the agent can ever owe money (positive earning/endowment)."""
-        if self.variant == FIXED_EARNINGS:
-            return self.earning[agent] > 0
-        return any(w > 0 for w in self.endowment[agent])
+        """Whether the agent can ever owe money (positive earning/endowment):
+        its integer budget has a wealth entry or a positive constant."""
+        _, wealth, const = self._integer_budgets[agent]
+        return bool(wealth) or const > 0
 
     def to_exchange(self) -> "Instance":
         """Equivalent exchange instance of a fixed-earnings market.

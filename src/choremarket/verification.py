@@ -10,7 +10,10 @@ The exact check runs on integers: prices and allocation over their common
 denominators, and budgets from the instance's cached integer budgets, so
 each budget and each chore's clearing band is one comparison of integer
 cross-products.  MPB membership comes from :func:`mpb_sets`, the package's
-one MPB routine, in Fractions.  The float check has its own loop.
+one MPB routine, which on exact prices compares integer cross-products of
+the instance's cached integer disutility rows and the prices over their
+common denominator, so a passing exact check adds, multiplies and divides
+no Fraction.  The float check has its own loop.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .model import (
     EXACT,
     EquilibriumCandidate,
     Instance,
-    _clearing_band,
+    _clearing_bands,
     _epsilon,
     _tolerance,
     agent_budget,
@@ -48,10 +51,10 @@ class MPBSet:
     """Minimum pain-per-buck chores of one agent at given prices.
 
     ``ratio`` is the attained minimum of ``d(i, j) / p_j`` (a Fraction on
-    exact prices, a float on float prices); ``None`` when the agent has no
-    usable chore (all finite-disutility chores priced at zero, or no
-    finite-disutility chore at all), in which case ``members`` is empty and
-    ``degenerate`` is set.
+    exact prices, a float on float prices).  An agent with no usable chore
+    has empty ``members`` and ``ratio`` ``None``; ``degenerate`` is set
+    when it has finite-disutility chores but every one is priced at or
+    below zero, and not when it has no finite-disutility chore at all.
     """
 
     members: frozenset
@@ -63,18 +66,46 @@ def mpb_sets(inst: Instance, prices: Sequence, tol: float = 0) -> Tuple[MPBSet, 
     """MPB sets for all agents, exact or within a relative tie band.
 
     With ``tol=0`` a chore is a member exactly when its ratio equals the
-    minimum; on Fraction prices the sets are exact.  With ``tol > 0`` (meant
-    for float prices) a chore is a member when its ratio is at most
-    ``(1 + tol)`` times the minimum.  Dividing a Fraction disutility by a
-    float price gives the float ``float(d) / p``.  Zero-price chores are
-    never members: a finite-disutility chore at price zero has unbounded pain
-    per buck.  A ``tol`` that is not a finite nonnegative number (a bool
-    included) is :class:`Malformed`.
+    minimum.  On exact prices (every price a Fraction or an int) the sets
+    come from integer cross-products: with the prices written ``P_j / D``
+    over their common denominator and agent ``i``'s disutility row in
+    integers ``R_ij`` (see :class:`~choremarket.model.Instance`), chore
+    ``j`` has a lower ratio than chore ``k`` when ``R_ij P_k < R_ik P_j``,
+    and each agent's ``ratio`` is the one Fraction built.  With ``tol >
+    0`` (meant for float prices) a chore is a member when its ratio is at
+    most ``(1 + tol)`` times the minimum.  Dividing a Fraction disutility
+    by a float price gives the float ``float(d) / p``.  Chores priced at
+    or below zero are never members: a finite-disutility chore at price
+    zero has unbounded pain per buck.  A ``tol`` that is not a finite
+    nonnegative number (a bool included) is :class:`Malformed`.
     """
     _tolerance(tol)
     if len(prices) != inst.m:
         raise DimensionMismatch("price vector length must match chore count")
     out = []
+    if not tol and set(map(type, prices)) <= {Fraction, int}:
+        P, D = lp._integer_row(prices)
+        positive = [j for j, x in enumerate(P) if x > 0]
+        for row, scale in inst._integer_rows:
+            members = []  # the chores at the least ratio so far, first one first
+            for j in positive:
+                dj = row[j]
+                if dj is None:
+                    continue
+                if members:
+                    lhs, rhs = dj * P[members[0]], row[members[0]] * P[j]
+                    if lhs > rhs:
+                        continue
+                    if lhs < rhs:
+                        members = []
+                members.append(j)
+            if members:
+                best = members[0]
+                out.append(MPBSet(frozenset(members), Fraction(row[best] * D, scale * P[best])))
+            else:
+                degenerate = any(d is not None for d in row)
+                out.append(MPBSet(frozenset(), None, degenerate=degenerate))
+        return tuple(out)
     for i in range(inst.n):
         ratios = {
             j: inst.disutility[i][j] / prices[j]
@@ -201,8 +232,10 @@ def _exact_conditions(inst, cand, epsilon, sets, violations):
             )
 
     # Chore j is done done[j] / L, within its band lo <= done[j] / L <= hi.
-    for j, (supply, amount) in enumerate(zip(inst.supplies, done)):
-        lo, hi = _clearing_band(supply, epsilon)
+    supplies = inst.supplies
+    for j, (supply, amount, (lo, hi)) in enumerate(
+        zip(supplies, done, _clearing_bands(supplies, epsilon))
+    ):
         if (
             lo.numerator * L > lo.denominator * amount
             or hi.denominator * amount > hi.numerator * L
@@ -252,8 +285,10 @@ def _float_conditions(inst, cand, epsilon, sets, tol_mpb, tol_clearing, violatio
                 f"agent {i} earns {earned_i} but owes {budget}"
             )
 
-    for j, (supply, done_j) in enumerate(zip(inst.supplies, done)):
-        lo, hi = _clearing_band(supply, epsilon)
+    supplies = inst.supplies
+    for j, (supply, done_j, (lo, hi)) in enumerate(
+        zip(supplies, done, _clearing_bands(supplies, epsilon))
+    ):
         slack = tol_clearing * max(1.0, float(supply))
         if float(done_j) < float(lo) - slack or float(done_j) > float(hi) + slack:
             clearing_ok = False

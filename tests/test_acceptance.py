@@ -127,6 +127,20 @@ class TestSatReduction:
         assert len(satisfying) == 7
         assert readbacks == satisfying
 
+    @pytest.mark.slow
+    def test_two_clause_equilibria_are_exactly_the_satisfying_assignments(self):
+        # The exhaustive search of FORMULA's 14 x 12 gadget, whose 78,121,827
+        # raw patterns exceed PATTERN_CAP: 31,568 leaf LPs and 165 rays.
+        gadget = build_sat_gadget(self.FORMULA)
+        res = enumerate_equilibria(gadget.instance, cap=10**8)
+        assert (res.patterns_tried, len(res.rays)) == (31568, 165)
+        for e in res.equilibria:
+            assert verify_equilibrium(gadget.instance, e.candidate).ok
+        readbacks = {equilibrium_to_assignment(gadget, e.candidate) for e in res.equilibria}
+        satisfying = {a for a in product((False, True), repeat=3) if self.FORMULA.satisfies(a)}
+        assert len(satisfying) == 6
+        assert readbacks == satisfying
+
 
 class TestRandomConditionedInstances:
     SEEDS = range(50)

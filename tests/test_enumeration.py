@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from choremarket import lp
+from choremarket import enumeration, lp
 from choremarket.enumeration import (
     PATTERN_CAP,
     SolveOutcome,
@@ -21,6 +21,7 @@ from choremarket.errors import Malformed, PatternBudgetExceeded
 from choremarket.model import (
     EXCHANGE,
     EquilibriumCandidate,
+    _clearing_bands,
     exchange_instance,
     fixed_earnings_instance,
     normalize_prices,
@@ -35,6 +36,7 @@ from conftest import (
     pattern_market,
     random_conditioned_instance,
 )
+from test_verification import _COUNTED
 
 F = Fraction
 
@@ -274,12 +276,13 @@ class TestReducedProgram:
     @staticmethod
     def _assert_same_optimum(inst, epsilons, kept, patterns):
         for epsilon in epsilons:
+            bands = _clearing_bands(inst.supplies, epsilon)
             for pattern in patterns:
                 reference = lp.lp_solve(_price_program(inst, epsilon, pattern))
                 if pattern not in kept:
                     assert _no_positive_optimum(reference), pattern
                     continue
-                reduced = lp.lp_solve(_pattern_lp(inst, epsilon, pattern, kept[pattern])[0])
+                reduced = lp.lp_solve(_pattern_lp(inst, bands, pattern, kept[pattern])[0])
                 assert (reduced.status, reduced.value) == (
                     reference.status,
                     reference.value,
@@ -313,13 +316,15 @@ class TestReducedProgram:
             10, [[1, None, None], [1, 1, None], [None, 1, 1]], [1, 1, 1]
         )
         closure = _kept(inst)[self.FORCED]
-        program, (cls, _, flows) = _pattern_lp(inst, F(0), self.FORCED, closure)
+        exact = _clearing_bands(inst.supplies, F(0))
+        program, (cls, _, flows) = _pattern_lp(inst, exact, self.FORCED, closure)
         assert cls == [0, 0, 0]
         assert set(flows) == {(1, 0), (1, 1), (2, 1)}
         assert program.num_vars == 1 + len(flows) + 1
-        _, (_, _, flows) = _pattern_lp(inst, F(1, 10), self.FORCED, closure)
+        banded = _clearing_bands(inst.supplies, F(1, 10))
+        _, (_, _, flows) = _pattern_lp(inst, banded, self.FORCED, closure)
         assert set(flows) == {(1, 0), (1, 1), (2, 1), (2, 2)}
-        hit = _solve_pattern(inst, F(0), self.FORCED, closure)
+        hit = _solve_pattern(inst, F(0), exact, self.FORCED, closure)
         assert hit is not None and hit.ray == (F(1, 3),) * 3
         assert hit.candidate.allocation == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -345,7 +350,8 @@ class TestReducedProgram:
     def test_ties_at_one_ratio_keep_the_price_programs_ray(self):
         inst = self._triangle(6)
         closure = _kept(inst)[self.PATTERN]
-        hit = _solve_pattern(inst, F(0), self.PATTERN, closure)
+        bands = _clearing_bands(inst.supplies, F(0))
+        hit = _solve_pattern(inst, F(0), bands, self.PATTERN, closure)
         reference = lp.lp_solve(_price_program(inst, F(0), self.PATTERN))
         assert hit is not None and reference.value > 0
         assert hit.ray == normalize_prices(reference.point[: inst.m])
@@ -372,8 +378,9 @@ class TestTieClasses:
 
     @staticmethod
     def _assert_classes_meet_ties(inst):
+        bands = _clearing_bands(inst.supplies, F(0))
         for pattern, closure in _patterns(inst, PATTERN_CAP):
-            _, (cls, mult, _) = _pattern_lp(inst, F(0), pattern, closure)
+            _, (cls, mult, _) = _pattern_lp(inst, bands, pattern, closure)
             assert cls == _tie_components(pattern, inst.m), pattern
             assert all(isinstance(x, int) and x > 0 for x in mult)
             for i, members in enumerate(pattern):
@@ -410,3 +417,69 @@ def test_hit_path_digest():
     assert digest.hexdigest() == (
         "baed01014c7dc26d7665548fdba71a3b0ac523883d9e3bea1814992835448357"
     )
+
+
+def _one_clause_gadget(clause):
+    return build_sat_gadget(CNFFormula(3, [clause])).instance
+
+
+class TestSearchShape:
+    """Pins the search's work, not only its leaves: the closure extensions
+    and leaves on the one-clause gadgets, and the exhaustive search of a
+    random 2 x 9 exchange market."""
+
+    @pytest.mark.parametrize(
+        "clause, extensions, leaves", [((1, 2, 3), 8276, 448), ((1, -2, 3), 11628, 560)]
+    )
+    def test_one_clause_gadgets(self, clause, extensions, leaves, monkeypatch):
+        calls = {"count": 0}
+        tighten = enumeration._tighten
+
+        def counted(*args):
+            calls["count"] += 1
+            return tighten(*args)
+
+        monkeypatch.setattr(enumeration, "_tighten", counted)
+        kept = sum(1 for _ in _patterns(_one_clause_gadget(clause), PATTERN_CAP))
+        assert (calls["count"], kept) == (extensions, leaves)
+
+    def test_two_by_nine_market(self):
+        # Disutilities 1..30 and endowments 1..3 drawn from seed 0: 261,121
+        # raw patterns, 17 of them price-consistent and covering, one ray.
+        rng = random.Random(0)
+        d = [[rng.randint(1, 30) for _ in range(9)] for _ in range(2)]
+        w = [[rng.randint(1, 3) for _ in range(9)] for _ in range(2)]
+        inst = exchange_instance(100, d, w)
+        res = enumerate_equilibria(inst)
+        assert res.patterns_tried == 17
+        ray = "221/2375 13/125 442/2375 459/2375 34/475 2/125 9/125 17/125 16/125"
+        assert res.rays == (tuple(map(F, ray.split())),)
+        for e in res.equilibria:
+            assert verify_equilibrium(inst, e.candidate).ok
+            assert normalize_prices(e.candidate.prices) == e.ray
+
+
+def test_search_makes_no_fraction_arithmetic(monkeypatch):
+    """Walking the pattern search over the 50 conftest seeds, their
+    fixed-earnings twins and both one-clause SAT gadgets adds, multiplies
+    and divides no Fraction: its ratio bounds are integer pairs."""
+    markets = [_one_clause_gadget((1, 2, 3)), _one_clause_gadget((1, -2, 3))]
+    for k in range(50):
+        base = random_conditioned_instance(random.Random(k))
+        markets += [base, fixed_earnings_twin(base)]
+    calls = {"count": 0}
+
+    def counting(original):
+        def counted(self, other):
+            calls["count"] += 1
+            return original(self, other)
+
+        return counted
+
+    for name in _COUNTED:
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    leaves = sum(1 for inst in markets for _ in _patterns(inst, PATTERN_CAP))
+    assert calls["count"] == 0
+    assert leaves == 448 + 560 + 114 + 114
+    # The counters see a Fraction product.
+    assert F(1, 2) * F(2, 3) == F(1, 3) and calls["count"] == 1

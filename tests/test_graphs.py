@@ -112,6 +112,28 @@ class TestCondition2:
         dec = check_condition1(build_disutility_graph(intro)).decomposition
         assert check_condition2(build_exchange_graph(intro, dec)).ok
 
+    def test_edges_match_the_definition(self):
+        # Edge (k, k') exactly when some agent of k owns a positive amount of
+        # every chore of k', read off the Fraction endowments; some pairs own
+        # part of k' but not all of it.
+        rng = random.Random(13)
+        partial = 0
+        for _ in range(500):
+            inst = random_market(rng)
+            c1 = check_condition1(build_disutility_graph(inst))
+            if not c1.ok:
+                continue
+            comps = c1.decomposition.components
+            expected = set()
+            for k, src in enumerate(comps):
+                for kk, dst in enumerate(comps):
+                    owned = [any(inst.endowment[a][b] > 0 for a in src.agents) for b in dst.chores]
+                    if all(owned):
+                        expected.add((k, kk))
+                    partial += any(owned) and not all(owned)
+            assert build_exchange_graph(inst, c1.decomposition).edges == expected
+        assert partial > 0
+
     def test_requires_exchange_variant(self):
         inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [1, 1])
         dec = check_condition1(build_disutility_graph(inst)).decomposition

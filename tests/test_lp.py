@@ -14,6 +14,7 @@ from choremarket.enumeration import (
     enumerate_equilibria,
 )
 from choremarket.errors import Malformed
+from choremarket.model import _clearing_bands
 
 from conftest import (
     PATTERN_MARKETS,
@@ -380,8 +381,9 @@ class TestReferenceSimplex:
     def test_pattern_programs(self, name, request):
         inst = pattern_market(name, request)
         for epsilon in (F(0), F(1, 10)):
+            bands = _clearing_bands(inst.supplies, epsilon)
             for pattern, closure in _patterns(inst, PATTERN_CAP):
-                program, _ = _pattern_lp(inst, epsilon, pattern, closure)
+                program, _ = _pattern_lp(inst, bands, pattern, closure)
                 _assert_matches_reference(program)
 
 

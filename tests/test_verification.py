@@ -3,11 +3,12 @@
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from choremarket import lp, verification
+from choremarket import lp
 from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed
 from choremarket.model import (
@@ -122,6 +123,68 @@ class TestMpbSets:
                             for s in mpb_sets(inst, given, tol)
                         ]
                         assert got == reference(inst, given, tol)
+
+    def test_exact_prices_match_fraction_division(self):
+        # The integer path must give what dividing each Fraction disutility
+        # by each price gives: sets, ratios (as Fractions) and flags.
+        def reference(inst, prices):
+            out = []
+            for i in range(inst.n):
+                ratios = {
+                    j: inst.disutility[i][j] / prices[j]
+                    for j in inst.finite_chores(i)
+                    if prices[j] > 0
+                }
+                if not ratios:
+                    out.append((frozenset(), None, bool(inst.finite_chores(i))))
+                    continue
+                best = min(ratios.values())
+                out.append((frozenset(j for j, r in ratios.items() if r == best), best, False))
+            return out
+
+        def nudged(inst, prices, sets, rng):
+            # One agent's chore priced onto its MPB ratio (a tie made), and
+            # one of its members priced a thousandth up and down (a tie
+            # broken, or the member dropped).
+            i = rng.randrange(inst.n)
+            if sets[i].ratio is None:
+                return
+            d = inst.disutility[i]
+            for j in inst.finite_chores(i):
+                if j not in sets[i].members:
+                    yield prices[:j] + [d[j] / sets[i].ratio] + prices[j + 1:]
+                    break
+            j = rng.choice(sorted(sets[i].members))
+            for step in (F(1001, 1000), F(999, 1000)):
+                yield prices[:j] + [prices[j] * step] + prices[j + 1:]
+
+        def variants(inst, prices, rng):
+            yield prices
+            yield from nudged(inst, prices, mpb_sets(inst, prices), rng)
+            j = rng.randrange(inst.m)
+            yield prices[:j] + [F(0)] + prices[j + 1:]
+            yield prices[:j] + [-prices[j]] + prices[j + 1:]
+            yield [F(0)] * inst.m
+            yield [0] * inst.m
+            scale = lcm(*(p.denominator for p in prices))
+            yield [int(p * scale) for p in prices]
+            yield [int(p) if p.denominator == 1 else p for p in prices]
+
+        rng = random.Random(31)
+        cases = list(_seed_hits((F(0), F(1, 10))))
+        ties = zeros = ints = 0
+        for inst, hit, _ in cases:
+            for prices in variants(inst, list(hit.prices), rng):
+                got = mpb_sets(inst, prices)
+                assert [(s.members, s.ratio, s.degenerate) for s in got] == reference(
+                    inst, prices
+                )
+                assert all(s.ratio is None or type(s.ratio) is Fraction for s in got)
+                ties += any(len(s.members) > 1 for s in got)
+                zeros += any(s.degenerate for s in got)
+                ints += int in map(type, prices)
+        assert len(cases) == 316
+        assert ties and zeros and ints
 
 
 class TestVerify:
@@ -432,12 +495,19 @@ class TestExactParity:
                 assert name in vars(filled) and name not in vars(fresh)
             assert filled == fresh and hash(filled) == hash(fresh)
 
-    def test_exact_check_fills_only_the_budgets(self):
-        # The disutility rows in integers are the search's alone.
+    def test_exact_check_fills_the_integer_form(self):
+        # The exact check reads the market through its integer form (the
+        # MPB sets through the disutility rows, the budgets through the
+        # integer budgets) and its supplies, and fills no other cache.
         inst = exchange_instance(100, [[1, 3], [3, 1]], [[1, 1], [1, 1]])
         cand = EquilibriumCandidate((F(1), F(1)), ((2, 0), (0, 2)))
         assert verify_equilibrium(inst, cand).ok
-        assert "_integer_budgets" in vars(inst) and "_integer_rows" not in vars(inst)
+        filled = {
+            name
+            for name, value in vars(Instance).items()
+            if isinstance(value, functools.cached_property) and name in vars(inst)
+        }
+        assert filled == {"supplies", "_integer_rows", "_integer_budgets"}
 
 
 _COUNTED = ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
@@ -445,31 +515,20 @@ _COUNTED = ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__rtru
 
 def test_exact_verification_makes_no_fraction_arithmetic(monkeypatch):
     """A passing exact check at ``epsilon = 0`` on every hit of the seeds
-    and their twins adds, multiplies and divides no Fraction outside
-    :func:`mpb_sets`, the package's one MPB routine, which divides
-    disutilities by prices."""
+    and their twins adds, multiplies and divides no Fraction, its MPB sets
+    included."""
     hits = list(_seed_hits((F(0),)))
-    calls = {"count": 0, "paused": False}
+    calls = {"count": 0}
 
     def counting(original):
         def counted(self, other):
-            calls["count"] += not calls["paused"]
+            calls["count"] += 1
             return original(self, other)
 
         return counted
 
     for name in _COUNTED:
         monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
-    mpb = verification.mpb_sets
-
-    def paused(*args):
-        calls["paused"] = True
-        try:
-            return mpb(*args)
-        finally:
-            calls["paused"] = False
-
-    monkeypatch.setattr(verification, "mpb_sets", paused)
     for inst, cand, epsilon in hits:
         assert verify_equilibrium(inst, cand, epsilon).ok
     assert calls["count"] == 0
