@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import WrongVariant
+from .errors import Infeasible, WrongVariant
 from .model import EXCHANGE, Instance
 
 
@@ -173,12 +173,29 @@ class ExchangeGraph:
 def build_exchange_graph(inst: Instance, dec: ComponentDecomposition) -> ExchangeGraph:
     if inst.variant != EXCHANGE:
         raise WrongVariant("exchange graph requires the exchange variant")
-    # The chores each component's agents own, from their integer budgets'
-    # wealth entries: the nonzero, so positive, endowments.
+    return _exchange_graph(inst, dec)
+
+
+def _exchange_graph(inst: Instance, dec: ComponentDecomposition) -> ExchangeGraph:
+    """The exchange graph of ``inst``, of either variant, with ownership read
+    off its integer budgets.  An exchange agent owns the chores of its
+    wealth entries: the nonzero, so positive, endowments.  In the exchange
+    equivalent of a fixed-earnings market (:meth:`Instance.to_exchange`) an
+    agent owns every chore exactly when its earning is positive; with no
+    positive earning there is no equivalent, which is :class:`Infeasible`."""
     budgets = inst._integer_budgets
-    owned = [
-        {j for a in comp.agents for j, _ in budgets[a][1]} for comp in dec.components
-    ]
+    if inst.variant == EXCHANGE:
+        owned = [
+            {j for a in comp.agents for j, _ in budgets[a][1]} for comp in dec.components
+        ]
+    else:
+        if not any(const for _, _, const in budgets):
+            raise Infeasible("all earnings are zero; no exchange equivalent")
+        every = set(range(inst.m))
+        owned = [
+            every if any(budgets[a][2] for a in comp.agents) else set()
+            for comp in dec.components
+        ]
     edges = frozenset(
         (k, kk)
         for k, chores in enumerate(owned)
@@ -229,14 +246,14 @@ class ConditionsReport:
 def check_conditions(inst: Instance) -> ConditionsReport:
     """Check both sufficiency conditions.
 
-    Fixed-earnings instances are checked through their exchange equivalent
-    (see :meth:`Instance.to_exchange`) for Condition 2.  Condition 2 is only
+    Fixed-earnings instances are checked for Condition 2 on the exchange
+    graph of their exchange equivalent (see :meth:`Instance.to_exchange`),
+    read off their earnings without building it; an all-zero-earnings
+    market has none and is :class:`Infeasible`.  Condition 2 is only
     evaluated when Condition 1 holds, since it is defined on the component
     decomposition.
     """
     c1 = check_condition1(build_disutility_graph(inst))
     if not c1.ok:
         return ConditionsReport(c1, None)
-    ex = inst if inst.variant == EXCHANGE else inst.to_exchange()
-    c2 = check_condition2(build_exchange_graph(ex, c1.decomposition))
-    return ConditionsReport(c1, c2)
+    return ConditionsReport(c1, check_condition2(_exchange_graph(inst, c1.decomposition)))

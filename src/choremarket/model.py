@@ -9,6 +9,15 @@ candidates tagged with ``mode="float"``.  A candidate is prices plus an
 allocation; the money agent ``i`` earns on chore ``j`` is their product
 ``allocation[i][j] * prices[j]``.
 
+The package keeps one zero, ``_ZERO`` (from :mod:`choremarket.lp`): the
+gadget builders, the candidate decoder and the literal parser hand it out
+for every zero they make, and the dense per-entry loops (validation,
+encoding, endowment sums, the exact check's cell scan) skip an entry that
+``is`` it without calling a Fraction method.  Each such fast path falls
+back to the full check (a truth test, an ``isinstance``, a comparison), so
+a zero that is a fresh ``Fraction(0)`` or an int gives the same answer,
+only slower.
+
 Report and metadata documents come straight from their dataclasses through
 :func:`_plain`.  :func:`instance_to_json` and :func:`candidate_to_json` keep
 their own loops: a gadget's market and candidate hold thousands of entries,
@@ -35,15 +44,13 @@ from .errors import (
     NotGadget,
     ZeroPriceSum,
 )
-from .lp import _integer_row
+from .lp import _ZERO, _integer_row
 
 EXCHANGE = "exchange"
 FIXED_EARNINGS = "fixed_earnings"
 
 #: Marker for a disutility at or above the threshold.
 INFINITE = None
-
-_ZERO = Fraction(0)
 
 Number = Union[Fraction, int, float]
 
@@ -58,10 +65,10 @@ def to_fraction(value) -> Fraction:
     types, and strings ``Fraction`` rejects (including a zero denominator),
     raise :class:`Malformed`.
     """
-    if isinstance(value, str):
-        return _parse_rational(value)
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return _parse_rational(value)
     if isinstance(value, bool):
         raise Malformed(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -139,10 +146,12 @@ def _reading(name: str):
 
 @functools.lru_cache(maxsize=4096)
 def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, the shared ``_ZERO`` for a zero literal."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise Malformed(f"bad rational literal: {text!r}") from exc
+    return value if value.numerator else _ZERO
 
 
 def format_rational(value: Fraction) -> str:
@@ -168,6 +177,13 @@ class Instance:
     ``None`` when the pair is forbidden (cost at least ``tau``).  Exactly one
     of ``endowment`` (exchange) or ``earning`` (fixed earnings, with per-chore
     ``supply``) is present depending on ``variant``.
+
+    Validation reads each finite disutility's numerator and denominator
+    once and checks it against ``tau`` by integer cross-multiplication; an
+    endowment entry that is the shared zero ``_ZERO`` is skipped unread,
+    and any other entry gets the full type and sign check.  The checks,
+    their order and their messages do not depend on which path an entry
+    takes.
 
     Like :attr:`supplies`, the market's integer form is cached per instance
     on first use, outside the fields (so outside equality and hashing), as
@@ -197,13 +213,18 @@ class Instance:
     def __post_init__(self):
         if self.variant not in (EXCHANGE, FIXED_EARNINGS):
             raise Malformed(f"unknown variant {self.variant!r}")
-        if not isinstance(self.tau, Fraction) or self.tau <= 0:
+        tau = self.tau
+        if not isinstance(tau, Fraction) or tau.numerator <= 0:
             raise Malformed("tau must be a positive rational")
+        tau_num, tau_den = tau.numerator, tau.denominator
         d = _freeze_matrix(self.disutility)
         object.__setattr__(self, "disutility", d)
         if not d or not d[0]:
             raise Malformed("instance needs at least one agent and one chore")
         m = len(d[0])
+        # Signs and the bound ``entry < tau`` are read off numerators and
+        # denominators (both denominators positive), several times cheaper
+        # than Fraction comparisons; a gadget has thousands of entries.
         for row in d:
             if len(row) != m:
                 raise Malformed("ragged disutility matrix")
@@ -212,9 +233,10 @@ class Instance:
                     continue
                 if not isinstance(entry, Fraction):
                     raise Malformed("disutility entries must be Fraction or None")
-                if entry.numerator <= 0:
+                num = entry.numerator
+                if num <= 0:
                     raise Malformed("finite disutility must be strictly positive")
-                if entry >= self.tau:
+                if num * tau_den >= tau_num * entry.denominator:
                     raise Malformed(
                         "finite disutility must be strictly below tau; "
                         "use None for hugely disliked pairs"
@@ -227,16 +249,23 @@ class Instance:
             object.__setattr__(self, "endowment", w)
             if len(w) != n or any(len(row) != m for row in w):
                 raise DimensionMismatch("endowment shape must match disutility")
-            # Signs are read off numerators, several times cheaper than a
-            # Fraction comparison; a gadget has thousands of zero entries.
+            # One pass reads each entry's numerator once and marks the chores
+            # someone owns: entries are nonnegative, so a chore's total is
+            # positive when any entry is.  The shared zero is skipped unread.
+            owned = [False] * m
             for row in w:
-                for entry in row:
-                    if not isinstance(entry, Fraction) or entry.numerator < 0:
+                for j, entry in enumerate(row):
+                    if entry is _ZERO:
+                        continue
+                    if not isinstance(entry, Fraction):
                         raise Malformed("endowments must be nonnegative rationals")
-            for j in range(m):
-                # Entries are nonnegative, so the total is positive when any is.
-                if not any(row[j] for row in w):
-                    raise Malformed(f"chore {j} has zero total endowment")
+                    num = entry.numerator
+                    if num < 0:
+                        raise Malformed("endowments must be nonnegative rationals")
+                    if num:
+                        owned[j] = True
+            if not all(owned):
+                raise Malformed(f"chore {owned.index(False)} has zero total endowment")
         else:
             if self.endowment is not None or self.earning is None:
                 raise Malformed("fixed-earnings variant takes an earning vector")
@@ -270,7 +299,9 @@ class Instance:
         sums, computed once per instance."""
         if self.variant == FIXED_EARNINGS:
             return self.supply
-        return tuple(sum(w for w in col if w) for col in zip(*self.endowment))
+        return tuple(
+            sum(w for w in col if w is not _ZERO and w) for col in zip(*self.endowment)
+        )
 
     @functools.cached_property
     def _integer_rows(self) -> tuple:
@@ -361,7 +392,10 @@ def agent_budget(inst: Instance, agent: int, p: Sequence[Number]):
         raise DimensionMismatch("price vector length must match chore count")
     # Zero endowments add nothing; the start keeps the prices' type, so a
     # budget is a Fraction at exact prices and a float at float prices.
-    return sum((w * pj for w, pj in zip(inst.endowment[agent], p) if w), _ZERO * p[0])
+    return sum(
+        (w * pj for w, pj in zip(inst.endowment[agent], p) if w is not _ZERO and w),
+        _ZERO * p[0],
+    )
 
 
 def chore_supply(inst: Instance, chore: int) -> Fraction:
@@ -422,7 +456,7 @@ def _encode_values(values, mode: str) -> list:
     if mode == FLOAT:
         return [float(x) for x in values]
     # Most entries of a large market's candidate are zero: "0/1" each.
-    return [format_rational(x) if x else "0/1" for x in values]
+    return ["0/1" if x is _ZERO or not x else format_rational(x) for x in values]
 
 
 def _decode_values(values, mode: str) -> list:
@@ -430,6 +464,8 @@ def _decode_values(values, mode: str) -> list:
         # A bool stays a bool and None stays None, for EquilibriumCandidate
         # to reject; a string such as "0/1" fails ``float``.
         return [x if x is None or x is True or x is False else float(x) for x in values]
+    # A gadget candidate is mostly "0/1": one string comparison per entry
+    # instead of a to_fraction call, which gives the same _ZERO.
     return [_ZERO if x == "0/1" else None if x is None else to_fraction(x) for x in values]
 
 
@@ -464,7 +500,8 @@ def instance_to_json(inst: Instance) -> dict:
     }
     if inst.variant == EXCHANGE:
         doc["endowment"] = [
-            [format_rational(x) if x else "0/1" for x in row] for row in inst.endowment
+            ["0/1" if x is _ZERO or not x else format_rational(x) for x in row]
+            for row in inst.endowment
         ]
     else:
         doc["earning"] = [format_rational(x) for x in inst.earning]

@@ -26,6 +26,7 @@ from .errors import (
     OutOfBand,
 )
 from .model import (
+    _ZERO,
     EXACT,
     EquilibriumCandidate,
     Instance,
@@ -218,11 +219,15 @@ def build_polymatrix_gadget(
     w_rows: List[List[Fraction]] = []
 
     chore = functools.partial(_chore, n)
+    # Layer k's disutilities (1 - alpha_k, 1 + alpha_k) and an owner's
+    # endowment n, computed once.
+    levels = [(1 - a, 1 + a) for a in alpha]
+    owned = Fraction(n)
 
     def new_agent(label):
         agent_labels.append(label)
         d_rows.append([None] * num_chores)
-        w_rows.append([Fraction(0)] * num_chores)
+        w_rows.append([_ZERO] * num_chores)
         return len(agent_labels) - 1
 
     def set_pair(agent, layer, pair, own_first):
@@ -231,8 +236,7 @@ def build_polymatrix_gadget(
         ``own_first`` True: cheap on the even chore; False: cheap on the odd
         chore; ``None``: cheap on both (the balancing agents).
         """
-        a = alpha[layer - 1]
-        lo, hi = 1 - a, 1 + a
+        lo, hi = levels[layer - 1]
         even, odd = chore(layer, 2 * pair), chore(layer, 2 * pair + 1)
         if own_first is None:
             d_rows[agent][even] = lo
@@ -247,7 +251,7 @@ def build_polymatrix_gadget(
     # Layer 1 owners: work in layer 2.
     for i in range(size):
         agent = new_agent(f"a[1,{i}]")
-        w_rows[agent][chore(1, i)] = Fraction(n)
+        w_rows[agent][chore(1, i)] = owned
         set_pair(agent, 2, i // 2, i % 2 == 0)
     for c in range(size):
         agent = new_agent(f"a'[{c}]")
@@ -261,7 +265,7 @@ def build_polymatrix_gadget(
     for k in range(2, K):
         for i in range(size):
             agent = new_agent(f"a[{k},{i}]")
-            w_rows[agent][chore(k, i)] = Fraction(n)
+            w_rows[agent][chore(k, i)] = owned
             set_pair(agent, k + 1, i // 2, i % 2 == 0)
         for pair in range(n):
             agent = new_agent(f"abar[{k},{pair}]")

@@ -91,8 +91,9 @@ def _dimacs_int(token: str) -> int:
 
 
 def parse_dimacs(text: str) -> CNFFormula:
-    """Parse DIMACS CNF; clauses must have exactly three literals."""
-    num_vars = None
+    """Parse DIMACS CNF; clauses must have exactly three literals, and as
+    many as the problem line declares."""
+    num_vars = num_clauses = None
     clauses = []
     pending = []
     for line in text.splitlines():
@@ -106,7 +107,7 @@ def parse_dimacs(text: str) -> CNFFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise Malformed(f"bad DIMACS header: {line!r}")
             num_vars = _dimacs_int(parts[2])
-            _dimacs_int(parts[3])  # the clause count is checked, not used
+            num_clauses = _dimacs_int(parts[3])
             continue
         for token in line.split():
             lit = _dimacs_int(token)
@@ -119,6 +120,10 @@ def parse_dimacs(text: str) -> CNFFormula:
         clauses.append(tuple(pending))
     if num_vars is None:
         raise Malformed("missing DIMACS problem line")
+    if len(clauses) != num_clauses:
+        raise Malformed(
+            f"DIMACS problem line declares {num_clauses} clauses, found {len(clauses)}"
+        )
     return CNFFormula(num_vars, tuple(clauses))
 
 
@@ -217,27 +222,31 @@ def build_sat_gadget(
     num_agents = _clause_agent(n, mm, 0)
     num_chores = _clause_chore(n, mm, 0)
     d = [[None] * num_chores for _ in range(num_agents)]
-    earning = [Fraction(0)] * num_agents
+    earning = [_ZERO] * num_agents
     agent_labels = []
     chore_labels = []
+    # The reduction's constants, each computed once and shared by every entry.
+    one, three, two_thirds = Fraction(1), Fraction(3), Fraction(2, 3)
+    eps = params.eps
+    negated = 4 * eps / 3  # a clause chore's disutility for a negated literal
 
     for v in range(n):
         agent_labels += [f"a1[{v + 1}]", f"a2[{v + 1}]"]
         chore_labels += [f"b1[{v + 1}]", f"b2[{v + 1}]"]
         a1, a2 = _variable_index(v, 1), _variable_index(v, 2)
         b1, b2 = a1, a2
-        earning[a1] = Fraction(1)
-        earning[a2] = Fraction(1)
-        d[a1][b1] = Fraction(1)
-        d[a1][b2] = Fraction(3)
-        d[a2][b2] = Fraction(1)
+        earning[a1] = one
+        earning[a2] = one
+        d[a1][b1] = one
+        d[a1][b2] = three
+        d[a2][b2] = one
 
     for r, clause in enumerate(formula.clauses):
         heavy = _clause_agent(n, r, 3)
         for slot, lit in enumerate(clause):
             agent_labels.append(f"n[{r + 1},{abs(lit)}]")
             chore_labels.append(f"m[{r + 1},{abs(lit)}]")
-            earning[_clause_agent(n, r, slot)] = params.eps
+            earning[_clause_agent(n, r, slot)] = eps
         agent_labels.append(f"nn[{r + 1}]")
         earning[heavy] = balancer_earning(clause, params)
         for slot, lit in enumerate(clause):
@@ -245,11 +254,11 @@ def build_sat_gadget(
             chore = _clause_chore(n, r, slot)
             for agent in (_clause_agent(n, r, slot), heavy):
                 if lit > 0:
-                    d[agent][_variable_index(v, 2)] = Fraction(1)
-                    d[agent][chore] = params.eps
+                    d[agent][_variable_index(v, 2)] = one
+                    d[agent][chore] = eps
                 else:
-                    d[agent][_variable_index(v, 1)] = Fraction(2, 3)
-                    d[agent][chore] = 4 * params.eps / 3
+                    d[agent][_variable_index(v, 1)] = two_thirds
+                    d[agent][chore] = negated
 
     inst = fixed_earnings_instance(params.tau, d, earning)
     return SATGadget(formula, params, inst, tuple(agent_labels), tuple(chore_labels))

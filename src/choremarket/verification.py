@@ -194,14 +194,15 @@ def _exact_conditions(inst, cand, epsilon, sets, violations):
 
     The sums run in integers: prices ``P_j / D`` and allocation
     ``X_ij / L`` over their common denominators ``D`` and ``L``.  A
-    Fraction is built only to write a violation.
+    Fraction is built only to write a violation.  The cell scan skips
+    the shared zero ``_ZERO`` unread and truth-tests any other entry.
     """
     mpb_ok = threshold_ok = budget_ok = clearing_ok = True
-    chores = range(inst.m)
     cells = []  # (i, j, x) per nonzero entry, in row order
     for i, row in enumerate(cand.allocation):
-        for j in compress(chores, row):
-            x = row[j]
+        for j, x in enumerate(row):
+            if x is _ZERO or not x:
+                continue
             cells.append((i, j, x))
             if x.numerator < 0:
                 clearing_ok = False

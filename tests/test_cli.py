@@ -315,6 +315,15 @@ class TestSatCommands:
         assert run("gen-sat", "--cnf", str(cnf)) == 2
         assert "bad DIMACS integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["gen-sat"], ["sat-equilibrium", "--assignment", "100"]], ids=lambda a: a[0]
+    )
+    def test_clause_count_mismatch_is_usage_error(self, tmp_path, capsys, argv):
+        cnf = tmp_path / "short.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n")
+        assert run(*argv, "--cnf", str(cnf)) == 2
+        assert "declares 2 clauses, found 1" in capsys.readouterr().err
+
     def test_unsatisfying_assignment_exits_one(self, paths, capsys):
         assert (
             run("sat-equilibrium", "--cnf", paths["cnf"], "--assignment", "000")

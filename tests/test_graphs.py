@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from choremarket import graphs
-from choremarket.errors import WrongVariant
+from choremarket.errors import Infeasible, WrongVariant
 from choremarket.graphs import (
     Component,
     ComponentDecomposition,
     Condition2Result,
+    ConditionsReport,
     ExchangeGraph,
     build_disutility_graph,
     build_exchange_graph,
@@ -20,7 +21,7 @@ from choremarket.graphs import (
 )
 from choremarket.model import exchange_instance, fixed_earnings_instance
 
-from conftest import random_conditioned_instance
+from conftest import fixed_earnings_twin, random_conditioned_instance
 
 
 class TestCondition1:
@@ -158,6 +159,46 @@ class TestCheckConditions:
     def test_fixed_earnings_via_exchange_equivalent(self):
         inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [1, 1])
         assert check_conditions(inst).ok
+
+    def test_fixed_earnings_gate_matches_the_exchange_equivalent(
+        self, warmup, intro, example1, example2
+    ):
+        # The gate reads a fixed-earnings market's exchange graph off its
+        # earnings; the reports equal those of its built exchange equivalent.
+        markets = [warmup] + [fixed_earnings_twin(x) for x in (intro, example1, example2)]
+        markets += [
+            fixed_earnings_twin(random_conditioned_instance(random.Random(k))) for k in range(50)
+        ]
+        rng = random.Random(32)
+        for _ in range(400):
+            base = random_market(rng)
+            earning = [rng.choice([0, 0, 1, 2, Fraction(1, 3)]) for _ in range(base.n)]
+            supply = [rng.choice([1, 2, Fraction(3, 4)]) for _ in range(base.m)]
+            markets.append(fixed_earnings_instance(10, base.disutility, earning, supply))
+        outcomes = {"c1 fails": 0, "c2 fails": 0, "ok": 0, "infeasible": 0}
+        for inst in markets:
+            c1 = check_condition1(build_disutility_graph(inst))
+            if not c1.ok:
+                assert check_conditions(inst) == ConditionsReport(c1, None)
+                outcomes["c1 fails"] += 1
+                continue
+            try:
+                ex = inst.to_exchange()
+            except Infeasible:
+                with pytest.raises(Infeasible, match="^all earnings are zero; no exchange equivalent$"):
+                    check_conditions(inst)
+                outcomes["infeasible"] += 1
+                continue
+            want = ConditionsReport(c1, check_condition2(build_exchange_graph(ex, c1.decomposition)))
+            assert check_conditions(inst) == want
+            outcomes["ok" if want.ok else "c2 fails"] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_all_zero_earnings_have_no_exchange_equivalent(self):
+        inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [0, 0])
+        assert check_condition1(build_disutility_graph(inst)).ok
+        with pytest.raises(Infeasible, match="all earnings are zero; no exchange equivalent"):
+            check_conditions(inst)
 
 
 # The networkx build of the two checks, kept as a reference.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed, ZeroPriceSum
+from choremarket.lp import _ZERO
 from choremarket.model import (
     EXCHANGE,
     FIXED_EARNINGS,
@@ -144,6 +145,98 @@ class TestLiteralParity:
                 continue
             got = to_fraction(text)
             assert type(got) is Fraction and got == want, text
+
+
+class _Sub(Fraction):
+    """A Fraction subclass: the shared-zero skip misses it, so it falls back
+    to the full check."""
+
+
+class TestFastPathParity:
+    """Validation and encoding skip the shared zero and read numerators and
+    denominators instead of comparing Fractions; each answer, accept or
+    reject with its message, is the full check's."""
+
+    def test_tau_bound_holds_exactly_at_sixty_digits(self):
+        rng = random.Random(60)
+        tau = Fraction(rng.randrange(10**59, 10**60), rng.randrange(10**59, 10**60))
+        tiny = Fraction(1, 10**121)
+        for entry, accepted in ((tau, False), (tau - tiny, True), (tau + tiny, False)):
+            assert entry.numerator > 10**59 and entry.denominator > 10**59
+            make = lambda: Instance(FIXED_EARNINGS, tau, ((entry,),), earning=(Fraction(1),))
+            if accepted:
+                assert make().disutility == ((entry,),)
+            else:
+                with pytest.raises(Malformed, match="strictly below tau"):
+                    make()
+        # Random 60-digit entries near tau: rejected exactly when entry >= tau.
+        for _ in range(200):
+            entry = tau + Fraction(rng.randrange(-10**6, 10**6), rng.randrange(10**60, 10**61))
+            try:
+                Instance(FIXED_EARNINGS, tau, ((entry,),), earning=(Fraction(1),))
+                rejected = False
+            except Malformed as exc:
+                assert "strictly below tau" in str(exc)
+                rejected = True
+            assert rejected == (entry >= tau)
+
+    def test_fraction_subclass_entries_are_accepted(self):
+        half, zero = _Sub(1, 2), _Sub(0)
+        inst = Instance(
+            EXCHANGE, _Sub(3), ((half, None), (half, half)), endowment=((half, zero), (zero, half))
+        )
+        plain = exchange_instance(3, [[Fraction(1, 2), None], [Fraction(1, 2)] * 2],
+                                  [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        assert inst == plain and instance_to_json(inst) == instance_to_json(plain)
+        assert to_fraction(half) is half
+        with pytest.raises(Malformed, match="endowments must be nonnegative rationals"):
+            Instance(EXCHANGE, _Sub(3), ((half,),), endowment=((_Sub(-1, 2),),))
+        with pytest.raises(Malformed, match="strictly below tau"):
+            Instance(FIXED_EARNINGS, _Sub(3), ((_Sub(3),),), earning=(half,))
+        with pytest.raises(Malformed, match="chore 0 has zero total endowment"):
+            Instance(EXCHANGE, _Sub(3), ((half,),), endowment=((zero,),))
+
+    def test_zero_total_endowment_names_the_first_such_chore(self):
+        fresh = Fraction(0)
+        rows = [[Fraction(1), _ZERO, fresh, Fraction(2), _ZERO]] * 2
+        with pytest.raises(Malformed, match=r"^chore 1 has zero total endowment$"):
+            exchange_instance(10, [[1] * 5] * 2, rows)
+        rows = [[Fraction(1), Fraction(1), Fraction(1), Fraction(2), fresh]] * 2
+        with pytest.raises(Malformed, match=r"^chore 4 has zero total endowment$"):
+            exchange_instance(10, [[1] * 5] * 2, rows)
+        # Every entry's sign is checked before any chore's total.
+        rows = [[Fraction(1), _ZERO, Fraction(1)], [Fraction(1), _ZERO, Fraction(-1)]]
+        with pytest.raises(Malformed, match="endowments must be nonnegative rationals"):
+            exchange_instance(10, [[1] * 3] * 2, rows)
+
+    def test_encoding_does_not_depend_on_the_shared_zero(self):
+        shared = exchange_instance(
+            10, [[1, None, 2], [3, 1, None]], [[1, _ZERO, _ZERO], [_ZERO, 2, 1]]
+        )
+        fresh = Instance(
+            EXCHANGE,
+            shared.tau,
+            shared.disutility,
+            endowment=[[Fraction(0) if not x else x for x in row] for row in shared.endowment],
+        )
+        assert all(x is not _ZERO for row in fresh.endowment for x in row)
+        assert fresh == shared and instance_to_json(fresh) == instance_to_json(shared)
+        assert fresh.supplies == shared.supplies
+        assert agent_budget(fresh, 1, (1.0, 2.0, 0.5)) == agent_budget(shared, 1, (1.0, 2.0, 0.5))
+        prices = (Fraction(1, 2), Fraction(1), _ZERO)
+        rows = ((Fraction(1, 3), _ZERO, _ZERO), (_ZERO, Fraction(2), _ZERO))
+        want = candidate_to_json(EquilibriumCandidate(prices, rows))
+        for zero in (Fraction(0), 0):
+            swap = lambda values: [zero if x is _ZERO else x for x in values]
+            cand = EquilibriumCandidate(swap(prices), [swap(row) for row in rows])
+            assert candidate_to_json(cand) == want
+        assert want["allocation"][0] == ["1/3", "0/1", "0/1"] and want["prices"][2] == "0/1"
+
+    def test_decoders_hand_out_the_shared_zero(self):
+        for literal in ("0/1", "0", "-0/7", "0.0"):
+            assert to_fraction(literal) is _ZERO
+        cand = candidate_from_json({"prices": ["1/1", "0"], "allocation": [["0/1", "0/3"]]})
+        assert cand.prices[1] is _ZERO and all(x is _ZERO for x in cand.allocation[0])
 
 
 class TestToExchange:

@@ -253,6 +253,15 @@ REJECTED = {
         lambda: parse_dimacs("p dnf 3 1\n1 2 3 0\n"), Malformed, "bad DIMACS header"),
     "dimacs-no-problem-line": (
         lambda: parse_dimacs("1 2 3 0\n"), Malformed, "missing DIMACS problem line"),
+    "dimacs-fewer-clauses": (
+        lambda: parse_dimacs("p cnf 3 2\n1 2 3 0\n"),
+        Malformed, "DIMACS problem line declares 2 clauses, found 1"),
+    "dimacs-more-clauses": (
+        lambda: parse_dimacs("p cnf 3 1\n1 2 3 0\n-1 2 3 0\n"),
+        Malformed, "DIMACS problem line declares 1 clauses, found 2"),
+    "dimacs-truncated": (
+        lambda: parse_dimacs("p cnf 3 3\n1 2 3 0\n-1 2 3 0\n"),
+        Malformed, "DIMACS problem line declares 3 clauses, found 2"),
     "tau-too-small": (
         lambda: SATGadgetParams(tau=F(3)), BadParams, "tau must exceed every finite disutility"),
     "eps-not-below-one": (

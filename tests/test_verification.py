@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from choremarket import lp
+from choremarket.lp import _ZERO
 from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed
 from choremarket.model import (
@@ -17,10 +18,17 @@ from choremarket.model import (
     EquilibriumCandidate,
     Instance,
     agent_budget,
+    candidate_from_json,
+    candidate_to_json,
     exchange_instance,
     fixed_earnings_instance,
 )
+from choremarket.polymatrix import build_polymatrix_gadget
+from choremarket.polymatrix import gadget_from_json as polymatrix_gadget_from_json
+from choremarket.polymatrix import gadget_to_json as polymatrix_gadget_to_json
 from choremarket.sat_reduction import CNFFormula, assignment_to_equilibrium, build_sat_gadget
+from choremarket.sat_reduction import gadget_from_json as sat_gadget_from_json
+from choremarket.sat_reduction import gadget_to_json as sat_gadget_to_json
 from choremarket.verification import (
     POS_TOL,
     PairComparison,
@@ -33,6 +41,7 @@ from choremarket.verification import (
 )
 
 from conftest import fixed_earnings_twin, random_conditioned_instance
+from test_polymatrix import GAME2, synthetic_endpoint_prices
 
 F = Fraction
 
@@ -535,6 +544,114 @@ def test_exact_verification_makes_no_fraction_arithmetic(monkeypatch):
     # The counters see the reference's Fraction sums.
     _reference_verify(*hits[0])
     assert calls["count"] > 0
+
+
+def _with_zero(cand, zero):
+    """The candidate with every shared-zero entry replaced by ``zero``."""
+    swap = lambda values: [zero if x is _ZERO else x for x in values]
+    return EquilibriumCandidate(swap(cand.prices), [swap(row) for row in cand.allocation])
+
+
+def test_exact_check_does_not_depend_on_the_shared_zero():
+    # The planted SAT equilibria, zeros shared, and their perturbations give
+    # the same report when every zero is a fresh Fraction(0) or an int 0.
+    rng = random.Random(32)
+    seen = 0
+    for inst, hit, epsilon in _planted_sat_hits():
+        for cand in _variants(inst, hit, rng):
+            shared = _with_zero(cand, _ZERO)
+            if not any(x is _ZERO for row in shared.allocation for x in row):
+                continue
+            want = verify_equilibrium(inst, shared, epsilon)
+            for zero in (F(0), 0):
+                assert verify_equilibrium(inst, _with_zero(shared, zero), epsilon) == want
+                assert candidate_to_json(_with_zero(shared, zero)) == candidate_to_json(shared)
+            seen += not want.ok
+    assert seen >= 3 * 4  # failing variants too, not only the hits
+
+
+def _planted_formula(rng, num_vars, num_clauses):
+    """A random 3-CNF formula and a random assignment that satisfies it."""
+    assignment = [rng.random() < 0.5 for _ in range(num_vars)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = tuple(v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, num_vars + 1), 3))
+        if any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    return CNFFormula(num_vars, clauses), assignment
+
+
+def _nonzero(*matrices):
+    return sum(1 for rows in matrices for row in rows for x in row if x is not None and x != 0)
+
+
+_GUARDED = ("__bool__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def _gadget_steps():
+    """``(gadget, candidate, steps)`` for the 12 x 20 planted SAT gadget and
+    GAME2's gadget: each step builds, encodes, reads back or verifies."""
+    formula, assignment = _planted_formula(random.Random(12), 12, 20)
+    sat = build_sat_gadget(formula)
+    sat_cand = assignment_to_equilibrium(sat, assignment)
+    yield sat, sat_cand, {
+        "build": lambda: build_sat_gadget(formula),
+        "equilibrium": lambda: assignment_to_equilibrium(sat, assignment),
+        "encode": lambda: (sat_gadget_to_json(sat), candidate_to_json(sat_cand)),
+        "read back": lambda: sat_gadget_from_json(sat_gadget_to_json(sat)),
+        "verify": lambda: verify_equilibrium(sat.instance, sat_cand),
+    }
+    game = build_polymatrix_gadget(GAME2)
+    doc = candidate_to_json(synthetic_endpoint_prices(game, (1, -1), mode="exact"))
+    game_cand = candidate_from_json(doc)  # its zeros decode to the shared zero
+    yield game, game_cand, {
+        "build": lambda: build_polymatrix_gadget(GAME2),
+        "encode": lambda: (polymatrix_gadget_to_json(game), candidate_to_json(game_cand)),
+        "read back": lambda: polymatrix_gadget_from_json(polymatrix_gadget_to_json(game)),
+        "verify": lambda: verify_equilibrium(game.instance, game_cand),
+    }
+
+
+def test_gadget_paths_make_no_fraction_call_per_zero_entry(monkeypatch):
+    """Building, validating, encoding, reading back and exactly verifying
+    the two gadgets truth-test or compare Fractions at most once per
+    nonzero entry per step, and validating a market never does."""
+    cases = list(_gadget_steps())
+    calls = {"count": 0}
+
+    def counting(original):
+        def counted(*args):
+            calls["count"] += 1
+            return original(*args)
+
+        return counted
+
+    def run(step):
+        calls["count"] = 0
+        step()
+        return calls["count"]
+
+    for name in _GUARDED:
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    for gadget, cand, steps in cases:
+        inst = gadget.instance
+        market = (inst.disutility, inst.endowment or (inst.earning, inst.supply))
+        entries = _nonzero(*market, (cand.prices,), cand.allocation)
+        assert inst.n * inst.m > 5 * entries  # mostly None and zeros
+        counts = {name: run(step) for name, step in steps.items()}
+        assert all(count <= entries for count in counts.values()), (counts, entries)
+        assert run(lambda: Instance(
+            inst.variant, inst.tau, inst.disutility,
+            endowment=inst.endowment, earning=inst.earning, supply=inst.supply,
+        )) == 0
+        # The counters see a reference loop: a truth test per cell, and a
+        # comparison with tau per finite disutility.
+        assert run(lambda: [x for row in cand.allocation for x in row if x]) == inst.n * inst.m
+        finite = sum(d is not None for row in inst.disutility for d in row)
+        assert run(
+            lambda: [d < inst.tau for row in inst.disutility for d in row if d is not None]
+        ) == finite
 
 
 class TestFairness:
