@@ -23,6 +23,13 @@ Report and metadata documents come straight from their dataclasses through
 their own loops: a gadget's market and candidate hold thousands of entries,
 mostly zeros, which they write as ``"0/1"`` without formatting each, and a
 generic recursion per entry would slow them.
+
+Files and stdout get one text, :func:`_json_text`: the text of
+``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.  It walks
+dicts and lists in Python and writes each array of scalars (a matrix row,
+a price vector, a label list) with one call of the C encoder, so a
+gadget's thousands of entries cost one call per row instead of a step of
+``json``'s pure-Python indenting encoder per entry.
 """
 
 from __future__ import annotations
@@ -415,9 +422,9 @@ class EquilibriumCandidate:
     units of chore ``j`` and earns ``allocation[i][j] * prices[j]`` for it.
 
     ``mode`` tags the numeric representation: ``"exact"`` candidates carry
-    Fractions and ints (not bools) and are compared exactly, ``"float"``
-    candidates carry finite real numbers, never bools, and are verified
-    within tolerances.
+    Fractions and ints, subclasses included but not bools, and are compared
+    exactly, ``"float"`` candidates carry finite real numbers, never bools,
+    and are verified within tolerances.
     """
 
     prices: tuple
@@ -434,7 +441,12 @@ class EquilibriumCandidate:
             if len(row) != m:
                 raise DimensionMismatch("allocation width must match price length")
         entries = tuple(chain(self.prices, *self.allocation))
-        if self.mode == EXACT and not set(map(type, entries)) <= {Fraction, int}:
+        # The type set decides at C speed; a Fraction or int subclass takes
+        # the per-entry test, which rejects a bool as the set does.
+        if self.mode == EXACT and not (
+            set(map(type, entries)) <= {Fraction, int}
+            or all(isinstance(x, (Fraction, int)) and type(x) is not bool for x in entries)
+        ):
             raise Malformed("exact candidate entries must be rational numbers")
         if self.mode == FLOAT and not _finite_reals(entries):
             raise Malformed("float candidate entries must be finite real numbers")
@@ -577,10 +589,73 @@ def _gadget_from_json(doc, kind: str, read, build):
     return gadget
 
 
+#: The types a JSON array may hold for the C encoder to write it whole.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _json_text(doc: dict) -> str:
     """The package's JSON text of ``doc``: two-space indent, sorted keys,
-    no trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    no trailing newline; the text of ``json.dumps(doc, indent=2,
+    sort_keys=True)``, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents, one
+    generator step per array item.  Here dicts (keys sorted) and lists or
+    tuples are walked in Python, and every nonempty array whose items are
+    all of the exact types in ``_SCALARS`` is written by one call of the C
+    encoder of ``json.JSONEncoder``, whose item separator carries the
+    newline and the items' indent.  Each indent gets its encoder once per
+    call.  A matrix row is one such array, so a gadget's market costs one
+    C call per row.
+    """
+    encoders = {}
+    chunks = []
+
+    def encoder(indent):
+        """The C encoder whose items sit at ``indent`` (a newline and spaces)."""
+        encode = encoders.get(indent)
+        if encode is None:
+            encode = json.JSONEncoder(separators=("," + indent, ": "), check_circular=False).encode
+            encoders[indent] = encode
+        return encode
+
+    def key_text(key, encode):
+        # As json: a str key as it is, a number, bool or None key quoted.
+        if isinstance(key, str):
+            return encode(key)
+        if key is None or isinstance(key, (int, float)):
+            return f'"{encode(key)}"'
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+    def write(value, outer):
+        inner = outer + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                chunks.append("[]")
+            elif set(map(type, value)) <= _SCALARS:
+                chunks.extend(("[", inner, encoder(inner)(value)[1:-1], outer, "]"))
+            else:
+                separator = "[" + inner
+                for item in value:
+                    chunks.append(separator)
+                    write(item, inner)
+                    separator = "," + inner
+                chunks.extend((outer, "]"))
+        elif isinstance(value, dict):
+            if not value:
+                chunks.append("{}")
+            else:
+                encode = encoder(inner)
+                separator = "{" + inner
+                for key, item in sorted(value.items()):
+                    chunks.extend((separator, key_text(key, encode), ": "))
+                    write(item, inner)
+                    separator = "," + inner
+                chunks.extend((outer, "}"))
+        else:
+            chunks.append(encoder(inner)(value))
+
+    write(doc, "\n")
+    return "".join(chunks)
 
 
 def save_json(doc: dict, path: str) -> None:

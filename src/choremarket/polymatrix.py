@@ -28,6 +28,7 @@ from .errors import (
 from .model import (
     _ZERO,
     EXACT,
+    EXCHANGE,
     EquilibriumCandidate,
     Instance,
     _gadget_from_json,
@@ -37,7 +38,6 @@ from .model import (
     _reading,
     _tolerance,
     agent_budget,
-    exchange_instance,
     to_fraction,
     to_int,
 )
@@ -141,7 +141,11 @@ class PPADGadgetParams:
     ``alpha[k]`` (0-based layer ``k+1``) is the price-tilt band of the layer;
     it starts at ``1 / n**(3c)`` and grows by ``3/2`` per layer, ending in
     ``(n**c * alpha[0], 1 / n**c]`` so that every band is tiny yet the top
-    band dominates the bottom one.
+    band dominates the bottom one.  ``n``, ``c`` and ``K`` are read as
+    :func:`~choremarket.model.to_int` reads them, and ``tau`` and each
+    ``alpha`` and ``delta`` entry as :func:`~choremarket.model.to_fraction`
+    reads it, so a float, a bool, ``None`` or an unreadable string is
+    :class:`Malformed`.
     """
 
     n: int
@@ -150,6 +154,13 @@ class PPADGadgetParams:
     alpha: Tuple[Fraction, ...]
     delta: Tuple[Fraction, ...]
     tau: Fraction
+
+    def __post_init__(self):
+        for name in ("n", "c", "K"):
+            object.__setattr__(self, name, to_int(getattr(self, name)))
+        for name in ("alpha", "delta"):
+            object.__setattr__(self, name, tuple(map(to_fraction, getattr(self, name))))
+        object.__setattr__(self, "tau", to_fraction(self.tau))
 
     @staticmethod
     def for_size(n: int, c: int = 4) -> "PPADGadgetParams":
@@ -288,7 +299,8 @@ def build_polymatrix_gadget(
     chore_labels = tuple(
         f"b[{k},{i}]" for k in range(1, K + 1) for i in range(size)
     )
-    inst = exchange_instance(params.tau, d_rows, w_rows)
+    # Every entry is already a Fraction or None; Instance validates them all.
+    inst = Instance(EXCHANGE, params.tau, d_rows, endowment=w_rows)
     return PolymatrixGadget(game, params, inst, tuple(agent_labels), chore_labels)
 
 
@@ -476,12 +488,12 @@ def _read_metadata(meta: dict) -> tuple:
     game = game_from_json(meta["game"])
     pm = meta["params"]
     params = PPADGadgetParams(
-        n=to_int(pm["n"]),
-        c=to_int(pm["c"]),
-        K=to_int(pm["K"]),
-        alpha=tuple(to_fraction(a) for a in _json_array(pm["alpha"], "alpha")),
-        delta=tuple(to_fraction(d) for d in _json_array(pm["delta"], "delta")),
-        tau=to_fraction(pm["tau"]),
+        n=pm["n"],
+        c=pm["c"],
+        K=pm["K"],
+        alpha=_json_array(pm["alpha"], "alpha"),
+        delta=_json_array(pm["delta"], "delta"),
+        tau=pm["tau"],
     )
     return game, params
 

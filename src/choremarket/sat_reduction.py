@@ -32,7 +32,6 @@ from .model import (
     _gadget_to_json,
     _json_array,
     _plain,
-    fixed_earnings_instance,
     to_fraction,
     to_int,
 )
@@ -260,7 +259,8 @@ def build_sat_gadget(
                     d[agent][_variable_index(v, 1)] = two_thirds
                     d[agent][chore] = negated
 
-    inst = fixed_earnings_instance(params.tau, d, earning)
+    # Every entry is already a Fraction or None; Instance validates them all.
+    inst = Instance(FIXED_EARNINGS, params.tau, d, earning=earning)
     return SATGadget(formula, params, inst, tuple(agent_labels), tuple(chore_labels))
 
 

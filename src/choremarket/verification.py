@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, Infeasible
@@ -166,7 +167,8 @@ def verify_equilibrium(
     violations: List[str] = []
     mpb_ok = True
     prices = cand.prices
-    for j, pj in enumerate(prices):
+    # An exact price has its numerator's sign: one int comparison each.
+    for j, pj in enumerate(map(attrgetter("numerator"), prices) if exact else prices):
         if pj <= 0:
             mpb_ok = False
             violations.append(f"chore {j} has non-positive price")

@@ -954,3 +954,24 @@ class TestReportOutputBytes:
             for name in REPORT_OUTPUT_SHA256
         }
         assert digests == REPORT_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify", "gen-sat", "gen-polymatrix"])
+def test_stdout_is_the_output_file(paths, tmp_path, capsys, command):
+    # One writer: a command prints the bytes it writes to its -o file.
+    eq = tmp_path / "eq.json"
+    assert run("enumerate", "--instance", paths["warmup"], "-o", str(eq)) == 0
+    save_json(json.loads(eq.read_text())["equilibria"][0]["equilibrium"], str(eq))
+    argv = {
+        "enumerate": ["enumerate", "--instance", paths["warmup"]],
+        "verify": ["verify", "--instance", paths["warmup"], "--equilibrium", str(eq)],
+        "gen-sat": ["gen-sat", "--cnf", paths["cnf"]],
+        "gen-polymatrix": ["gen-polymatrix", "--game", paths["game"]],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run(*argv, "-o", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("ascii") and printed.count("\n") > 5

@@ -1,5 +1,6 @@
 """Data model, validation, and JSON round-tripping."""
 
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +14,7 @@ from choremarket.model import (
     FIXED_EARNINGS,
     EquilibriumCandidate,
     Instance,
+    _json_text,
     agent_budget,
     candidate_from_json,
     candidate_to_json,
@@ -308,6 +310,79 @@ class TestJson:
         with pytest.raises(Malformed, match="exact candidate entries must be rational numbers"):
             EquilibriumCandidate((Fraction(1, 2), Fraction(1, 2)), ((1, bad),))
         assert EquilibriumCandidate((Fraction(1, 2), 1), ((1, 0),)).prices[1] == 1
+
+
+#: Scalars that must come out as ``json`` writes them: escapes, non-ASCII
+#: text (also outside the BMP), ints past 2**64, float extremes and
+#: non-finite floats, which ``json`` writes as NaN and Infinity.
+_JSON_SCALARS = (
+    "", "plain", "naïve", "☃", "\U0001f600", "tab\there", 'quote"', "back\\slash",
+    "\x00\x1f\x7f", "line\nbreak", True, False, None, 0, -7, 2**64, -(2**64) - 1, 10**40,
+    0.0, -0.0, 0.1, 1e-300, 1e300, float("inf"), float("-inf"), float("nan"),
+)
+
+
+def _json_value(rng, depth):
+    """A random JSON value: nested dicts, lists and tuples, empty ones at
+    every depth, arrays of scalars and arrays that mix in containers."""
+    roll = rng.random()
+    if depth > 4 or roll < 0.3:
+        return rng.choice(_JSON_SCALARS)
+    size = rng.choice((0, 1, 2, 3, 5))
+    if roll < 0.5:
+        return [rng.choice(_JSON_SCALARS) for _ in range(size)]
+    if roll < 0.6:
+        return tuple(rng.choice(_JSON_SCALARS) for _ in range(size))
+    if roll < 0.75:
+        return [_json_value(rng, depth + 1) for _ in range(size)]
+    if roll < 0.85:
+        return tuple(_json_value(rng, depth + 1) for _ in range(size))
+    keys = rng.sample([s for s in _JSON_SCALARS if isinstance(s, str)] + ["a", "b", "z"], size)
+    return {key: _json_value(rng, depth + 1) for key in keys}
+
+
+class TestJsonText:
+    """``_json_text`` is ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    def test_matches_json_dumps_on_random_documents(self):
+        rng = random.Random(33)
+        docs = [_json_value(rng, 0) for _ in range(400)]
+        docs += [
+            {"variant": "x", "rows": [[None, "1/2"], ["0/1", None]], "empty": [[], {}, ()]},
+            [[True, False], (None, 1), [{"k": ()}], {}, [[[]]], ("a", [0.5, {"b": [None]}])],
+            {1: "int key", 2: [1]}, {True: 0}, {None: 0}, {1.5: [], -0.0: {}},
+            *_JSON_SCALARS,
+        ]
+        for doc in docs:
+            assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+    def test_each_scalar_array_is_one_encoder_call(self, monkeypatch):
+        # One C-encoder call per array of scalars, bools and None included,
+        # and one encoder per indent.
+        doc = [[True, False], [None, 1, "a", 2.5], (False,), [[True], []]]
+        want = json.dumps(doc, indent=2, sort_keys=True)
+        made, encoded = [], []
+
+        class Counting(json.JSONEncoder):
+            def __init__(self, **kwargs):
+                made.append(kwargs["separators"])
+                super().__init__(**kwargs)
+
+            def encode(self, value):
+                encoded.append(value)
+                return super().encode(value)
+
+        monkeypatch.setattr(json, "JSONEncoder", Counting)
+        assert _json_text(doc) == want
+        assert encoded == [doc[0], doc[1], doc[2], doc[3][0]]
+        assert made == [(",\n    ", ": "), (",\n      ", ": ")]
+
+    def test_unserialisable_values_raise_as_in_json(self):
+        for doc in ({"a": {1, 2}}, [object()], {(1,): 2}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                _json_text(doc)
 
 
 _F1 = Fraction(1)

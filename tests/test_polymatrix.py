@@ -383,6 +383,15 @@ def _zero_first_pair():
     return g, EquilibriumCandidate(prices, zeros)
 
 
+def test_params_read_ints_and_rational_literals():
+    # An int tau and string schedule entries read as to_fraction reads them,
+    # and build the same market as the Fraction schedule.
+    params = _k2_params(tau=2, alpha=("1/100", "3/10"), delta=(F(1, 100), "0.3"))
+    assert params == _k2_params() and type(params.tau) is F
+    want = build_polymatrix_gadget(GAME2, _k2_params()).instance
+    assert build_polymatrix_gadget(GAME2, params).instance == want
+
+
 #: One call per input check of the reduction, its exception type and a
 #: fragment of its message.
 REJECTED = {
@@ -406,6 +415,18 @@ REJECTED = {
     "tau-too-small": (
         lambda: _k2_params(tau=F(13, 10)).validate(),
         BadParams, "tau must exceed every finite disutility"),
+    "schedule-float": (
+        lambda: _k2_params(alpha=(F(1, 100), 0.3)), Malformed, "not a rational: 0.3"),
+    "schedule-bool": (
+        lambda: _k2_params(delta=(True, F(3, 10))), Malformed, "not a rational: True"),
+    "schedule-none": (
+        lambda: _k2_params(alpha=(None, F(3, 10))), Malformed, "not a rational: None"),
+    "schedule-unreadable": (
+        lambda: _k2_params(delta=(F(1, 100), "3/x")), Malformed, "bad rational literal: '3/x'"),
+    "tau-float": (lambda: _k2_params(tau=2.0), Malformed, "not a rational: 2.0"),
+    "size-bool": (lambda: _k2_params(c=True), Malformed, "not an integer: True"),
+    "size-float": (lambda: _k2_params(K=2.0), Malformed, "not an integer: 2.0"),
+    "size-string": (lambda: _k2_params(n="2"), Malformed, "not an integer: '2'"),
     "params-size": (
         lambda: build_polymatrix_gadget(PolymatrixGame(1, [[1, 0], [0, 1]]), _k2_params()),
         BadParams, "parameter size must match the game"),

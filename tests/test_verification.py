@@ -8,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from choremarket import lp
+from choremarket import lp, model, polymatrix, sat_reduction
 from choremarket.lp import _ZERO
 from choremarket.enumeration import enumerate_equilibria
 from choremarket.errors import DimensionMismatch, Infeasible, Malformed
@@ -26,7 +26,12 @@ from choremarket.model import (
 from choremarket.polymatrix import build_polymatrix_gadget
 from choremarket.polymatrix import gadget_from_json as polymatrix_gadget_from_json
 from choremarket.polymatrix import gadget_to_json as polymatrix_gadget_to_json
-from choremarket.sat_reduction import CNFFormula, assignment_to_equilibrium, build_sat_gadget
+from choremarket.sat_reduction import (
+    CNFFormula,
+    SATGadgetParams,
+    assignment_to_equilibrium,
+    build_sat_gadget,
+)
 from choremarket.sat_reduction import gadget_from_json as sat_gadget_from_json
 from choremarket.sat_reduction import gadget_to_json as sat_gadget_to_json
 from choremarket.verification import (
@@ -570,6 +575,60 @@ def test_exact_check_does_not_depend_on_the_shared_zero():
     assert seen >= 3 * 4  # failing variants too, not only the hits
 
 
+class _Sub(Fraction):
+    """A Fraction subclass: the exact candidate's type-set test misses it,
+    so it takes the per-entry test."""
+
+
+def test_exact_candidate_of_fraction_subclasses_verifies_as_its_twin():
+    # Every entry of the planted SAT equilibria and their perturbations
+    # (zero and scaled prices, negative and forbidden cells among them) as
+    # a subclass instance gives the plain candidate's report.
+    rng = random.Random(33)
+    for inst, hit, epsilon in _planted_sat_hits():
+        for cand in _variants(inst, hit, rng):
+            twin = EquilibriumCandidate(
+                [_Sub(x) for x in cand.prices], [[_Sub(x) for x in row] for row in cand.allocation]
+            )
+            assert verify_equilibrium(inst, twin, epsilon) == verify_equilibrium(inst, cand, epsilon)
+    for bad in (True, False):
+        with pytest.raises(Malformed, match="exact candidate entries must be rational numbers"):
+            EquilibriumCandidate((_Sub(1, 2), bad), ((_Sub(1), 0),))
+
+
+@pytest.mark.parametrize(
+    "mode, prices, allocation",
+    [
+        (EXACT, [F(-1, 2), F(0), F(1), _ZERO, 0], [[0, 0, 0, 0, 1]]),
+        (FLOAT, [-0.5, 0.0, 1.0, -0.0, 0.0], [[0.0, 0.0, 0.0, 0.0, 1.0]]),
+    ],
+)
+def test_price_positivity_keeps_its_messages_and_order(monkeypatch, mode, prices, allocation):
+    # An exact price's sign is read off its numerator: no price takes part
+    # in a Fraction comparison, and the violations are the same, in chore
+    # order.
+    inst = fixed_earnings_instance(10, [[1] * 5], [1])
+    cand = EquilibriumCandidate(prices, allocation, mode=mode)
+    calls = {"count": 0}
+
+    def counting(original):
+        def counted(self, other):
+            calls["count"] += any(self is p for p in prices)
+            return original(self, other)
+
+        return counted
+
+    for name in ("__le__", "__lt__", "__ge__", "__gt__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    report = verify_equilibrium(inst, cand)
+    assert not report.mpb_ok
+    assert [v for v in report.violations if "price" in v] == [
+        f"chore {j} has non-positive price" for j in (0, 1, 3, 4)
+    ]
+    if mode == EXACT:
+        assert calls["count"] == 0
+
+
 def _planted_formula(rng, num_vars, num_clauses):
     """A random 3-CNF formula and a random assignment that satisfies it."""
     assignment = [rng.random() < 0.5 for _ in range(num_vars)]
@@ -652,6 +711,57 @@ def test_gadget_paths_make_no_fraction_call_per_zero_entry(monkeypatch):
         assert run(
             lambda: [d < inst.tau for row in inst.disutility for d in row if d is not None]
         ) == finite
+
+
+def _count_to_fraction(monkeypatch):
+    """A counter of :func:`~choremarket.model.to_fraction` calls, in every
+    module that reads values with it."""
+    calls = {"count": 0}
+
+    def counted(value):
+        calls["count"] += 1
+        return original(value)
+
+    original = model.to_fraction
+    for module in (model, sat_reduction, polymatrix):
+        monkeypatch.setattr(module, "to_fraction", counted)
+    return calls
+
+
+def test_gadget_builders_read_no_entry_again(monkeypatch):
+    """The builders hand their Fractions straight to ``Instance``: building
+    the 12 x 20 planted SAT gadget and GAME2's gadget reads at most the
+    params' own fields with ``to_fraction``, not one entry per cell."""
+    cases = list(_gadget_steps())
+    calls = _count_to_fraction(monkeypatch)
+    for gadget, _, steps in cases:
+        params = gadget.params
+        fields = 4 if isinstance(params, SATGadgetParams) else len(params.alpha) * 2 + 1
+        calls["count"] = 0
+        steps["build"]()
+        assert calls["count"] <= fields < gadget.instance.n * gadget.instance.m // 100
+    # The counter sees the plain-data builders' per-entry reads.
+    calls["count"] = 0
+    inst = cases[1][0].instance
+    exchange_instance(inst.tau, inst.disutility, inst.endowment)
+    assert calls["count"] > inst.n * inst.m
+
+
+def test_gadget_builders_validate_their_market(monkeypatch):
+    # Each builder's market goes through every check of Instance.__post_init__.
+    cases = list(_gadget_steps())
+    seen = []
+    check = Instance.__post_init__
+
+    def recorded(self):
+        seen.append(self)
+        check(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", recorded)
+    for _, _, steps in cases:
+        seen.clear()
+        gadget = steps["build"]()
+        assert seen == [gadget.instance] and seen[0] is gadget.instance
 
 
 class TestFairness:
