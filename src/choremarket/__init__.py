@@ -18,7 +18,6 @@ from .model import (
     EquilibriumCandidate,
     Instance,
     agent_budget,
-    chore_supply,
     candidate_from_json,
     candidate_to_json,
     exchange_instance,
@@ -72,7 +71,6 @@ __all__ = [
     "EquilibriumCandidate",
     "Instance",
     "agent_budget",
-    "chore_supply",
     "candidate_from_json",
     "candidate_to_json",
     "exchange_instance",

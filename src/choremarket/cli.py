@@ -132,22 +132,20 @@ def _cmd_gen_sat(args):
     return sat_reduction.gadget_to_json(gadget), True
 
 
-def _parse_assignment(text, num_vars):
+def _parse_assignment(text):
     mapping = {"0": False, "1": True, "f": False, "t": True}
     values = []
     for ch in text.strip():
         if ch.lower() not in mapping:
             raise Malformed(f"bad assignment character {ch!r}")
         values.append(mapping[ch.lower()])
-    if len(values) != num_vars:
-        raise Malformed("assignment length must match variable count")
     return values
 
 
 def _cmd_sat_equilibrium(args):
     formula = _load_formula(args.cnf)
     gadget = sat_reduction.build_sat_gadget(formula, _sat_params(args))
-    assignment = _parse_assignment(args.assignment, formula.num_vars)
+    assignment = _parse_assignment(args.assignment)
     cand = sat_reduction.assignment_to_equilibrium(gadget, assignment)
     return candidate_to_json(cand), True
 

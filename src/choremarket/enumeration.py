@@ -95,9 +95,12 @@ class EquilibriumSet:
         return tuple(e.ray for e in self.equilibria)
 
 
-def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
-    """Candidate MPB sets per agent, largest first, or ``None`` when no
-    pattern can exist.
+def _agent_options(inst: Instance, cap: int) -> List[List[frozenset]]:
+    """Candidate MPB sets per agent, largest first: the ``2**k - 1``
+    nonempty sets of a wealthy agent's ``k`` finite chores, the empty set of
+    one without wealth.  No set is built when the raw pattern space is
+    empty (``[]`` is returned) or larger than ``cap``
+    (:class:`PatternBudgetExceeded`).
 
     A generic equilibrium's consumption graph spans each component, so its
     pattern has large sets; patterns of many one-member sets are the ones
@@ -105,8 +108,11 @@ def _agent_options(inst: Instance) -> Optional[List[List[frozenset]]]:
     """
     finite = [inst.finite_chores(i) for i in range(inst.n)]
     wealthy = [inst.has_positive_wealth(i) for i in range(inst.n)]
-    if any(w and not f for w, f in zip(wealthy, finite)):
-        return None  # an agent must earn, but cannot touch any chore
+    count = prod(2 ** len(f) - 1 if w else 1 for w, f in zip(wealthy, finite))
+    if count > cap:
+        raise PatternBudgetExceeded(f"{count} patterns exceed the cap of {cap}")
+    if not count:
+        return []
     return [
         [frozenset(c) for size in range(len(f), 0, -1) for c in combinations(f, size)]
         if w
@@ -399,19 +405,10 @@ def _patterns(inst: Instance, cap: int) -> Iterator[Tuple[Tuple[frozenset, ...],
     agents could still take leave a chore uncovered.  Each leaf yields
     ``(pattern, closure)``; the closure holds the pattern's tie ratios,
     which :func:`_pattern_lp` reads its tie classes from.  Raises
-    :class:`PatternBudgetExceeded` at the call, before any set is built,
-    when the raw pattern space is larger than ``cap``.
+    :class:`PatternBudgetExceeded` at the call (see :func:`_agent_options`).
     """
-    # An agent with wealth has the 2**k - 1 nonempty sets of its k finite
-    # chores (none when k = 0: the count is 0), one without wealth one set.
-    count = prod(
-        2 ** len(inst.finite_chores(i)) - 1 if inst.has_positive_wealth(i) else 1
-        for i in range(inst.n)
-    )
-    if count > cap:
-        raise PatternBudgetExceeded(f"{count} patterns exceed the cap of {cap}")
-    options = _agent_options(inst)
-    if options is None:
+    options = _agent_options(inst, cap)
+    if not options:
         return iter(())
     all_chores = frozenset(range(inst.m))
     reach = [frozenset()] * (inst.n + 1)  # chores agents i.. can still take

@@ -21,10 +21,6 @@ class DimensionMismatch(Malformed):
     """Vector/matrix shapes do not match the instance."""
 
 
-class WrongVariant(Malformed):
-    """Operation requires the other instance variant."""
-
-
 class Infeasible(ChoreMarketError):
     """A required feasibility precondition does not hold."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import Infeasible, WrongVariant
+from .errors import Infeasible
 from .model import EXCHANGE, Instance
 
 
@@ -171,12 +171,6 @@ class ExchangeGraph:
 
 
 def build_exchange_graph(inst: Instance, dec: ComponentDecomposition) -> ExchangeGraph:
-    if inst.variant != EXCHANGE:
-        raise WrongVariant("exchange graph requires the exchange variant")
-    return _exchange_graph(inst, dec)
-
-
-def _exchange_graph(inst: Instance, dec: ComponentDecomposition) -> ExchangeGraph:
     """The exchange graph of ``inst``, of either variant, with ownership read
     off its integer budgets.  An exchange agent owns the chores of its
     wealth entries: the nonzero, so positive, endowments.  In the exchange
@@ -256,4 +250,4 @@ def check_conditions(inst: Instance) -> ConditionsReport:
     c1 = check_condition1(build_disutility_graph(inst))
     if not c1.ok:
         return ConditionsReport(c1, None)
-    return ConditionsReport(c1, check_condition2(_exchange_graph(inst, c1.decomposition)))
+    return ConditionsReport(c1, check_condition2(build_exchange_graph(inst, c1.decomposition)))

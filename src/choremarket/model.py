@@ -39,6 +39,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -69,13 +70,14 @@ def to_fraction(value) -> Fraction:
     ``"-3/4"``, ``"+3/4"``, ``" 3/4 "``, ``"7"``, ``"1.5"`` or ``"1e3"``.
     Decoding is memoised over the 4,096 most recent literals, so a literal
     repeated within a document is parsed once.  Bools, floats and other
-    types, and strings ``Fraction`` rejects (including a zero denominator),
+    types, strings ``Fraction`` rejects (including a zero denominator) and
+    exponents past the integer digit limit (see :func:`_parse_rational`)
     raise :class:`Malformed`.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         return _parse_rational(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise Malformed(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -153,8 +155,15 @@ def _reading(name: str):
 
 @functools.lru_cache(maxsize=4096)
 def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, the shared ``_ZERO`` for a zero literal."""
+    """``Fraction(text)``, the shared ``_ZERO`` for a zero literal.  An
+    exponent larger in magnitude than ``sys.get_int_max_str_digits()`` is
+    refused before ``Fraction`` builds its power of ten, as ``json`` refuses
+    an integer literal of more digits; a limit of 0 means none."""
+    _, e, exponent = text.lower().partition("e")
     try:
+        # A literal Fraction reads has at most one "e", before an integer.
+        if e and abs(int(exponent)) > sys.get_int_max_str_digits() > 0:
+            raise ValueError("exponent past the integer digit limit")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise Malformed(f"bad rational literal: {text!r}") from exc
@@ -403,13 +412,6 @@ def agent_budget(inst: Instance, agent: int, p: Sequence[Number]):
         (w * pj for w, pj in zip(inst.endowment[agent], p) if w is not _ZERO and w),
         _ZERO * p[0],
     )
-
-
-def chore_supply(inst: Instance, chore: int) -> Fraction:
-    """Total amount of the chore that must be done."""
-    if not 0 <= chore < inst.m:
-        raise DimensionMismatch(f"chore index {chore} out of range")
-    return inst.supplies[chore]
 
 
 EXACT = "exact"
@@ -664,11 +666,11 @@ def save_json(doc: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
-    """The file's JSON document.  Text that is not UTF-8 or not JSON, or an
-    integer past the interpreter's digit limit, is :class:`Malformed`, and
-    the message names the file."""
+    """The file's JSON document.  Text that is not UTF-8 or not JSON, an
+    integer past the interpreter's digit limit, or nesting past its
+    recursion limit is :class:`Malformed`, and the message names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise Malformed(f"{exc} (reading {path})") from exc

@@ -49,8 +49,9 @@ class PolymatrixGame:
 
     Entry ``payoff[i][j]`` is what the owner of row ``i`` contributes to
     strategy ``j``; entries lie in ``[0, 1]`` and each row's two entries for
-    a player's strategy pair sum to one.  Entries are read as
-    :func:`~choremarket.model.to_fraction` reads them, so a bool or a float
+    a player's strategy pair sum to one.  ``n`` is read once as
+    :func:`~choremarket.model.to_int` reads it and each entry as
+    :func:`~choremarket.model.to_fraction` reads it, so a bool or a float
     is :class:`Malformed`.
     """
 
@@ -58,18 +59,19 @@ class PolymatrixGame:
     payoff: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadGame("game needs at least one player")
+        n = to_int(self.n)
         payoff = tuple(tuple(to_fraction(x) for x in row) for row in self.payoff)
         object.__setattr__(self, "payoff", payoff)
-        size = 2 * self.n
+        if n < 1:
+            raise BadGame("game needs at least one player")
+        size = 2 * n
         if len(payoff) != size or any(len(row) != size for row in payoff):
             raise BadGame("payoff matrix must be 2n x 2n")
         for row in payoff:
             for x in row:
                 if not 0 <= x <= 1:
                     raise BadGame("payoff entries must lie in [0, 1]")
-            for i in range(self.n):
+            for i in range(n):
                 if row[2 * i] + row[2 * i + 1] != 1:
                     raise BadGame("each strategy pair's payoffs must sum to one")
 
@@ -145,7 +147,9 @@ class PPADGadgetParams:
     :func:`~choremarket.model.to_int` reads them, and ``tau`` and each
     ``alpha`` and ``delta`` entry as :func:`~choremarket.model.to_fraction`
     reads it, so a float, a bool, ``None`` or an unreadable string is
-    :class:`Malformed`.
+    :class:`Malformed`.  Construction then checks the schedule: ``K`` even
+    and at least 2, one ``alpha`` and ``delta`` per layer, the top band in
+    that range and ``tau > 1 + alpha[-1]``, else :class:`BadParams`.
     """
 
     n: int
@@ -161,20 +165,6 @@ class PPADGadgetParams:
         for name in ("alpha", "delta"):
             object.__setattr__(self, name, tuple(map(to_fraction, getattr(self, name))))
         object.__setattr__(self, "tau", to_fraction(self.tau))
-
-    @staticmethod
-    def for_size(n: int, c: int = 4) -> "PPADGadgetParams":
-        if n < 2:
-            raise DegenerateSize("reduction requires at least two players")
-        K = 2 * c * max(1, math.ceil(math.log2(n)))
-        alpha1 = Fraction(1, n ** (3 * c))
-        alpha = [alpha1 * Fraction(3, 2) ** k for k in range(K)]
-        delta = [n * a / 2 for a in alpha]
-        params = PPADGadgetParams(n, c, K, tuple(alpha), tuple(delta), Fraction(2))
-        params.validate()
-        return params
-
-    def validate(self) -> None:
         if len(self.alpha) != self.K or len(self.delta) != self.K:
             raise BadParams("schedule length must equal K")
         if self.K % 2 != 0 or self.K < 2:
@@ -186,6 +176,16 @@ class PPADGadgetParams:
             raise BadParams("top band must stay below 1 / n**c")
         if self.tau <= 1 + top:
             raise BadParams("tau must exceed every finite disutility")
+
+    @staticmethod
+    def for_size(n: int, c: int = 4) -> "PPADGadgetParams":
+        if n < 2:
+            raise DegenerateSize("reduction requires at least two players")
+        K = 2 * c * max(1, math.ceil(math.log2(n)))
+        alpha1 = Fraction(1, n ** (3 * c))
+        alpha = [alpha1 * Fraction(3, 2) ** k for k in range(K)]
+        delta = [n * a / 2 for a in alpha]
+        return PPADGadgetParams(n, c, K, tuple(alpha), tuple(delta), Fraction(2))
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,6 @@ def build_polymatrix_gadget(
     """Build the layered exchange market for the game."""
     if params is None:
         params = PPADGadgetParams.for_size(game.n)
-    params.validate()
     if params.n != game.n:
         raise BadParams("parameter size must match the game")
     n, K = game.n, params.K
@@ -473,9 +472,8 @@ def game_to_json(game: PolymatrixGame) -> dict:
 
 def game_from_json(doc: dict) -> PolymatrixGame:
     with _reading("game document"):
-        n = to_int(doc["n"])
-        rows = _json_array(doc["payoff"], "payoff", nested=True)
-        payoff = tuple(tuple(to_fraction(x) for x in row) for row in rows)
+        n = doc["n"]
+        payoff = _json_array(doc["payoff"], "payoff", nested=True)
     return PolymatrixGame(n, payoff)
 
 

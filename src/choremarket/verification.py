@@ -367,8 +367,11 @@ def fairness_report(inst: Instance, cand: EquilibriumCandidate) -> FairnessRepor
     Agent ``i`` does not envy ``i'`` when ``D_i / budget_i`` is at most the
     rate ``i`` would pay for ``i'``'s bundle divided by ``i'``'s budget.
     Zero-budget agents are excluded from comparisons (their rates are
-    undefined) and reported separately.
+    undefined) and reported separately.  A candidate of another shape is
+    :class:`DimensionMismatch`.
     """
+    if cand.n != inst.n or cand.m != inst.m:
+        raise DimensionMismatch("candidate shape must match instance")
     cand = _exact_candidate(cand)
     profile = disutility_profile(inst, cand.allocation)
     budgets = [agent_budget(inst, i, cand.prices) for i in range(inst.n)]

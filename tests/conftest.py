@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from choremarket.enumeration import _agent_options
+from choremarket.enumeration import PATTERN_CAP, _agent_options
 from choremarket.model import exchange_instance, fixed_earnings_instance
 
 
@@ -79,9 +79,7 @@ def random_conditioned_instance(rng: random.Random):
 def covering_patterns(inst):
     """Every MPB pattern whose sets cover all chores, in agent-product order:
     the whole space that pattern search prunes, built without pruning."""
-    options = _agent_options(inst)
-    if options is None:
-        return []
+    options = _agent_options(inst, PATTERN_CAP)
     chores = frozenset(range(inst.m))
     return [p for p in product(*options) if frozenset().union(*p) == chores]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from choremarket import lp
 from choremarket.errors import Infeasible
-from choremarket.model import EXCHANGE, Instance, agent_budget, chore_supply
+from choremarket.model import EXCHANGE, Instance, agent_budget
 from choremarket.verification import mpb_sets
 
 F = Fraction
@@ -99,7 +99,7 @@ def phi(inst, p, X, dec):
     component masses of ``q`` and ``t`` the null vector of the exchange
     matrix weighted by ``q / Q``."""
     comp_of = _component_of(dec)
-    q = [p[j] + max(chore_supply(inst, j) - sum(row[j] for row in X), 0) for j in range(inst.m)]
+    q = [p[j] + max(inst.supplies[j] - sum(row[j] for row in X), 0) for j in range(inst.m)]
     Q = [sum(q[j] for j in comp.chores) for comp in dec.components]
     share = [q[j] / Q[comp_of[j]] for j in range(inst.m)]
     mass = _component_masses(inst, dec, share)

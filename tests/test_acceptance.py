@@ -10,7 +10,7 @@ import pytest
 from choremarket.enumeration import SolverConfig, enumerate_equilibria, exists_equilibrium, solve
 from choremarket.graphs import check_conditions
 from choremarket.lp import OPTIMAL
-from choremarket.model import EXACT, chore_supply, fixed_earnings_instance, normalize_prices
+from choremarket.model import EXACT, fixed_earnings_instance, normalize_prices
 from choremarket.polymatrix import (
     PolymatrixGame,
     build_polymatrix_gadget,
@@ -187,13 +187,13 @@ class TestPolymatrixReduction:
 
         alpha_top = params.alpha[-1]
         for i in range(2 * n):
-            assert chore_supply(gadget.instance, gadget.chore(1, i)) == n + n * (
+            assert gadget.instance.supplies[gadget.chore(1, i)] == n + n * (
                 1 - alpha_top
             )
         for k in range(2, params.K + 1):
             for i in range(2 * n):
                 assert (
-                    chore_supply(gadget.instance, gadget.chore(k, i))
+                    gadget.instance.supplies[gadget.chore(k, i)]
                     == n + params.delta[k - 1]
                 )
 

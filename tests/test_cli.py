@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -451,6 +452,26 @@ def test_huge_json_integer_is_usage_error(tmp_path, capsys):
     assert run("gen-polymatrix", "--game", str(game)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.endswith(f" (reading {game})\n")
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    # json.load raises RecursionError past the interpreter's recursion limit.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run("check-conditions", "--instance", str(deep)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f" (reading {deep})\n")
+
+
+def test_huge_exponent_literal_is_usage_error(paths, tmp_path, capsys):
+    # Fraction("1e10000000") would build a 33-million-bit integer.
+    doc = json.loads(Path(paths["warmup"]).read_text())
+    doc["tau"] = f"1e{sys.get_int_max_str_digits() + 1}"
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(doc))
+    assert run("check-conditions", "--instance", str(market)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad rational literal" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["instance", "equilibrium"])

@@ -11,7 +11,6 @@ from choremarket.enumeration import SolveOutcome, SolverConfig, solve
 from choremarket.graphs import build_disutility_graph, check_condition1
 from choremarket.model import (
     EXACT,
-    chore_supply,
     exchange_instance,
     fixed_earnings_instance,
 )
@@ -129,7 +128,7 @@ class TestPhiStep:
         inst = exchange_instance(10, [[1, 2]], [[2, 4]])
         scaled, supplies = rescale_to_unit_supply(inst)
         assert supplies == (F(2), F(4))
-        assert all(chore_supply(scaled, j) == 1 for j in range(2))
+        assert all(scaled.supplies[j] == 1 for j in range(2))
         # Pain-per-buck ordering is preserved under the rescale.
         assert scaled.disutility[0][0] / scaled.disutility[0][1] == F(
             inst.disutility[0][0] * 2, inst.disutility[0][1] * 4

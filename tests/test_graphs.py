@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from choremarket import graphs
-from choremarket.errors import Infeasible, WrongVariant
+from choremarket.errors import Infeasible
 from choremarket.graphs import (
     Component,
     ComponentDecomposition,
@@ -135,11 +135,16 @@ class TestCondition2:
             assert build_exchange_graph(inst, c1.decomposition).edges == expected
         assert partial > 0
 
-    def test_requires_exchange_variant(self):
-        inst = fixed_earnings_instance(10, [[1, None], [None, 1]], [1, 1])
+    def test_fixed_earnings_graph_is_the_exchange_equivalents(self):
+        # A fixed-earnings market has the exchange graph of its to_exchange();
+        # agent 2 earns nothing, so its component owns no chore.
+        inst = fixed_earnings_instance(
+            10, [[1, None, None], [None, 1, None], [None, None, 1]], [1, 2, 0]
+        )
         dec = check_condition1(build_disutility_graph(inst)).decomposition
-        with pytest.raises(WrongVariant):
-            build_exchange_graph(inst, dec)
+        graph = build_exchange_graph(inst, dec)
+        assert graph == build_exchange_graph(inst.to_exchange(), dec)
+        assert graph.edges == {(k, kk) for k in (0, 1) for kk in range(3)}
 
 
 class TestCheckConditions:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from choremarket.model import (
     agent_budget,
     candidate_from_json,
     candidate_to_json,
-    chore_supply,
     exchange_instance,
     fixed_earnings_instance,
     instance_from_json,
@@ -101,8 +101,8 @@ class TestBudgetsAndSupply:
         assert agent_budget(warmup, 0, (Fraction(5), Fraction(7))) == 1
 
     def test_exchange_supply_sums_endowments(self, example2):
-        assert chore_supply(example2, 0) == 1
-        assert chore_supply(example2, 1) == 1
+        assert example2.supplies[0] == 1
+        assert example2.supplies[1] == 1
 
     def test_exchange_budget_scales_with_prices(self, intro):
         p = (Fraction(1, 4), Fraction(3, 4))
@@ -147,6 +147,27 @@ class TestLiteralParity:
                 continue
             got = to_fraction(text)
             assert type(got) is Fraction and got == want, text
+
+
+class TestExponentBound:
+    """An exponent past the integer digit limit is refused before ``Fraction``
+    builds its power of ten, as ``json`` refuses an integer of more digits."""
+
+    def test_exponent_past_the_digit_limit_is_malformed(self):
+        limit = sys.get_int_max_str_digits()
+        for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", f" 1e+{limit + 1} ", f"1e{10**6}"):
+            with pytest.raises(Malformed, match="bad rational literal"):
+                to_fraction(text)
+        assert to_fraction(f"1e{limit}") == 10**limit
+        assert to_fraction(f"-1.5e-{limit}") == Fraction(-15, 10 ** (limit + 1))
+
+    def test_a_limit_of_zero_bounds_nothing(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert to_fraction("7e5000") == 7 * 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class _Sub(Fraction):
@@ -246,7 +267,7 @@ class TestToExchange:
         ex = warmup.to_exchange()
         assert ex.variant == "exchange"
         for j in range(ex.m):
-            assert chore_supply(ex, j) == chore_supply(warmup, j)
+            assert ex.supplies[j] == warmup.supplies[j]
         p = (Fraction(1), Fraction(1))
         # Total supply value at these prices equals total earnings (= 2),
         # so budgets coincide with the fixed earnings.
@@ -429,8 +450,6 @@ REJECTED = {
     "budget-price-length": (
         lambda: agent_budget(_INTRO, 0, (_F1,)),
         DimensionMismatch, "price vector length must match chore count"),
-    "supply-chore-index": (
-        lambda: chore_supply(_WARMUP, 2), DimensionMismatch, "chore index 2 out of range"),
     "candidate-mode": (
         lambda: EquilibriumCandidate((_F1,), ((_F1,),), mode="decimal"),
         Malformed, "unknown numeric mode 'decimal'"),

@@ -33,7 +33,6 @@ PUBLIC_API = [
     "EquilibriumCandidate",
     "Instance",
     "agent_budget",
-    "chore_supply",
     "candidate_from_json",
     "candidate_to_json",
     "exchange_instance",

@@ -21,7 +21,6 @@ from choremarket.model import (
     EquilibriumCandidate,
     candidate_from_json,
     candidate_to_json,
-    chore_supply,
     instance_from_json,
     instance_to_json,
 )
@@ -73,7 +72,7 @@ def _k2_params(**changes):
 
 @functools.cache
 def k2_equilibria():
-    """GAME2's gadget on a hand-set schedule that ``validate()`` accepts
+    """GAME2's gadget on a hand-set schedule that ``PPADGadgetParams`` accepts
     (c = 1, K = 2, ``alpha = delta = (1/100, 3/10)``, tau = 2; 26 x 8), and
     its 49 exact equilibria, found by exhaustive search in about 1 s."""
     gadget = build_polymatrix_gadget(GAME2, _k2_params())
@@ -193,11 +192,11 @@ class TestGadgetStructure:
         n, K = g.params.n, g.params.K
         alpha_k = g.params.alpha[-1]
         for i in range(2 * n):
-            assert chore_supply(g.instance, g.chore(1, i)) == n + n * (1 - alpha_k)
+            assert g.instance.supplies[g.chore(1, i)] == n + n * (1 - alpha_k)
         for k in range(2, K + 1):
             for i in range(2 * n):
                 assert (
-                    chore_supply(g.instance, g.chore(k, i))
+                    g.instance.supplies[g.chore(k, i)]
                     == n + g.params.delta[k - 1]
                 )
 
@@ -214,7 +213,7 @@ class TestGadgetStructure:
         w[0][odd] += F(1, 3)
         bad = replace(g, instance=replace(g.instance, endowment=w))
         rep = verify_gadget_properties(bad)
-        totals = chore_supply(bad.instance, even), chore_supply(bad.instance, odd)
+        totals = bad.instance.supplies[even], bad.instance.supplies[odd]
         assert rep.check("pairwise-equal-endowments").details == (
             f"layer 2 pair 0: {totals[0]} vs {totals[1]}",
         )
@@ -359,8 +358,8 @@ class TestExactChain:
         Each recovered strategy is a vector of Fractions whose pairs sum to
         exactly one, so ``slack=0`` reports no pair-sum or sign violation.
         25 of the 49 equilibria recover a threshold equilibrium of GAME2 and
-        24 do not.  ROADMAP item 13 may change ``validate()`` so that it
-        rejects this schedule, and with it this split.
+        24 do not.  ROADMAP item 13 may change ``PPADGadgetParams`` so that
+        it rejects this schedule, and with it this split.
         """
         g, equilibria = k2_equilibria()
         assert len(equilibria) == 49
@@ -398,6 +397,12 @@ REJECTED = {
     "no-players": (lambda: PolymatrixGame(0, ()), BadGame, "at least one player"),
     "payoff-shape": (
         lambda: PolymatrixGame(1, [[1, 0]]), BadGame, "payoff matrix must be 2n x 2n"),
+    "players-float": (
+        lambda: PolymatrixGame(2.0, [[1, 0, 1, 0]] * 4), Malformed, "not an integer: 2.0"),
+    "players-string": (
+        lambda: PolymatrixGame("2", [[1, 0, 1, 0]] * 4), Malformed, "not an integer: '2'"),
+    "players-bool": (
+        lambda: PolymatrixGame(True, [[1, 0], [0, 1]]), Malformed, "not an integer: True"),
     "payoff-bool-and-float": (
         lambda: PolymatrixGame(1, [[True, False], [0.25, 0.75]]), Malformed, "not a rational"),
     "schedule-length": (

@@ -922,6 +922,12 @@ REJECTED = {
     "verify-shape": (
         lambda: verify_equilibrium(_WARMUP, EquilibriumCandidate((1,), ((1,), (1,)))),
         DimensionMismatch, "candidate shape must match instance"),
+    "fairness-fewer-agents": (
+        lambda: fairness_report(_INTRO, EquilibriumCandidate((1, 1), ((1, 1),))),
+        DimensionMismatch, "candidate shape must match instance"),
+    "fairness-fewer-chores": (
+        lambda: fairness_report(_INTRO, EquilibriumCandidate((1,), ((1,), (1,)))),
+        DimensionMismatch, "candidate shape must match instance"),
     "pareto-shape": (
         lambda: check_pareto(_INTRO, [[1, 1]]),
         DimensionMismatch, "allocation shape must match instance"),
