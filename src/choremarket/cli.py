@@ -111,25 +111,22 @@ def _cmd_solve_fixedpoint(args):
     }, outcome.converged
 
 
-def _sat_params(args):
-    names = ("eps", "eps_prime", "tau")
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    return sat_reduction.SATGadgetParams(**given)
-
-
-def _load_formula(path):
-    with open(path, "r", encoding="utf-8") as handle:
+def _sat_gadget(args):
+    """The gadget of the ``--cnf`` DIMACS file, with the ``--eps``,
+    ``--eps-prime`` and ``--tau`` given and the defaults for the rest."""
+    with open(args.cnf, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
-            raise Malformed(f"{exc} (reading {path})") from exc
-    return sat_reduction.parse_dimacs(text)
+            raise Malformed(f"{exc} (reading {args.cnf})") from exc
+    formula = sat_reduction.parse_dimacs(text)
+    names = ("eps", "eps_prime", "tau")
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return sat_reduction.build_sat_gadget(formula, sat_reduction.SATGadgetParams(**given))
 
 
 def _cmd_gen_sat(args):
-    formula = _load_formula(args.cnf)
-    gadget = sat_reduction.build_sat_gadget(formula, _sat_params(args))
-    return sat_reduction.gadget_to_json(gadget), True
+    return sat_reduction.gadget_to_json(_sat_gadget(args)), True
 
 
 def _parse_assignment(text):
@@ -143,8 +140,7 @@ def _parse_assignment(text):
 
 
 def _cmd_sat_equilibrium(args):
-    formula = _load_formula(args.cnf)
-    gadget = sat_reduction.build_sat_gadget(formula, _sat_params(args))
+    gadget = _sat_gadget(args)
     assignment = _parse_assignment(args.assignment)
     cand = sat_reduction.assignment_to_equilibrium(gadget, assignment)
     return candidate_to_json(cand), True

@@ -19,10 +19,11 @@ a zero that is a fresh ``Fraction(0)`` or an int gives the same answer,
 only slower.
 
 Report and metadata documents come straight from their dataclasses through
-:func:`_plain`.  :func:`instance_to_json` and :func:`candidate_to_json` keep
-their own loops: a gadget's market and candidate hold thousands of entries,
-mostly zeros, which they write as ``"0/1"`` without formatting each, and a
-generic recursion per entry would slow them.
+:func:`_plain`.  :func:`instance_to_json` and :func:`candidate_to_json`
+write every row through one array writer, :func:`_encode_values`: a
+gadget's market and candidate hold thousands of entries, mostly zeros,
+which it writes as ``"0/1"`` without formatting each, and a generic
+recursion per entry would slow them.
 
 Files and stdout get one text, :func:`_json_text`: the text of
 ``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.  It walks
@@ -173,11 +174,10 @@ def _parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Encode a rational as a ``"num/den"`` string in lowest terms.
 
-    The denominator is positive and ``"0/1"`` encodes zero.  Ints and floats
-    are converted exactly first; Fractions are used as they are.
+    The denominator is positive and ``"0/1"`` encodes zero.  ``value`` is a
+    Fraction or an int, subclasses included: both carry their lowest-terms
+    ``numerator`` and ``denominator``, so neither is converted.
     """
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -466,11 +466,14 @@ class EquilibriumCandidate:
 # JSON encoding
 
 
-def _encode_values(values, mode: str) -> list:
+def _encode_values(values, mode: str = EXACT) -> list:
+    """The JSON array of a row of rationals: floats in float mode, else
+    ``"num/den"`` strings with ``None`` (a forbidden pair) kept."""
     if mode == FLOAT:
         return [float(x) for x in values]
-    # Most entries of a large market's candidate are zero: "0/1" each.
-    return ["0/1" if x is _ZERO or not x else format_rational(x) for x in values]
+    # Most entries of a large market or candidate are the shared zero: "0/1"
+    # each, without a Fraction call; any other zero formats as "0/1" too.
+    return [None if x is None else "0/1" if x is _ZERO else format_rational(x) for x in values]
 
 
 def _decode_values(values, mode: str) -> list:
@@ -507,19 +510,13 @@ def instance_to_json(inst: Instance) -> dict:
     doc = {
         "variant": inst.variant,
         "tau": format_rational(inst.tau),
-        "disutility": [
-            [None if x is None else format_rational(x) for x in row]
-            for row in inst.disutility
-        ],
+        "disutility": list(map(_encode_values, inst.disutility)),
     }
     if inst.variant == EXCHANGE:
-        doc["endowment"] = [
-            ["0/1" if x is _ZERO or not x else format_rational(x) for x in row]
-            for row in inst.endowment
-        ]
+        doc["endowment"] = list(map(_encode_values, inst.endowment))
     else:
-        doc["earning"] = [format_rational(x) for x in inst.earning]
-        doc["supply"] = [format_rational(x) for x in inst.supply]
+        doc["earning"] = _encode_values(inst.earning)
+        doc["supply"] = _encode_values(inst.supply)
     return doc
 
 

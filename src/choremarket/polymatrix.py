@@ -147,9 +147,11 @@ class PPADGadgetParams:
     :func:`~choremarket.model.to_int` reads them, and ``tau`` and each
     ``alpha`` and ``delta`` entry as :func:`~choremarket.model.to_fraction`
     reads it, so a float, a bool, ``None`` or an unreadable string is
-    :class:`Malformed`.  Construction then checks the schedule: ``K`` even
-    and at least 2, one ``alpha`` and ``delta`` per layer, the top band in
-    that range and ``tau > 1 + alpha[-1]``, else :class:`BadParams`.
+    :class:`Malformed`.  Construction then checks the schedule: ``n`` at
+    least 1, ``c`` nonnegative, every ``alpha`` positive, ``K`` even and at
+    least 2, one ``alpha`` and ``delta`` per layer, the top band in that
+    range (a huge ``c`` fails before ``n**c`` is built) and ``tau > 1 +
+    alpha[-1]``, else :class:`BadParams`.
     """
 
     n: int
@@ -165,14 +167,25 @@ class PPADGadgetParams:
         for name in ("alpha", "delta"):
             object.__setattr__(self, name, tuple(map(to_fraction, getattr(self, name))))
         object.__setattr__(self, "tau", to_fraction(self.tau))
-        if len(self.alpha) != self.K or len(self.delta) != self.K:
+        n, c, alpha = self.n, self.c, self.alpha
+        if n < 1:
+            raise BadParams("n must be at least 1")
+        if c < 0:
+            raise BadParams("c must be nonnegative")
+        if not all(a > 0 for a in alpha):
+            raise BadParams("every alpha must be positive")
+        if len(alpha) != self.K or len(self.delta) != self.K:
             raise BadParams("schedule length must equal K")
         if self.K % 2 != 0 or self.K < 2:
             raise BadParams("K must be a positive even number")
-        top = self.alpha[-1]
-        if not self.n**self.c * self.alpha[0] < top:
+        bottom, top = alpha[0], alpha[-1]
+        # n**c is at least 2**(c * (bits(n) - 1)): once that reaches
+        # 2**bits(top / bottom), n**c * bottom passes top, and n**c, which
+        # could have billions of bits, is never built.
+        huge = n > 1 and c * (n.bit_length() - 1) >= math.ceil(top / bottom).bit_length()
+        if huge or not (power := n**c) * bottom < top:
             raise BadParams("top band must dominate the bottom band")
-        if not top <= Fraction(1, self.n**self.c):
+        if not top <= Fraction(1, power):
             raise BadParams("top band must stay below 1 / n**c")
         if self.tau <= 1 + top:
             raise BadParams("tau must exceed every finite disutility")
@@ -271,17 +284,21 @@ def build_polymatrix_gadget(
         w_rows[agent][chore(1, 2 * pair + 1)] = share
         set_pair(agent, 1, pair, c % 2 == 0)
 
+    def add_balancers(k):
+        """Layer k's balancers: each owns delta_k of a pair and works on it."""
+        for pair in range(n):
+            agent = new_agent(f"abar[{k},{pair}]")
+            w_rows[agent][chore(k, 2 * pair)] = delta[k - 1]
+            w_rows[agent][chore(k, 2 * pair + 1)] = delta[k - 1]
+            set_pair(agent, k, pair, None)
+
     # Middle layers 2..K-1: owners work one layer up, balancers at home.
     for k in range(2, K):
         for i in range(size):
             agent = new_agent(f"a[{k},{i}]")
             w_rows[agent][chore(k, i)] = owned
             set_pair(agent, k + 1, i // 2, i % 2 == 0)
-        for pair in range(n):
-            agent = new_agent(f"abar[{k},{pair}]")
-            w_rows[agent][chore(k, 2 * pair)] = delta[k - 1]
-            w_rows[agent][chore(k, 2 * pair + 1)] = delta[k - 1]
-            set_pair(agent, k, pair, None)
+        add_balancers(k)
 
     # Top layer K: matrix owners work in layer 1, balancers at home.
     for i in range(size):
@@ -289,11 +306,7 @@ def build_polymatrix_gadget(
             agent = new_agent(f"a[{K},{i},{j}]")
             w_rows[agent][chore(K, i)] = M[i][j]
             set_pair(agent, 1, j // 2, j % 2 == 0)
-    for pair in range(n):
-        agent = new_agent(f"abar[{K},{pair}]")
-        w_rows[agent][chore(K, 2 * pair)] = delta[K - 1]
-        w_rows[agent][chore(K, 2 * pair + 1)] = delta[K - 1]
-        set_pair(agent, K, pair, None)
+    add_balancers(K)
 
     chore_labels = tuple(
         f"b[{k},{i}]" for k in range(1, K + 1) for i in range(size)

@@ -330,16 +330,6 @@ class FairnessReport:
         return all(c.ok for c in self.comparisons)
 
 
-def _exact_candidate(cand: EquilibriumCandidate) -> EquilibriumCandidate:
-    if cand.mode == EXACT:
-        return cand
-    return EquilibriumCandidate(
-        [Fraction(p) for p in cand.prices],
-        [[Fraction(x) for x in row] for row in cand.allocation],
-        mode=EXACT,
-    )
-
-
 def _bundle_disutility(inst: Instance, agent: int, row) -> Optional[Fraction]:
     """Disutility ``agent`` suffers for the bundle ``row``; ``None`` when the
     bundle holds a chore the agent cannot do."""
@@ -368,13 +358,17 @@ def fairness_report(inst: Instance, cand: EquilibriumCandidate) -> FairnessRepor
     rate ``i`` would pay for ``i'``'s bundle divided by ``i'``'s budget.
     Zero-budget agents are excluded from comparisons (their rates are
     undefined) and reported separately.  A candidate of another shape is
-    :class:`DimensionMismatch`.
+    :class:`DimensionMismatch`.  A float candidate is read at its exact
+    binary values.
     """
     if cand.n != inst.n or cand.m != inst.m:
         raise DimensionMismatch("candidate shape must match instance")
-    cand = _exact_candidate(cand)
-    profile = disutility_profile(inst, cand.allocation)
-    budgets = [agent_budget(inst, i, cand.prices) for i in range(inst.n)]
+    prices, allocation = cand.prices, cand.allocation
+    if cand.mode != EXACT:
+        prices = [Fraction(p) for p in prices]
+        allocation = [[Fraction(x) for x in row] for row in allocation]
+    profile = disutility_profile(inst, allocation)
+    budgets = [agent_budget(inst, i, prices) for i in range(inst.n)]
     excluded = tuple(i for i, b in enumerate(budgets) if b == 0)
     comparisons = []
     for i in range(inst.n):
@@ -384,7 +378,7 @@ def fairness_report(inst: Instance, cand: EquilibriumCandidate) -> FairnessRepor
             if other == i or budgets[other] == 0:
                 continue
             lhs = None if profile[i] is None else profile[i] / budgets[i]
-            cross = _bundle_disutility(inst, i, cand.allocation[other])
+            cross = _bundle_disutility(inst, i, allocation[other])
             rhs = None if cross is None else cross / budgets[other]
             if rhs is None:
                 ok = True

@@ -554,6 +554,17 @@ class TestPolymatrixCommands:
         doc = json.loads(gadget.read_text())
         assert doc["metadata"]["params"]["K"] == 8
 
+    def test_zero_player_params_are_usage_error(self, paths, tmp_path, capsys):
+        # n**c would be 0, and 1 / n**c a ZeroDivisionError traceback.
+        gadget = tmp_path / "pm.json"
+        assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0
+        doc = json.loads(gadget.read_text())
+        doc["metadata"]["params"]["n"] = 0
+        gadget.write_text(json.dumps(doc))
+        assert run("check-gadget", "--instance", str(gadget)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: n must be at least 1\n"
+
     def test_recover_strategy(self, paths, tmp_path, capsys):
         gadget, eq = tmp_path / "pm.json", str(tmp_path / "eq.json")
         assert run("gen-polymatrix", "--game", paths["game"], "-o", str(gadget)) == 0

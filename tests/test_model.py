@@ -254,6 +254,23 @@ class TestFastPathParity:
             cand = EquilibriumCandidate(swap(prices), [swap(row) for row in rows])
             assert candidate_to_json(cand) == want
         assert want["allocation"][0] == ["1/3", "0/1", "0/1"] and want["prices"][2] == "0/1"
+        # One writer for every rational row: a forbidden pair is null, an int
+        # or a Fraction subclass is its num/den, a zero earning is "0/1", and
+        # a float candidate stays floats.
+        rows = [["1/1", None, "2/1"], ["3/1", "1/1", None]]
+        assert instance_to_json(shared)["disutility"] == rows
+        cand = EquilibriumCandidate((3, _Sub(2, 4)), ((_Sub(0), 1),))
+        assert candidate_to_json(cand) == {
+            "mode": "exact", "prices": ["3/1", "1/2"], "allocation": [["0/1", "1/1"]]
+        }
+        earning = [Fraction(0), _Sub(5, 10)]
+        fixed = fixed_earnings_instance(3, [[1, 2], [2, None]], earning, [1, "7/2"])
+        doc = instance_to_json(fixed)
+        assert (doc["earning"], doc["supply"]) == (["0/1", "1/2"], ["1/1", "7/2"])
+        cand = EquilibriumCandidate((3, 0.5), ((0.0, 1),), mode="float")
+        doc = candidate_to_json(cand)
+        assert doc["prices"] == [3.0, 0.5] and doc["allocation"] == [[0.0, 1.0]]
+        assert all(type(x) is float for x in doc["prices"] + doc["allocation"][0])
 
     def test_decoders_hand_out_the_shared_zero(self):
         for literal in ("0/1", "0", "-0/7", "0.0"):

@@ -406,20 +406,27 @@ REJECTED = {
     "payoff-bool-and-float": (
         lambda: PolymatrixGame(1, [[True, False], [0.25, 0.75]]), Malformed, "not a rational"),
     "schedule-length": (
-        lambda: _k2_params(alpha=(F(1, 100),)).validate(),
+        lambda: _k2_params(alpha=(F(1, 100),)),
         BadParams, "schedule length must equal K"),
     "odd-K": (
-        lambda: _k2_params(K=3, alpha=(F(1, 100),) * 3, delta=(F(1, 100),) * 3).validate(),
+        lambda: _k2_params(K=3, alpha=(F(1, 100),) * 3, delta=(F(1, 100),) * 3),
         BadParams, "K must be a positive even number"),
     "top-band-too-small": (
-        lambda: _k2_params(alpha=(F(1, 100), F(1, 50))).validate(),
+        lambda: _k2_params(alpha=(F(1, 100), F(1, 50))),
         BadParams, "top band must dominate the bottom band"),
     "top-band-too-large": (
-        lambda: _k2_params(alpha=(F(1, 100), F(6, 10))).validate(),
+        lambda: _k2_params(alpha=(F(1, 100), F(6, 10))),
         BadParams, "top band must stay below 1 / n**c"),
     "tau-too-small": (
-        lambda: _k2_params(tau=F(13, 10)).validate(),
+        lambda: _k2_params(tau=F(13, 10)),
         BadParams, "tau must exceed every finite disutility"),
+    "params-no-players": (lambda: _k2_params(n=0), BadParams, "n must be at least 1"),
+    "params-negative-c": (lambda: _k2_params(c=-1), BadParams, "c must be nonnegative"),
+    "params-zero-alpha": (
+        lambda: _k2_params(alpha=(F(0), F(3, 10))), BadParams, "every alpha must be positive"),
+    # 2**c alone puts the bottom band past the top one: refused before n**c.
+    "params-huge-c": (
+        lambda: _k2_params(c=10**9), BadParams, "top band must dominate the bottom band"),
     "schedule-float": (
         lambda: _k2_params(alpha=(F(1, 100), 0.3)), Malformed, "not a rational: 0.3"),
     "schedule-bool": (
